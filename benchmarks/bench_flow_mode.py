@@ -49,10 +49,7 @@ from repro.topology.devices import perlmutter_testbed
 #: the same fat-tree scenario under a fault plan (whole fabric degraded 10%
 #: plus one NIC attachment down), so the fault path — deferred routes,
 #: mid-run reallocation, reroute-on-failure — is perf-gated too.  The
-#: ``fattree-approx`` variant enables the contention-scaling knobs
-#: (ε-approximate reallocation + event coarsening), so the approximate
-#: engine is perf-gated alongside the exact one and its allocator counters
-#: land in the BENCH record.  The ``fattree-ecmp`` variant routes every flow
+#: ``fattree-ecmp`` variant routes every flow
 #: through the multipath policy lane (equal-cost enumeration + deterministic
 #: hashing), and ``photonic-reactive`` swaps profile-driven provisioning for
 #: the telemetry loop — so both new control paths are perf-gated from day
@@ -62,13 +59,9 @@ FABRICS = (
     "fattree",
     "photonic",
     "fattree-faulted",
-    "fattree-approx",
     "fattree-ecmp",
     "photonic-reactive",
 )
-
-#: Knobs behind the ``fattree-approx`` benchmark variant.
-APPROX_KNOBS = {"allocator_epsilon": 0.05, "coarsen_quantum": 1e-6}
 
 #: Allocator counters copied from the run's metrics into the BENCH record
 #: (flow mode only; the analytic model has no allocator).
@@ -76,7 +69,6 @@ STAT_KEYS = (
     "allocator_invocations",
     "rerated_components",
     "rerated_flows",
-    "epsilon_skips",
 )
 
 #: The fault plan behind the ``fattree-faulted`` benchmark variant.
@@ -113,10 +105,6 @@ def build_scenario(fabric: str, num_nodes: int, network_mode: str) -> Scenario:
     knobs: dict = {"network_mode": network_mode}
     if variant == "faulted":
         knobs["faults"] = FAULT_PLAN
-    elif variant == "approx" and network_mode == "flow":
-        # The knobs only exist in flow mode; the analytic side of the ratio
-        # is the plain fat tree (same scenario, same pricing).
-        knobs.update(APPROX_KNOBS)
     elif variant == "ecmp" and network_mode == "flow":
         knobs["routing_policy"] = "ecmp"
     elif variant == "reactive" and network_mode == "flow":
@@ -152,9 +140,8 @@ def run_point(fabric: str, num_nodes: int, network_mode: str, repeat: int = 3) -
         "steady_iteration_s": metrics["steady_iteration_time"],
         "iterations": NUM_ITERATIONS,
     }
-    # Allocator counters (flow mode only) make the contention-scaling knobs'
-    # effect auditable from the BENCH line itself: the approx variant should
-    # show epsilon_skips > 0 and fewer re-rated components per invocation.
+    # Allocator counters (flow mode only) make the solver work auditable from
+    # the BENCH line itself.
     for key in STAT_KEYS:
         if key in metrics:
             point[key] = int(metrics[key])

@@ -12,8 +12,6 @@ Each point is emitted as one ``BENCH {...}`` JSON line::
 plus the run's allocator counters.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_scale.py [endpoints ...]
-    PYTHONPATH=src python benchmarks/bench_scale.py --epsilon 0.05 \
-        --quantum 1e-6 10000
 
 The committed ``benchmarks/scale_evidence.txt`` holds the reference
 machine's most recent numbers for the 2k/4k/10k fat-tree points.
@@ -33,19 +31,12 @@ STAT_KEYS = (
     "allocator_invocations",
     "rerated_components",
     "rerated_flows",
-    "epsilon_skips",
 )
 
 
-def run_point(
-    endpoints: int, backend: str, epsilon: float, quantum: float
-) -> dict:
+def run_point(endpoints: int, backend: str) -> dict:
     scenario = scale_scenario(
-        num_endpoints=endpoints,
-        backend=backend,
-        num_iterations=2,
-        allocator_epsilon=epsilon,
-        coarsen_quantum=quantum,
+        num_endpoints=endpoints, backend=backend, num_iterations=2
     )
     started = time.perf_counter()
     result = run_scenario(scenario)
@@ -58,8 +49,6 @@ def run_point(
         "wall_time_s": round(elapsed, 3),
         "steady_iteration_s": result.metrics["steady_iteration_time"],
         "iterations": 2,
-        "allocator_epsilon": epsilon,
-        "coarsen_quantum": quantum,
     }
     for key in STAT_KEYS:
         if key in result.metrics:
@@ -71,12 +60,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("endpoints", nargs="*", type=int, default=None)
     parser.add_argument("--backend", default="fattree")
-    parser.add_argument("--epsilon", type=float, default=0.0)
-    parser.add_argument("--quantum", type=float, default=0.0)
     args = parser.parse_args(argv)
     sizes = args.endpoints or [10_000]
     for endpoints in sizes:
-        point = run_point(endpoints, args.backend, args.epsilon, args.quantum)
+        point = run_point(endpoints, args.backend)
         print("BENCH " + json.dumps(point, sort_keys=True), flush=True)
     return 0
 

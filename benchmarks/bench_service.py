@@ -47,11 +47,11 @@ def spec(points: int) -> dict:
         "scenario": {
             "workload": "tiny",
             "cluster": "perlmutter:2",
-            "backend": "electrical",
+            "backend": "fattree",
             "iterations": 2,
             "knobs": {"network_mode": "flow"},
         },
-        "grid": {"allocator_epsilon": [1e-3 * (k + 1) for k in range(points)]},
+        "grid": {"oversubscription": [1.0 + k for k in range(points)]},
     }
 
 

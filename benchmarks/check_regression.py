@@ -132,7 +132,7 @@ def tolerance_for(key: str, default: float, overrides: Dict[str, float]) -> floa
     """Resolve ``key``'s value against per-identity baseline overrides.
 
     An override key either matches exactly or, with a trailing ``*``, as a
-    prefix (``"flow_mode:fattree-approx*"`` covers every GPU count of that
+    prefix (``"flow_mode:fattree-faulted*"`` covers every GPU count of that
     variant).  Exact matches win over prefixes; among prefixes the longest
     wins, so narrower overrides beat broader ones.  Shared by the tolerance
     and the absolute-slack override maps — the resolution rules are

@@ -12,6 +12,8 @@ This package turns the end-to-end simulator into an experiment platform:
   analytic and flow-level network modes (contention-free and
   provisioned-photonic equivalence; shared-uplink incast and circuit-thrash
   divergence).
+* :mod:`repro.experiments.spec` — the JSON scenario spec and its one
+  parser, shared by the CLI and the experiment service.
 * :mod:`repro.experiments.cli` — the ``repro-sim`` console script.
 """
 

@@ -41,13 +41,6 @@ installed when the flows start, and real flow drains feed the controller's
 busy-circuit bookkeeping
 (:class:`~repro.simulator.flow_network.PhotonicFlowNetworkModel`).
 
-Every flow-capable backend also accepts the contention-scaling knobs
-``allocator_epsilon``, ``coarsen_quantum``, and ``fill_workers`` (flow mode
-only; see :class:`~repro.simulator.flows.FlowSimulator`): ε-approximate
-reallocation with deferred-dirty tracking, rate-change event coarsening onto
-a time quantum, and parallel per-component water-filling.  All default to
-off, which is bit-for-bit the exact engine.
-
 The packet-routed backends (``electrical``, ``fattree``, ``railopt``)
 additionally accept a ``routing_policy`` knob in flow mode — ``"single"``
 (default, today's one-path routing), ``"ecmp"`` (deterministic per-flow
@@ -207,52 +200,13 @@ def _check_network_mode(network_mode: object) -> str:
     return str(mode)
 
 
-#: Names of the flow-mode contention-scaling knobs shared by every
-#: flow-capable backend (see :class:`~repro.simulator.flows.FlowSimulator`).
-FLOW_APPROX_KNOBS = ("allocator_epsilon", "coarsen_quantum", "fill_workers")
-
-
-def _flow_approx_knobs(
-    mode: str,
-    backend: str,
-    allocator_epsilon: object,
-    coarsen_quantum: object,
-    fill_workers: object,
-) -> Dict[str, object]:
-    """Validate the contention-scaling knobs for one backend instantiation.
-
-    Returns the keyword arguments for the flow-network factory.  The knobs
-    only make sense in flow mode — the analytic model has no allocator to
-    approximate — so nonzero values under ``analytic`` are a configuration
-    error rather than a silent no-op.
-    """
-    epsilon = 0.0 if allocator_epsilon is None else float(allocator_epsilon)
-    quantum = 0.0 if coarsen_quantum is None else float(coarsen_quantum)
-    workers = 0 if fill_workers is None else int(fill_workers)
-    if epsilon < 0.0 or quantum < 0.0 or workers < 0:
-        raise ConfigurationError(
-            "allocator_epsilon, coarsen_quantum, and fill_workers must be "
-            f"non-negative, got {epsilon!r}/{quantum!r}/{workers!r}"
-        )
-    if mode != "flow" and (epsilon or quantum or workers):
-        raise ConfigurationError(
-            f"{'/'.join(FLOW_APPROX_KNOBS)} only apply to "
-            f"network_mode='flow'; backend {backend!r} is in {mode} mode"
-        )
-    return {
-        "allocator_epsilon": epsilon,
-        "coarsen_quantum": quantum,
-        "fill_workers": workers,
-    }
-
-
 def _routing_policy_knob(mode: str, backend: str, routing_policy: object) -> str:
     """Validate the ``routing_policy`` knob for one backend instantiation.
 
     Routing policies select paths per flow, so they only exist in flow mode —
     the analytic models never route individual transfers.  A non-default
     policy under ``analytic`` is a configuration error rather than a silent
-    no-op, mirroring :func:`_flow_approx_knobs`.
+    no-op.
     """
     policy = "single" if routing_policy is None else str(routing_policy)
     if policy not in ROUTING_POLICIES:
@@ -341,8 +295,7 @@ def _install_faults(
         "technology",
         "network_mode",
         "faults",
-    )
-    + FLOW_APPROX_KNOBS,
+    ),
 )
 def _photonic_backend(
     cluster: ClusterSpec,
@@ -353,14 +306,8 @@ def _photonic_backend(
     technology: Optional[OCSTechnology] = None,
     network_mode: Optional[str] = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
-    fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "photonic", allocator_epsilon, coarsen_quantum, fill_workers
-    )
     # Validate the provisioning knob (bool, or "profile"/"none"/"reactive")
     # up front so both modes reject bad values with the same error.
     shim_options = shim_options_for_provisioning(provisioning)
@@ -373,7 +320,6 @@ def _photonic_backend(
                 provisioning=provisioning,
                 technology=technology,
                 registry=registry,
-                **approx,
             ),
             faults,
             _CIRCUIT_FLOW_FAULTS,
@@ -411,8 +357,7 @@ def _photonic_backend(
 @backend(
     "electrical",
     "Fully-connected electrical rails (the Fig. 8 baseline)",
-    knobs=("use_tree_collectives", "network_mode", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=("use_tree_collectives", "network_mode", "routing_policy", "faults"),
 )
 def _electrical_backend(
     cluster: ClusterSpec,
@@ -422,14 +367,8 @@ def _electrical_backend(
     network_mode: Optional[str] = None,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
-    fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "electrical", allocator_epsilon, coarsen_quantum, fill_workers
-    )
     policy = _routing_policy_knob(mode, "electrical", routing_policy)
     if mode == "flow":
         if use_tree_collectives:
@@ -438,7 +377,7 @@ def _electrical_backend(
                 "use_tree_collectives is not supported in flow mode"
             )
         return _install_faults(
-            electrical_flow_network(cluster, mesh, routing_policy=policy, **approx),
+            electrical_flow_network(cluster, mesh, routing_policy=policy),
             faults,
             _LINK_FAULTS,
             "electrical",
@@ -474,8 +413,7 @@ def _ideal_backend(
 @backend(
     "fattree",
     "Packet transfers routed through the k-ary fat-tree graph",
-    knobs=("network_mode", "oversubscription", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=("network_mode", "oversubscription", "routing_policy", "faults"),
 )
 def _fattree_backend(
     cluster: ClusterSpec,
@@ -485,15 +423,9 @@ def _fattree_backend(
     oversubscription: float = 1.0,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
-    fill_workers: object = None,
 ) -> NetworkModel:
     oversubscription = float(oversubscription)
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "fattree", allocator_epsilon, coarsen_quantum, fill_workers
-    )
     policy = _routing_policy_knob(mode, "fattree", routing_policy)
     if mode == "flow":
         model: NetworkModel = fat_tree_flow_network(
@@ -501,7 +433,6 @@ def _fattree_backend(
             mesh,
             oversubscription=oversubscription,
             routing_policy=policy,
-            **approx,
         )
         return _install_faults(model, faults, _LINK_FAULTS, "fattree", "flow")
     model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
@@ -511,8 +442,7 @@ def _fattree_backend(
 @backend(
     "railopt",
     "Packet transfers routed through the leaf/spine rail-optimized graph",
-    knobs=("always_spine", "network_mode", "routing_policy", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=("always_spine", "network_mode", "routing_policy", "faults"),
 )
 def _railopt_backend(
     cluster: ClusterSpec,
@@ -522,14 +452,8 @@ def _railopt_backend(
     network_mode: Optional[str] = None,
     routing_policy: object = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
-    fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "railopt", allocator_epsilon, coarsen_quantum, fill_workers
-    )
     policy = _routing_policy_knob(mode, "railopt", routing_policy)
     if mode == "flow":
         model: NetworkModel = rail_optimized_flow_network(
@@ -537,7 +461,6 @@ def _railopt_backend(
             mesh,
             always_spine=bool(always_spine),
             routing_policy=policy,
-            **approx,
         )
         return _install_faults(model, faults, _LINK_FAULTS, "railopt", "flow")
     model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
@@ -547,8 +470,7 @@ def _railopt_backend(
 @backend(
     "ocs",
     "Bare OCS rails without Opus: schedule changes block for the switch time",
-    knobs=("reconfiguration_delay", "technology", "network_mode", "faults")
-    + FLOW_APPROX_KNOBS,
+    knobs=("reconfiguration_delay", "technology", "network_mode", "faults"),
 )
 def _ocs_backend(
     cluster: ClusterSpec,
@@ -558,14 +480,8 @@ def _ocs_backend(
     technology: Optional[OCSTechnology] = None,
     network_mode: Optional[str] = None,
     faults: object = None,
-    allocator_epsilon: object = None,
-    coarsen_quantum: object = None,
-    fill_workers: object = None,
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
-    approx = _flow_approx_knobs(
-        mode, "ocs", allocator_epsilon, coarsen_quantum, fill_workers
-    )
     if mode == "flow":
         return _install_faults(
             bare_ocs_flow_network(
@@ -574,7 +490,6 @@ def _ocs_backend(
                 reconfiguration_delay=reconfiguration_delay,
                 technology=technology,
                 registry=registry,
-                **approx,
             ),
             faults,
             _CIRCUIT_FLOW_FAULTS,

@@ -77,133 +77,13 @@ import io
 import json
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError, ReproError
-from ..parallelism.config import WorkloadConfig
-from ..parallelism.workloads import (
-    llama3_405b_workload,
-    moe_workload,
-    paper_trace_workload,
-    small_test_workload,
-)
-from ..simulator.executor import SimulationConfig
-from ..topology.devices import ClusterSpec, OCS_CATALOG, dgx_h200_cluster, perlmutter_testbed
 from ..simulator.routing import ROUTING_POLICIES
 from .backends import NETWORK_MODES, all_backends, get_backend
 from .runner import ExperimentRunner, Scenario, ScenarioResult
-
-WORKLOAD_PRESETS: Dict[str, Callable[..., WorkloadConfig]] = {
-    "tiny": small_test_workload,
-    "paper-trace": paper_trace_workload,
-    "moe": moe_workload,
-    "llama3-405b": llama3_405b_workload,
-}
-
-
-def parse_value(text: str) -> object:
-    """Parse a CLI value: bool / None / int / float, falling back to str."""
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
-    if lowered in ("none", "null", "default"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
-
-
-def parse_cluster(spec: str) -> ClusterSpec:
-    """Parse ``perlmutter:<nodes>`` or ``dgx-h200:<gpus>[:<nic_ports>]``."""
-    parts = spec.split(":")
-    family = parts[0].lower()
-    try:
-        numbers = [int(part) for part in parts[1:]]
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid cluster spec {spec!r}") from exc
-    if family == "perlmutter":
-        return perlmutter_testbed(num_nodes=numbers[0] if numbers else 4)
-    if family == "dgx-h200":
-        if not numbers:
-            raise ConfigurationError("dgx-h200 needs a GPU count, e.g. dgx-h200:16")
-        nic_ports = numbers[1] if len(numbers) > 1 else 1
-        return dgx_h200_cluster(numbers[0], nic_ports_per_gpu=nic_ports)
-    raise ConfigurationError(
-        f"unknown cluster family {family!r}; use perlmutter:<nodes> or "
-        f"dgx-h200:<gpus>[:<nic_ports>]"
-    )
-
-
-def parse_workload(name: str, overrides: Sequence[str]) -> WorkloadConfig:
-    """Build a preset workload with optional ``key=value`` factory overrides."""
-    if name not in WORKLOAD_PRESETS:
-        raise ConfigurationError(
-            f"unknown workload {name!r}; presets: {sorted(WORKLOAD_PRESETS)}"
-        )
-    kwargs: Dict[str, object] = {}
-    for override in overrides:
-        key, _, value = override.partition("=")
-        if not _:
-            raise ConfigurationError(
-                f"workload override {override!r} must look like key=value"
-            )
-        kwargs[key.strip()] = parse_value(value)
-    try:
-        return WORKLOAD_PRESETS[name](**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(
-            f"workload {name!r} rejected overrides {sorted(kwargs)}: {exc}"
-        ) from exc
-
-
-def _parse_knob_value(key: str, text: str) -> object:
-    """Parse one knob value, resolving OCS technology names to catalog entries."""
-    parsed = parse_value(text)
-    if key == "technology" and isinstance(parsed, str):
-        if parsed not in OCS_CATALOG:
-            raise ConfigurationError(
-                f"unknown OCS technology {parsed!r}; known: {sorted(OCS_CATALOG)}"
-            )
-        parsed = OCS_CATALOG[parsed]
-    if key == "reconfiguration_delay" and not isinstance(
-        parsed, (int, float, type(None))
-    ):
-        raise ConfigurationError(
-            f"knob reconfiguration_delay must be a number in seconds, got {text!r}"
-        )
-    return parsed
-
-
-def parse_knobs(pairs: Sequence[str]) -> Dict[str, object]:
-    """Parse repeated ``--knob key=value`` flags into a knob mapping."""
-    knobs: Dict[str, object] = {}
-    for pair in pairs:
-        key, _, value = pair.partition("=")
-        if not _:
-            raise ConfigurationError(f"knob {pair!r} must look like key=value")
-        key = key.strip()
-        knobs[key] = _parse_knob_value(key, value)
-    return knobs
-
-
-def parse_grid(pairs: Sequence[str]) -> Dict[str, List[object]]:
-    """Parse repeated ``--grid key=v1,v2,...`` flags into a parameter grid."""
-    grid: Dict[str, List[object]] = {}
-    for pair in pairs:
-        key, _, values = pair.partition("=")
-        if not _ or not values:
-            raise ConfigurationError(f"grid {pair!r} must look like key=v1,v2,...")
-        key = key.strip()
-        grid[key] = [_parse_knob_value(key, value) for value in values.split(",")]
-    return grid
+from .spec import WORKLOAD_PRESETS, parse_value, scenarios_from_spec
 
 
 def _emit(
@@ -301,24 +181,6 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         "paths) — shorthand for --knob routing_policy=...",
     )
     parser.add_argument(
-        "--allocator-epsilon",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="flow-mode ε-approximate reallocation: skip component re-rates "
-        "that would move no flow's rate by more than this relative fraction; "
-        "0 is exact (shorthand for --knob allocator_epsilon=...)",
-    )
-    parser.add_argument(
-        "--coarsen-quantum",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="flow-mode event coarsening: batch reallocation triggers landing "
-        "within this time quantum into one solver pass; 0 is exact "
-        "(shorthand for --knob coarsen_quantum=...)",
-    )
-    parser.add_argument(
         "--fault-plan",
         default=None,
         metavar="FAULTS.JSON",
@@ -331,59 +193,83 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", default=None, help="write to file instead of stdout")
 
 
-def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    get_backend(args.backend)  # fail fast on unknown backends
-    workload = parse_workload(args.workload, args.workload_arg)
-    cluster = parse_cluster(args.cluster)
-    knobs = parse_knobs(args.knob)
-    if args.network_mode is not None:
-        existing = knobs.get("network_mode")
-        if existing is not None and existing != args.network_mode:
-            raise ConfigurationError(
-                f"--network-mode {args.network_mode} conflicts with "
-                f"--knob network_mode={existing}"
-            )
-        knobs["network_mode"] = args.network_mode
-    if getattr(args, "routing_policy", None) is not None:
-        existing = knobs.get("routing_policy")
-        if existing is not None and existing != args.routing_policy:
-            raise ConfigurationError(
-                f"--routing-policy {args.routing_policy} conflicts with "
-                f"--knob routing_policy={existing}"
-            )
-        knobs["routing_policy"] = args.routing_policy
-    for flag, knob in (
-        ("allocator_epsilon", "allocator_epsilon"),
-        ("coarsen_quantum", "coarsen_quantum"),
-    ):
+def _key_values(pairs: Sequence[str], what: str) -> Dict[str, object]:
+    """Parse repeated ``key=value`` flags into a mapping of parsed values."""
+    parsed: Dict[str, object] = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ConfigurationError(f"{what} {pair!r} must look like key=value")
+        parsed[key.strip()] = parse_value(value)
+    return parsed
+
+
+def spec_from_args(args: argparse.Namespace) -> dict:
+    """Turn scenario flags into the JSON spec of :mod:`repro.experiments.spec`.
+
+    The one place flags become a scenario: ``run``, ``sweep``, ``snapshot``,
+    ``fig8`` and ``submit`` all build their scenarios from this spec —
+    locally through :func:`~repro.experiments.spec.scenarios_from_spec`, or
+    (``submit``) on the service through the same function — so every front
+    door hashes the same flags to the same configuration.  Values stay
+    JSON-native: the parser resolves technology names and fault plans.
+    """
+    knobs = _key_values(getattr(args, "knob", ()), "knob")
+    for flag in ("network_mode", "routing_policy"):
         value = getattr(args, flag, None)
         if value is None:
             continue
-        existing = knobs.get(knob)
-        if existing is not None and float(existing) != value:
+        existing = knobs.get(flag)
+        if existing is not None and existing != value:
             raise ConfigurationError(
                 f"--{flag.replace('_', '-')} {value} conflicts with "
-                f"--knob {knob}={existing}"
+                f"--knob {flag}={existing}"
             )
-        knobs[knob] = value
-    if getattr(args, "fault_plan", None) is not None:
-        from ..simulator.faults import FaultPlan
-
+        knobs[flag] = value
+    fault_plan = getattr(args, "fault_plan", None)
+    if fault_plan is not None:
         if "faults" in knobs:
             raise ConfigurationError(
                 "--fault-plan conflicts with --knob faults=...; pick one way "
                 "to inject faults"
             )
-        knobs["faults"] = FaultPlan.from_file(args.fault_plan)
-    return Scenario(
-        workload=workload,
-        cluster=cluster,
-        backend=args.backend,
-        knobs=knobs,
-        num_iterations=args.iterations,
-        simulation=SimulationConfig(mfu=args.mfu),
-        name=f"{args.workload}@{args.backend}",
-    )
+        try:
+            with open(fault_plan) as handle:
+                knobs["faults"] = json.load(handle)
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(
+                f"cannot read fault plan {fault_plan!r}: {exc}"
+            ) from exc
+    grid: Dict[str, List[object]] = {}
+    for pair in getattr(args, "grid", ()):
+        key, sep, values = pair.partition("=")
+        if not sep or not values:
+            raise ConfigurationError(f"grid {pair!r} must look like key=v1,v2,...")
+        grid[key.strip()] = [parse_value(value) for value in values.split(",")]
+    scenario: Dict[str, object] = {
+        "workload": args.workload,
+        "cluster": args.cluster,
+        "backend": getattr(args, "backend", "electrical"),
+        "iterations": args.iterations,
+        "mfu": getattr(args, "mfu", 0.40),
+    }
+    workload_args = _key_values(args.workload_arg, "workload override")
+    if workload_args:
+        scenario["workload_args"] = workload_args
+    if knobs:
+        scenario["knobs"] = knobs
+    spec: Dict[str, object] = {"scenario": scenario}
+    if grid:
+        spec["grid"] = grid
+    if getattr(args, "fork", False):
+        spec["fork"] = True
+    return spec
+
+
+def _scenario_from_spec(args: argparse.Namespace) -> Scenario:
+    """The single scenario a grid-less subcommand's flags describe."""
+    (scenario,) = scenarios_from_spec(spec_from_args(args)).scenarios
+    return scenario
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
@@ -405,7 +291,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
+    scenario = _scenario_from_spec(args)
     runner = ExperimentRunner(max_workers=1, executor="serial")
     result = runner.run(scenario)
     _emit(_result_rows([result], args.format), args.format, args.output, single=True)
@@ -413,17 +299,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = _scenario_from_args(args)
-    grid = parse_grid(args.grid)
-    if not grid:
+    spec = spec_from_args(args)
+    if "grid" not in spec:
         raise ConfigurationError("a sweep needs at least one --grid key=v1,v2,...")
-    if args.network_mode is not None and "network_mode" in grid:
-        raise ConfigurationError(
-            "--network-mode conflicts with --grid network_mode=...; "
-            "pick one way to select the mode"
-        )
+    sweep = scenarios_from_spec(spec)
     runner = ExperimentRunner(max_workers=args.workers, executor=args.executor)
-    results = runner.sweep(scenario, grid, fork=args.fork)
+    results = runner.run_many(sweep.scenarios, fork=sweep.fork)
     _emit(_result_rows(results, args.format), args.format, args.output)
     print(
         f"sweep: {len(results)} points, {runner.cache_misses} simulated, "
@@ -437,7 +318,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     from .session import SimulationSession
 
-    scenario = _scenario_from_args(args)
+    scenario = _scenario_from_spec(args)
     stop_at = scenario.num_iterations if args.at is None else args.at
     if not 0 <= stop_at <= scenario.num_iterations:
         raise ConfigurationError(
@@ -503,8 +384,6 @@ def _cmd_scale(args: argparse.Namespace) -> int:
             backend=name,
             network_mode=args.network_mode,
             num_iterations=args.iterations,
-            allocator_epsilon=args.allocator_epsilon or 0.0,
-            coarsen_quantum=args.coarsen_quantum or 0.0,
         )
         for count in endpoints
         for name in backends
@@ -562,78 +441,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec_from_args(args: argparse.Namespace) -> dict:
-    """Build the JSON sweep spec the service validates from ``submit`` flags.
-
-    Values stay JSON-native (the *server* resolves technology names and
-    fault plans), but flags mirror ``sweep`` exactly, so a spec submitted
-    over HTTP builds the same scenarios — and configuration hashes — as the
-    equivalent one-shot ``repro-sim sweep`` invocation.
-    """
-    knobs: Dict[str, object] = {}
-    for pair in args.knob:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ConfigurationError(f"knob {pair!r} must look like key=value")
-        knobs[key.strip()] = parse_value(value)
-    if args.network_mode is not None:
-        existing = knobs.get("network_mode")
-        if existing is not None and existing != args.network_mode:
-            raise ConfigurationError(
-                f"--network-mode {args.network_mode} conflicts with "
-                f"--knob network_mode={existing}"
-            )
-        knobs["network_mode"] = args.network_mode
-    for flag in ("allocator_epsilon", "coarsen_quantum"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            knobs[flag] = value
-    if getattr(args, "fault_plan", None) is not None:
-        if "faults" in knobs:
-            raise ConfigurationError(
-                "--fault-plan conflicts with --knob faults=...; pick one way "
-                "to inject faults"
-            )
-        with open(args.fault_plan) as handle:
-            try:
-                knobs["faults"] = json.load(handle)
-            except ValueError as exc:
-                raise ConfigurationError(
-                    f"cannot read fault plan {args.fault_plan!r}: {exc}"
-                ) from exc
-    workload_args: Dict[str, object] = {}
-    for override in args.workload_arg:
-        key, sep, value = override.partition("=")
-        if not sep:
-            raise ConfigurationError(
-                f"workload override {override!r} must look like key=value"
-            )
-        workload_args[key.strip()] = parse_value(value)
-    grid: Dict[str, List[object]] = {}
-    for pair in args.grid:
-        key, sep, values = pair.partition("=")
-        if not sep or not values:
-            raise ConfigurationError(f"grid {pair!r} must look like key=v1,v2,...")
-        grid[key.strip()] = [parse_value(value) for value in values.split(",")]
-    scenario: Dict[str, object] = {
-        "workload": args.workload,
-        "cluster": args.cluster,
-        "backend": args.backend,
-        "iterations": args.iterations,
-        "mfu": args.mfu,
-    }
-    if workload_args:
-        scenario["workload_args"] = workload_args
-    if knobs:
-        scenario["knobs"] = knobs
-    spec: Dict[str, object] = {"scenario": scenario}
-    if grid:
-        spec["grid"] = grid
-    if args.fork:
-        spec["fork"] = True
-    return spec
-
-
 def _emit_job(job: dict, args: argparse.Namespace) -> None:
     """Emit a finished job's results as rows, or the raw job record."""
     if job.get("state") == "done" and job.get("results"):
@@ -652,7 +459,7 @@ def _emit_job(job: dict, args: argparse.Namespace) -> None:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from ..service import ServiceClient
 
-    spec = _submit_spec_from_args(args)
+    spec = spec_from_args(args)
     client = ServiceClient(args.url)
     job = client.submit(spec)
     if args.wait:
@@ -684,8 +491,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _cmd_fig8(args: argparse.Namespace) -> int:
     from ..core.system import reconfiguration_latency_sweep
 
-    workload = parse_workload(args.workload, args.workload_arg)
-    cluster = parse_cluster(args.cluster)
+    scenario = _scenario_from_spec(args)
     try:
         delays = [float(value) for value in args.delays.split(",")]
     except ValueError as exc:
@@ -693,8 +499,8 @@ def _cmd_fig8(args: argparse.Namespace) -> int:
             f"--delays must be comma-separated seconds, got {args.delays!r}"
         ) from exc
     points = reconfiguration_latency_sweep(
-        workload,
-        cluster,
+        scenario.workload,
+        scenario.cluster,
         delays,
         num_iterations=args.iterations,
         max_workers=args.workers,
@@ -814,21 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale_parser.add_argument(
         "--network-mode", choices=NETWORK_MODES, default="flow"
-    )
-    scale_parser.add_argument(
-        "--allocator-epsilon",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help="flow-mode ε-approximate reallocation (0 = exact); the key to "
-        "10k-endpoint-and-up fat trees",
-    )
-    scale_parser.add_argument(
-        "--coarsen-quantum",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="flow-mode event coarsening quantum (0 = exact)",
     )
     scale_parser.add_argument("--iterations", type=int, default=2)
     scale_parser.add_argument("--workers", type=int, default=None)

@@ -444,35 +444,23 @@ def scale_scenario(
     backend: str = "fattree",
     network_mode: str = "flow",
     num_iterations: int = 2,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
 ) -> Scenario:
     """One scale-family point: ``num_endpoints`` GPUs on ``backend``.
 
     Defaults to flow mode — the whole point of the family is exercising the
     flow simulator at fabric scale — but ``network_mode="analytic"`` gives
     the alpha-beta reference for the same configuration.
-    ``allocator_epsilon``/``coarsen_quantum`` enable the flow simulator's
-    ε-approximate allocation and event coarsening (flow mode only); the
-    knobs — and the ``-approx`` name suffix — appear only when nonzero, so
-    exact scenarios keep their historical configuration hashes.
     """
-    knobs: Dict[str, object] = {"network_mode": network_mode}
-    name = f"scale-{backend}-{num_endpoints}"
-    if allocator_epsilon or coarsen_quantum:
-        knobs["allocator_epsilon"] = float(allocator_epsilon)
-        knobs["coarsen_quantum"] = float(coarsen_quantum)
-        name += "-approx"
     return Scenario(
         workload=scale_workload(num_endpoints),
         cluster=scale_cluster(num_endpoints),
         backend=backend,
-        knobs=knobs,
+        knobs={"network_mode": network_mode},
         num_iterations=num_iterations,
         # Stage-aggregated FSDP: per-layer chains add DAG operations without
         # changing steady-state traffic at this layer count.
         dag_options=DagBuildOptions(per_layer_fsdp=False),
-        name=name,
+        name=f"scale-{backend}-{num_endpoints}",
     )
 
 

@@ -41,7 +41,7 @@ from ..parallelism.dag import build_iteration_dag
 from ..parallelism.groups import GroupRegistry
 from ..parallelism.trace import IterationTrace, TrainingTrace
 from ..simulator.executor import DAGExecutor
-from ..simulator.faults import FaultPlan, as_fault_plan
+from ..simulator.faults import as_fault_plan
 from ..simulator.metrics import iteration_metrics
 from ..simulator.snapshot import SNAPSHOT_FORMAT_VERSION, SimState, Snapshottable
 from .backends import create_network, fault_support
@@ -216,8 +216,7 @@ class SimulationSession(Snapshottable):
         flow_stats = getattr(self.network, "flow_stats", None)
         if flow_stats is not None:
             # Flow-mode allocator counters (whole-run totals): how many solver
-            # passes ran, over how many components/flows, and how many were
-            # ε-skipped — the observability hook for the approximation knobs.
+            # passes ran, over how many components and flows.
             for key, value in flow_stats.as_dict().items():
                 metrics[key] = float(value)
         return ScenarioResult(

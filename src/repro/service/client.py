@@ -12,7 +12,6 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Optional
 
 from ..errors import ReproError
 

@@ -1,154 +1,26 @@
 """Sweep-spec validation at the service door.
 
 Every submission is a JSON document; nothing from the wire reaches a worker
-process until it has been parsed, typed, expanded, and capability-checked
-here.  Anything wrong raises :class:`~repro.errors.SpecValidationError`
-with a stable machine-readable ``code`` — the service records the rejection
-in its quarantine log and the HTTP layer returns it as a structured 400,
-so a malformed or capability-violating spec can never crash a worker.
+process until it has been parsed, typed, expanded, and capability-checked.
+Anything wrong raises :class:`~repro.errors.SpecValidationError` with a
+stable machine-readable ``code`` — the service records the rejection in its
+quarantine log and the HTTP layer returns it as a structured 400, so a
+malformed or capability-violating spec can never crash a worker.
 
-A sweep spec looks like::
-
-    {
-      "scenario": {
-        "workload": "tiny",               // preset name
-        "workload_args": {"pp": 2},       // optional factory overrides
-        "cluster": "perlmutter:2",        // cluster spec string
-        "backend": "electrical",          // registered backend name
-        "knobs": {"network_mode": "flow"},
-        "iterations": 2,
-        "mfu": 0.4,
-        "name": "my-sweep"                // optional, presentation only
-      },
-      "grid": {"reconfiguration_delay": [1e-5, 0.015]},   // optional
-      "fork": false                                       // optional
-    }
-
-``grid`` follows :func:`~repro.experiments.runner.expand_grid` semantics:
-keys naming a :class:`~repro.experiments.runner.Scenario` field override
-that field, every other key becomes a backend knob.  The spec builds the
-*same* :class:`Scenario` objects the ``repro-sim`` CLI builds from the
-equivalent flags — same configuration hashes, so HTTP submissions and CLI
-runs share one result store.
+The spec format and its parser live in :mod:`repro.experiments.spec`; the
+``repro-sim`` CLI builds its scenarios through the same
+:func:`~repro.experiments.spec.scenarios_from_spec`, so HTTP submissions and
+CLI runs share configuration hashes — and one result store.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import Optional
 
-from ..errors import ConfigurationError, SpecValidationError
-from ..experiments.backends import NETWORK_MODES, fault_support, get_backend
-from ..experiments.cli import WORKLOAD_PRESETS, parse_cluster
-from ..experiments.runner import Scenario, expand_grid
-from ..simulator.executor import SimulationConfig
-from ..simulator.faults import FaultPlan, as_fault_plan
-from ..topology.devices import OCS_CATALOG
+from ..experiments.spec import SweepSpec, scenarios_from_spec
 
 #: Default cap on the number of grid points one submission may expand into.
 MAX_GRID_POINTS = 256
-
-#: JSON scalar types a knob or grid value may carry.
-_SCALARS = (bool, int, float, str, type(None))
-
-_SPEC_KEYS = frozenset({"scenario", "grid", "fork"})
-_SCENARIO_KEYS = frozenset(
-    {
-        "workload",
-        "workload_args",
-        "cluster",
-        "backend",
-        "knobs",
-        "iterations",
-        "mfu",
-        "name",
-    }
-)
-
-
-def _fail(code: str, message: str) -> None:
-    raise SpecValidationError(code, message)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A validated submission: expanded scenarios plus run options."""
-
-    scenarios: Tuple[Scenario, ...]
-    fork: bool
-    name: str
-
-
-def _coerce_knob(key: str, value: object) -> object:
-    """Type-check one knob value, resolving the special-cased knobs.
-
-    ``technology`` names resolve to OCS catalog entries and ``faults``
-    dict/list plans become :class:`FaultPlan` objects — exactly what the
-    CLI's flag parsing produces, so configuration hashes agree between the
-    two front doors.
-    """
-    if key == "faults":
-        if isinstance(value, FaultPlan):
-            return value
-        if not isinstance(value, (dict, list)):
-            _fail(
-                "bad-fault-plan",
-                "knob 'faults' must be a fault-plan object or an event list, "
-                f"got {type(value).__name__}",
-            )
-        try:
-            return as_fault_plan(value)
-        except ConfigurationError as exc:
-            _fail("bad-fault-plan", f"invalid fault plan: {exc}")
-    if key == "technology" and isinstance(value, str):
-        if value not in OCS_CATALOG:
-            _fail(
-                "bad-knobs",
-                f"unknown OCS technology {value!r}; known: {sorted(OCS_CATALOG)}",
-            )
-        return OCS_CATALOG[value]
-    if not isinstance(value, _SCALARS):
-        _fail(
-            "bad-knobs",
-            f"knob {key!r} must be a JSON scalar, got {type(value).__name__}",
-        )
-    return value
-
-
-def _check_scenario_point(scenario: Scenario) -> None:
-    """Validate one expanded grid point against its backend's capabilities."""
-    try:
-        spec = get_backend(scenario.backend)
-    except ConfigurationError as exc:
-        _fail("unknown-backend", str(exc))
-    unknown = sorted(set(scenario.knobs) - set(spec.knobs))
-    if unknown:
-        _fail(
-            "unknown-knob",
-            f"backend {scenario.backend!r} does not accept knobs {unknown}; "
-            f"accepted: {sorted(spec.knobs)}",
-        )
-    mode = scenario.knobs.get("network_mode")
-    if mode is not None and mode not in NETWORK_MODES:
-        _fail(
-            "bad-knobs",
-            f"network_mode must be one of {NETWORK_MODES}, got {mode!r}",
-        )
-    faults = scenario.knobs.get("faults")
-    if faults is not None:
-        plan = faults if isinstance(faults, FaultPlan) else as_fault_plan(faults)
-        supported = fault_support(scenario.backend, mode)
-        if supported is not None and not plan.is_empty:
-            try:
-                plan.require_supported(
-                    supported,
-                    context=(
-                        f"backend {scenario.backend!r} in "
-                        f"{mode or 'analytic'} network mode"
-                    ),
-                )
-            except ConfigurationError as exc:
-                _fail("capability-violation", str(exc))
 
 
 def validate_sweep_spec(
@@ -156,123 +28,10 @@ def validate_sweep_spec(
 ) -> SweepSpec:
     """Validate a submitted sweep spec and expand it into scenarios.
 
-    Raises :class:`~repro.errors.SpecValidationError` (with a stable
-    ``code``) on the first violation; returns the expanded, fully
-    capability-checked :class:`SweepSpec` otherwise.
+    :func:`~repro.experiments.spec.scenarios_from_spec` under the service's
+    grid-size cap.
     """
-    if not isinstance(payload, Mapping):
-        _fail("bad-spec", "a sweep spec must be a JSON object")
-    unknown = sorted(set(payload) - _SPEC_KEYS)
-    if unknown:
-        _fail(
-            "bad-spec",
-            f"unknown spec fields {unknown}; known: {sorted(_SPEC_KEYS)}",
-        )
-    scenario_spec = payload.get("scenario")
-    if not isinstance(scenario_spec, Mapping):
-        _fail("bad-spec", "'scenario' must be an object")
-    unknown = sorted(set(scenario_spec) - _SCENARIO_KEYS)
-    if unknown:
-        _fail(
-            "bad-spec",
-            f"unknown scenario fields {unknown}; known: {sorted(_SCENARIO_KEYS)}",
-        )
-    fork = payload.get("fork", False)
-    if not isinstance(fork, bool):
-        _fail("bad-spec", "'fork' must be a boolean")
-
-    # Workload ------------------------------------------------------------- #
-    workload_name = scenario_spec.get("workload", "tiny")
-    if workload_name not in WORKLOAD_PRESETS:
-        _fail(
-            "unknown-workload",
-            f"unknown workload {workload_name!r}; presets: "
-            f"{sorted(WORKLOAD_PRESETS)}",
-        )
-    workload_args = scenario_spec.get("workload_args", {})
-    if not isinstance(workload_args, Mapping):
-        _fail("bad-workload-args", "'workload_args' must be an object")
-    try:
-        workload = WORKLOAD_PRESETS[workload_name](**dict(workload_args))
-    except (TypeError, ConfigurationError) as exc:
-        _fail(
-            "bad-workload-args",
-            f"workload {workload_name!r} rejected arguments "
-            f"{sorted(workload_args)}: {exc}",
-        )
-
-    # Cluster -------------------------------------------------------------- #
-    cluster_spec = scenario_spec.get("cluster", "perlmutter:2")
-    if not isinstance(cluster_spec, str):
-        _fail("bad-cluster", "'cluster' must be a spec string")
-    try:
-        cluster = parse_cluster(cluster_spec)
-    except ConfigurationError as exc:
-        _fail("bad-cluster", str(exc))
-
-    # Backend & knobs ------------------------------------------------------ #
-    backend_name = scenario_spec.get("backend", "electrical")
-    if not isinstance(backend_name, str):
-        _fail("unknown-backend", "'backend' must be a string")
-    try:
-        get_backend(backend_name)
-    except ConfigurationError as exc:
-        _fail("unknown-backend", str(exc))
-    raw_knobs = scenario_spec.get("knobs", {})
-    if not isinstance(raw_knobs, Mapping):
-        _fail("bad-knobs", "'knobs' must be an object")
-    knobs = {str(key): _coerce_knob(str(key), value) for key, value in raw_knobs.items()}
-
-    # Iterations & simulator ----------------------------------------------- #
-    iterations = scenario_spec.get("iterations", 2)
-    if not isinstance(iterations, int) or isinstance(iterations, bool) or iterations < 1:
-        _fail("bad-iterations", "'iterations' must be a positive integer")
-    mfu = scenario_spec.get("mfu", 0.40)
-    if not isinstance(mfu, (int, float)) or isinstance(mfu, bool) or not 0 < mfu <= 1:
-        _fail("bad-spec", "'mfu' must be a number in (0, 1]")
-
-    name = scenario_spec.get("name") or f"{workload_name}@{backend_name}"
-    if not isinstance(name, str):
-        _fail("bad-spec", "'name' must be a string")
-
-    # Grid ----------------------------------------------------------------- #
-    raw_grid = payload.get("grid", {})
-    if not isinstance(raw_grid, Mapping):
-        _fail("bad-grid", "'grid' must be an object mapping keys to value lists")
-    grid = {}
-    points = 1
-    for key, values in raw_grid.items():
-        key = str(key)
-        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-            _fail("bad-grid", f"grid key {key!r} must map to a list of values")
-        if not values:
-            _fail("bad-grid", f"grid key {key!r} has no values")
-        grid[key] = [_coerce_knob(key, value) for value in values]
-        points *= len(values)
-    if points > max_grid_points:
-        _fail(
-            "oversized-grid",
-            f"grid expands into {points} points; this service accepts at "
-            f"most {max_grid_points} per submission — split the sweep",
-        )
-
-    # Expansion & per-point capability checks ------------------------------ #
-    try:
-        base = Scenario(
-            workload=workload,
-            cluster=cluster,
-            backend=backend_name,
-            knobs=knobs,
-            num_iterations=iterations,
-            simulation=SimulationConfig(mfu=float(mfu)),
-            name=name,
-        )
-        scenarios = expand_grid(base, grid)
-    except ConfigurationError as exc:
-        _fail("bad-scenario", str(exc))
-    for scenario in scenarios:
-        _check_scenario_point(scenario)
-    return SweepSpec(scenarios=tuple(scenarios), fork=fork, name=name)
+    return scenarios_from_spec(payload, max_grid_points=max_grid_points)
 
 
 def spec_excerpt(raw: Optional[str], payload: object = None, limit: int = 2048) -> str:

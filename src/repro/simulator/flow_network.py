@@ -224,18 +224,9 @@ class FlowNetworkModel(TopologyNetworkModel):
         cluster: ClusterSpec,
         mesh: DeviceMesh,
         topology: Topology,
-        allocator_epsilon: float = 0.0,
-        coarsen_quantum: float = 0.0,
-        fill_workers: int = 0,
         routing_policy: str = "single",
     ) -> None:
         super().__init__(cluster, mesh, topology)
-        #: Contention-scaling knobs, handed to every simulator this model
-        #: builds (see :class:`~repro.simulator.flows.FlowSimulator`); the
-        #: defaults keep the exact engine, bit-for-bit.
-        self.allocator_epsilon = float(allocator_epsilon)
-        self.coarsen_quantum = float(coarsen_quantum)
-        self.fill_workers = int(fill_workers)
         #: Multipath routing policy (see :mod:`repro.simulator.routing`).
         #: ``single`` — the default — takes exactly the pre-policy code path:
         #: no router is built and every route goes through the plain
@@ -309,12 +300,9 @@ class FlowNetworkModel(TopologyNetworkModel):
             self.simulator = self._fresh_simulator()
 
     def _fresh_simulator(self) -> FlowSimulator:
-        """A simulator carrying this model's knobs and shared counters."""
+        """A simulator carrying this model's topology and shared counters."""
         simulator = FlowSimulator(
             topology=self.topology,
-            allocator_epsilon=self.allocator_epsilon,
-            coarsen_quantum=self.coarsen_quantum,
-            fill_workers=self.fill_workers,
             stats=self.flow_stats,
         )
         if self._router is not None:
@@ -604,9 +592,6 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
         reconfiguration_delay: Optional[float] = None,
         shim_options: Optional["ShimOptions"] = None,
         registry: Optional["GroupRegistry"] = None,
-        allocator_epsilon: float = 0.0,
-        coarsen_quantum: float = 0.0,
-        fill_workers: int = 0,
     ) -> None:
         # Imported lazily: repro.core pulls repro.experiments (through
         # core.system) which imports this module back at its own module level.
@@ -619,14 +604,7 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
                 "the photonic fabric must be built from the same cluster "
                 "specification as the network model"
             )
-        super().__init__(
-            cluster,
-            mesh,
-            fabric.topology,
-            allocator_epsilon=allocator_epsilon,
-            coarsen_quantum=coarsen_quantum,
-            fill_workers=fill_workers,
-        )
+        super().__init__(cluster, mesh, fabric.topology)
         self.fabric = fabric
         self._shim_options = shim_options
         self._registry = registry
@@ -945,9 +923,6 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
 def electrical_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
-    fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
     """Flow-level twin of the fully-connected electrical rail baseline."""
@@ -955,9 +930,6 @@ def electrical_flow_network(
         cluster,
         mesh,
         build_fully_connected_rail_topology(cluster),
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
-        fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
 
@@ -966,9 +938,6 @@ def fat_tree_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
     oversubscription: float = 1.0,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
-    fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
     """Flow-level twin of the fat-tree fabric (optionally oversubscribed)."""
@@ -977,9 +946,6 @@ def fat_tree_flow_network(
         cluster,
         mesh,
         fabric.topology,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
-        fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
 
@@ -988,9 +954,6 @@ def rail_optimized_flow_network(
     cluster: ClusterSpec,
     mesh: DeviceMesh,
     always_spine: bool = True,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
-    fill_workers: int = 0,
     routing_policy: str = "single",
 ) -> FlowNetworkModel:
     """Flow-level twin of the leaf/spine rail-optimized fabric."""
@@ -999,9 +962,6 @@ def rail_optimized_flow_network(
         cluster,
         mesh,
         fabric.topology,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
-        fill_workers=fill_workers,
         routing_policy=routing_policy,
     )
 
@@ -1048,9 +1008,6 @@ def photonic_flow_network(
     provisioning: Union[bool, str] = True,
     technology: Optional["OCSTechnology"] = None,
     registry: Optional["GroupRegistry"] = None,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
-    fill_workers: int = 0,
 ) -> PhotonicFlowNetworkModel:
     """Flow-level photonic rails under the full Opus control plane."""
     fabric = build_photonic_rail_fabric(cluster, technology=technology)
@@ -1061,9 +1018,6 @@ def photonic_flow_network(
         reconfiguration_delay=reconfiguration_delay,
         shim_options=shim_options_for_provisioning(provisioning),
         registry=registry,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
-        fill_workers=fill_workers,
     )
 
 
@@ -1073,9 +1027,6 @@ def bare_ocs_flow_network(
     reconfiguration_delay: Optional[float] = None,
     technology: Optional["OCSTechnology"] = None,
     registry: Optional["GroupRegistry"] = None,
-    allocator_epsilon: float = 0.0,
-    coarsen_quantum: float = 0.0,
-    fill_workers: int = 0,
 ) -> PhotonicFlowNetworkModel:
     """Flow-level bare OCS rails: on-demand per-group switching, no Opus.
 
@@ -1099,7 +1050,4 @@ def bare_ocs_flow_network(
             coalesce_axis=False,
         ),
         registry=registry,
-        allocator_epsilon=allocator_epsilon,
-        coarsen_quantum=coarsen_quantum,
-        fill_workers=fill_workers,
     )

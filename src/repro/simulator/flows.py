@@ -22,25 +22,6 @@ Two things make the engine scale to 10k-endpoint fabrics:
   rates, their progress is tracked lazily per flow, and their completion
   estimates stay queued in a lazy heap instead of being rescanned per event.
 
-Three optional knobs trade exactness for speed on heavily-contended fabrics
-(fat trees, where every reallocation closure is one giant component); all
-default to off, and the off configuration is bit-for-bit identical to the
-exact engine:
-
-* ``allocator_epsilon`` — skip a component re-rate when no member flow's
-  rate would move by more than this relative fraction.  Completions accrue
-  per-link *debt* (freed-but-not-redistributed rate) and the component is
-  re-rated exactly as soon as any link's debt exceeds ε of its allocated
-  load; arrivals are rated from residual capacity when that leaves each new
-  flow within ε of its equal-share reference.  Fault events always re-rate
-  exactly and clear all debt.
-* ``coarsen_quantum`` — round arrival and completion events *up* to the next
-  multiple of the quantum, so triggers landing within one quantum collapse
-  into a single solver pass.  Fault events are never coarsened.
-* ``fill_workers`` — water-fill large disjoint sharing components
-  concurrently in a process pool, merging results in deterministic
-  component order.
-
 The DAG executor uses this engine when run with a flow-level network model
 (:class:`~repro.simulator.flow_network.FlowNetworkModel`, selected with the
 ``network_mode="flow"`` backend knob): every scale-out collective is expanded
@@ -88,10 +69,6 @@ _DECOMPOSE_MIN_FLOWS = 16
 #: Component size at which the numpy water-filling pays for its setup cost.
 _VECTORIZE_MIN_FLOWS = 32
 
-#: Component size below which the parallel filler solves inline: pickling a
-#: small incidence to a worker process costs more than filling it locally.
-_PARALLEL_MIN_FLOWS = 256
-
 #: Smallest batch worth sealing: below this the generic per-flow completion
 #: path costs about the same as seal validation plus the bulk sweep.
 _SEALED_MIN_FLOWS = 32
@@ -116,8 +93,8 @@ class AllocatorStats:
     """Counters over the simulator's allocation machinery.
 
     One instance can be shared across simulator rebuilds — the flow network
-    models keep a single object for a whole training run — so coarsening and
-    ε-approximation wins stay visible in benchmark output no matter how many
+    models keep a single object for a whole training run — so the solver
+    work of a whole run stays visible in benchmark output no matter how many
     times the underlying simulator is recreated.
     """
 
@@ -125,7 +102,6 @@ class AllocatorStats:
         "allocator_invocations",
         "rerated_components",
         "rerated_flows",
-        "epsilon_skips",
     )
 
     def __init__(self) -> None:
@@ -135,14 +111,14 @@ class AllocatorStats:
         self.allocator_invocations = 0
         self.rerated_components = 0
         self.rerated_flows = 0
-        self.epsilon_skips = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "allocator_invocations": self.allocator_invocations,
             "rerated_components": self.rerated_components,
             "rerated_flows": self.rerated_flows,
-            "epsilon_skips": self.epsilon_skips,
+            # Constant: pinned result digests hash this key of the metrics.
+            "epsilon_skips": 0,
         }
 
     def __repr__(self) -> str:
@@ -536,10 +512,8 @@ def _max_min_fair_rates_numpy(
 def _fill_incidence(cap, e_flow, e_link, num_flows):
     """Water-fill one pre-built link×flow incidence; returns per-flow rates.
 
-    Factored out of :func:`_max_min_fair_rates_numpy` so the parallel
-    per-component filler can run the *identical* arithmetic on
-    sub-incidences inside worker processes.  ``e_flow`` must be
-    non-decreasing and every flow/link position must appear at least once.
+    ``e_flow`` must be non-decreasing and every flow/link position must
+    appear at least once.
     """
     num_links = cap.shape[0]
 
@@ -623,128 +597,6 @@ def _fill_incidence(cap, e_flow, e_link, num_flows):
     return flow_rate
 
 
-def _component_incidence(
-    component: Sequence[Flow],
-    capacities: Optional[Dict[LinkKey, float]],
-) -> Tuple[Optional[tuple], List[Flow], List[int]]:
-    """Incidence arrays for one sharing component, ready to ship to a worker.
-
-    Returns ``(args, constrained, inf_flow_ids)`` where ``args`` is the
-    picklable ``(cap, e_flow, e_link, num_flows)`` tuple for
-    :func:`_fill_incidence` (``None`` when every member has an empty path)
-    and ``inf_flow_ids`` are the empty-path members, rated infinite.
-    """
-    link_index: Dict[LinkKey, int] = {}
-    caps: List[float] = []
-    entry_flow: List[int] = []
-    entry_link: List[int] = []
-    constrained: List[Flow] = []
-    inf_flow_ids: List[int] = []
-    for flow in component:
-        if not flow.path:
-            inf_flow_ids.append(flow.flow_id)
-            continue
-        flow_pos = len(constrained)
-        constrained.append(flow)
-        for link in flow.path:
-            key = link.key
-            link_pos = link_index.get(key)
-            if link_pos is None:
-                link_pos = len(caps)
-                link_index[key] = link_pos
-                capacity = link.bandwidth
-                if capacities and key in capacities:
-                    capacity = capacities[key]
-                caps.append(capacity)
-            entry_flow.append(flow_pos)
-            entry_link.append(link_pos)
-    if not constrained:
-        return None, constrained, inf_flow_ids
-    args = (
-        _np.asarray(caps, dtype=float),
-        _np.asarray(entry_flow, dtype=_np.intp),
-        _np.asarray(entry_link, dtype=_np.intp),
-        len(constrained),
-    )
-    return args, constrained, inf_flow_ids
-
-
-def _fill_subincidence(args: tuple):
-    """Process-pool entry point: fill one shipped component incidence."""
-    cap, e_flow, e_link, num_flows = args
-    return _fill_incidence(cap, e_flow, e_link, num_flows)
-
-
-#: Persistent process pool for :func:`_max_min_fair_rates_parallel` (worker
-#: startup is far too expensive to pay per solver call).
-_FILL_POOL = None
-_FILL_POOL_WORKERS = 0
-
-
-def _fill_pool(workers: int):
-    global _FILL_POOL, _FILL_POOL_WORKERS
-    if _FILL_POOL is None or _FILL_POOL_WORKERS != workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        if _FILL_POOL is not None:
-            _FILL_POOL.shutdown(wait=False)
-        _FILL_POOL = ProcessPoolExecutor(max_workers=workers)
-        _FILL_POOL_WORKERS = workers
-    return _FILL_POOL
-
-
-def _max_min_fair_rates_parallel(
-    flows: Sequence[Flow],
-    capacities: Optional[Dict[LinkKey, float]] = None,
-    workers: int = 2,
-    min_flows: int = _PARALLEL_MIN_FLOWS,
-) -> Dict[int, float]:
-    """Max–min fair rates with disjoint components filled concurrently.
-
-    Components are labeled once; large ones ship as plain incidence arrays
-    to a persistent process pool while small ones fill inline.  Results
-    merge in component order (``pool.map`` preserves ordering), so the
-    allocation — and every trace built on it — is identical to the serial
-    solvers.  Falls back to serial filling when no pool can be created
-    (restricted environments) or numpy is unavailable.
-    """
-    if _np is None:
-        return max_min_fair_rates(flows, capacities)
-    components = _sharing_components(flows)
-    rates: Dict[int, float] = {}
-    shipped: List[Tuple[List[Flow], tuple]] = []
-    for component in components:
-        if len(component) < min_flows:
-            rates.update(max_min_fair_rates(component, capacities))
-            continue
-        args, constrained, inf_flow_ids = _component_incidence(
-            component, capacities
-        )
-        for flow_id in inf_flow_ids:
-            rates[flow_id] = math.inf
-        if args is not None:
-            shipped.append((constrained, args))
-    if shipped:
-        results = None
-        if workers > 1 and len(shipped) > 1:
-            try:
-                pool = _fill_pool(workers)
-                results = list(
-                    pool.map(_fill_subincidence, [args for _c, args in shipped])
-                )
-            except Exception:  # pragma: no cover - pool unavailable
-                results = None
-        if results is None:
-            results = [_fill_subincidence(args) for _c, args in shipped]
-        for (constrained, _args), flow_rate in zip(shipped, results):
-            for flow_pos, flow in enumerate(constrained):
-                value = flow_rate[flow_pos]
-                rates[flow.flow_id] = (
-                    math.inf if math.isinf(value) else float(value)
-                )
-    return rates
-
-
 @register_continuation("flows.empty_batch_complete")
 def _complete_empty_batch(engine: SimulationEngine, on_complete) -> None:
     """Completion event for a degenerate zero-flow batch (see add_flows)."""
@@ -770,37 +622,10 @@ class FlowSimulator(Snapshottable):
         self,
         engine: Optional[SimulationEngine] = None,
         topology: Optional[Topology] = None,
-        allocator_epsilon: float = 0.0,
-        coarsen_quantum: float = 0.0,
-        fill_workers: int = 0,
         stats: Optional[AllocatorStats] = None,
     ) -> None:
         self.engine = engine or SimulationEngine()
-        #: ε-approximate reallocation: skip component re-rates that would
-        #: move no member flow's rate by more than this relative fraction.
-        #: 0.0 (the default) is the exact engine, bit-for-bit.
-        self.allocator_epsilon = float(allocator_epsilon)
-        #: Event coarsening: arrival and completion events round *up* to the
-        #: next multiple of this quantum (seconds), collapsing triggers that
-        #: land within one quantum into a single solver pass.  0.0 = off.
-        self.coarsen_quantum = float(coarsen_quantum)
-        #: Water-fill disjoint components in a process pool of this size
-        #: (0 or 1 = serial).
-        self.fill_workers = int(fill_workers)
-        if self.allocator_epsilon < 0.0:
-            raise SimulationError("allocator_epsilon must be non-negative")
-        if self.coarsen_quantum < 0.0:
-            raise SimulationError("coarsen_quantum must be non-negative")
-        if self.fill_workers < 0:
-            raise SimulationError("fill_workers must be non-negative")
         self.stats = stats if stats is not None else AllocatorStats()
-        #: Per-link allocated-rate sums, maintained only under ε-approximation
-        #: (the exact path never reads them).  Refreshed from scratch on every
-        #: exact component re-rate, so float drift never accumulates.
-        self._link_load: Dict[LinkKey, float] = {}
-        #: Freed-but-not-redistributed rate per link (deferred-dirty debt from
-        #: ε-skipped completion re-rates); cleared on every exact re-rate.
-        self._deferred_debt: Dict[LinkKey, float] = {}
         #: Optional topology the flows route over.  When set, every flow's
         #: links are checked for liveness at the flow's start event, so a
         #: route over a torn-down circuit fails loudly instead of silently
@@ -850,9 +675,8 @@ class FlowSimulator(Snapshottable):
         #: if nothing disturbed it in flight, completion retires its link
         #: registrations per *link* instead of per flow×link and skips the
         #: per-flow drain math.  Disturbances are recorded where they happen:
-        #: every exact re-rate adds its closure's links to
-        #: ``_sealed_disturbed``, the ε arrival-skip adds the links it quietly
-        #: joins, and fault handling bumps ``_seal_gen`` (invalidating every
+        #: every re-rate adds its closure's links to ``_sealed_disturbed``,
+        #: and fault handling bumps ``_seal_gen`` (invalidating every
         #: outstanding seal at once).  The disturbed-link set is cleared
         #: whenever the last sealed entry pops, so it stays small.
         self._seal_gen = 0
@@ -909,19 +733,6 @@ class FlowSimulator(Snapshottable):
             for key, shape in self._batch_shapes.items()
         }
 
-    def _quantize(self, time: float) -> float:
-        """Round ``time`` up to the next coarsening-quantum boundary.
-
-        Never moves an event earlier (the engine rejects past schedules, and
-        causality must hold), and leaves boundary values untouched.  With
-        the quantum at 0 the time passes through unchanged, keeping the
-        exact path bit-for-bit.
-        """
-        quantum = self.coarsen_quantum
-        if quantum <= 0.0 or time <= 0.0:
-            return time
-        return math.ceil(time / quantum) * quantum
-
     # ------------------------------------------------------------------ #
     # Flow management
     # ------------------------------------------------------------------ #
@@ -942,8 +753,6 @@ class FlowSimulator(Snapshottable):
         start.  Until a deferred path resolves, the flow reports an empty
         path.
         """
-        if self.coarsen_quantum > 0.0:
-            start_time = self._quantize(start_time)
         resolver: Optional[PathResolver] = None
         if callable(path):
             resolver, path = path, ()
@@ -986,8 +795,6 @@ class FlowSimulator(Snapshottable):
             # under a group whose callback could never fire.
             if size_bytes < 0:
                 raise SimulationError("flow size must be non-negative")
-        if self.coarsen_quantum > 0.0:
-            start_time = self._quantize(start_time)
         version = self.topology.version if self.topology is not None else None
         group = _FlowGroup(len(items), on_complete)
         group.items = items
@@ -1061,9 +868,8 @@ class FlowSimulator(Snapshottable):
     def link_occupancy(self, key: LinkKey) -> int:
         """Number of active flows currently riding the link ``key``.
 
-        Read from the user registry, which every code path maintains (unlike
-        the rate sums, which only exist under ε-approximation) — so adaptive
-        route choice sees the same congestion picture whether the competing
+        Read from the user registry, which every code path maintains — so
+        adaptive route choice sees the same congestion picture whether the competing
         batches went through the exact solver or the sealed replay lane.
         Phantom batches are counted without materializing them: reading
         congestion must not perturb the replay fast path.
@@ -1184,13 +990,9 @@ class FlowSimulator(Snapshottable):
         if self._phantoms:
             for phantom in list(self._phantoms):
                 self._materialize_phantom(phantom)
-        # Fault events are never approximated away: the re-rate is exact
-        # regardless of allocator_epsilon, and all deferred debt is retired
-        # (it was accrued against capacities that no longer hold).
-        self._deferred_debt.clear()
         dirty = [key for key in keys if key in self._link_users]
         if dirty:
-            self._reallocate((), dirty, now, exact=True)
+            self._reallocate((), dirty, now)
 
     def fail_links(
         self, keys: Iterable[LinkKey], now: Optional[float] = None
@@ -1219,16 +1021,12 @@ class FlowSimulator(Snapshottable):
         if self._phantoms:
             for phantom in list(self._phantoms):
                 self._materialize_phantom(phantom)
-        # Like apply_link_change: failures force an exact re-rate and retire
-        # all deferred debt, no matter the ε.
-        self._deferred_debt.clear()
         link_users = self._link_users
         failed_keys = set(keys)
         casualties: List[Flow] = []
         seen: Set[Flow] = set()
         for key in sorted(failed_keys):
             users = link_users.pop(key, None)
-            self._link_load.pop(key, None)
             if users is None:
                 continue
             del self._link_id_keys[key[2]]
@@ -1260,7 +1058,7 @@ class FlowSimulator(Snapshottable):
             flow.path = self._reroute_path(flow, dead, now)
             flow._added_version = version
             self._register_path(flow)
-        self._reallocate(casualties, dirty_links, now, exact=True)
+        self._reallocate(casualties, dirty_links, now)
         return casualties
 
     def fail_link_ids(
@@ -1285,8 +1083,6 @@ class FlowSimulator(Snapshottable):
     ) -> None:
         """Remove ``flow`` from its links' user sets (cold fault path)."""
         link_users = self._link_users
-        track = self.allocator_epsilon > 0.0
-        load = self._link_load
         for link in flow.path:
             key = link.key
             if key in skip_keys:
@@ -1295,22 +1091,15 @@ class FlowSimulator(Snapshottable):
             if users is flow:
                 del link_users[key]
                 del self._link_id_keys[key[2]]
-                if track:
-                    load.pop(key, None)
             elif type(users) is set:
                 users.discard(flow)
                 if len(users) == 1:
                     (link_users[key],) = users
                 dirty_links.append(key)
-                if track:
-                    left = load.get(key, 0.0) - flow.rate
-                    load[key] = left if left > 0.0 else 0.0
 
     def _register_path(self, flow: Flow) -> None:
         """Register ``flow`` on every link of its path (cold fault path)."""
         link_users = self._link_users
-        track = self.allocator_epsilon > 0.0 and not math.isinf(flow.rate)
-        load = self._link_load
         for link in flow.path:
             key = link.key
             users = link_users.get(key)
@@ -1321,8 +1110,6 @@ class FlowSimulator(Snapshottable):
                 users.add(flow)
             else:
                 link_users[key] = {users, flow}
-            if track:
-                load[key] = load.get(key, 0.0) + flow.rate
         flow._path_latency = sum(link.latency for link in flow.path)
 
     def _reroute_path(
@@ -1491,8 +1278,6 @@ class FlowSimulator(Snapshottable):
         batch with per-link bookkeeping (see :meth:`_on_completion_check`).
         """
         inf = math.inf
-        track = self.allocator_epsilon > 0.0
-        load = self._link_load
         sealable = sealed_links is not None and len(dirty) >= _SEALED_MIN_FLOWS
         batches: Dict[float, List[Tuple[Flow, int]]] = {}
         for flow, rate in zip(dirty, rates):
@@ -1500,10 +1285,6 @@ class FlowSimulator(Snapshottable):
                 sealable = False  # zero-capacity link; run() reports the stall
                 continue
             flow.rate = rate
-            if track and rate != inf:
-                for link in flow.path:
-                    key = link.key
-                    load[key] = load.get(key, 0.0) + rate
             epoch = flow._epoch + 1
             flow._epoch = epoch
             estimate = now if rate == inf else now + flow.remaining_bytes / rate
@@ -1741,8 +1522,8 @@ class FlowSimulator(Snapshottable):
         phantom's links: a later batch joining one of them, or a fault
         walking the registry.  After this the batch is indistinguishable
         from one started on the slow path — its seal stays valid unless the
-        usual disturbance channels (exact-closure links, ε arrival joins,
-        generation bumps) invalidate it.
+        usual disturbance channels (re-rate closure links, generation bumps)
+        invalidate it.
         """
         if phantom.retired:
             return
@@ -1754,14 +1535,11 @@ class FlowSimulator(Snapshottable):
             # Markers are exclusive (claimed only on unclaimed keys, and any
             # toucher materializes before registering), so this is ours.
             del link_users[key]
-        track = self.allocator_epsilon > 0.0
-        load = self._link_load
         active_add = self._active.add
         for flow, _epoch in phantom.members:
             if flow.finish_time is not None:
                 continue
             active_add(flow)
-            rate = flow.rate
             for link in flow.path:
                 key = link.key
                 users = link_users.get(key)
@@ -1772,8 +1550,6 @@ class FlowSimulator(Snapshottable):
                     users.add(flow)
                 else:
                     link_users[key] = {users, flow}
-                if track:
-                    load[key] = load.get(key, 0.0) + rate
 
     def _on_completion_check(self, engine: SimulationEngine, _payload: object) -> None:
         self._completion_event = None
@@ -1787,8 +1563,8 @@ class FlowSimulator(Snapshottable):
             _estimate, entry_id, epoch, payload = pop(heap)
             if epoch == -2:
                 # Sealed self-contained batch: if its generation matches, no
-                # exact re-rate's closure and no ε arrival-skip touched its
-                # links, and no member was re-rated, then every user of every
+                # re-rate's closure touched its links, and no member was
+                # re-rated, then every user of every
                 # batch link is still a member draining at the sealed rate —
                 # the whole entry completes in bulk (ordered marker below).
                 gen, seal_members, seal_keys, seal_phantom = payload
@@ -1871,13 +1647,6 @@ class FlowSimulator(Snapshottable):
         link_users = self._link_users
         active = self._active
         dirty_links: List[LinkKey] = []
-        # Under ε-approximation, collect the rate each completion frees per
-        # link (while flow.rate is still set) so _reallocate can weigh the
-        # skipped redistribution against the survivors' allocated load.
-        freed: Optional[Dict[LinkKey, float]] = (
-            {} if self.allocator_epsilon > 0.0 else None
-        )
-        load = self._link_load
         link_id_keys = self._link_id_keys
         for item in finished:
             if type(item) is tuple:
@@ -1892,11 +1661,6 @@ class FlowSimulator(Snapshottable):
                     for key in seal_keys:
                         del link_users[key]
                         del link_id_keys[key[2]]
-                    if freed is not None:
-                        debts = self._deferred_debt
-                        for key in seal_keys:
-                            load.pop(key, None)
-                            debts.pop(key, None)
                 for flow, _epoch in seal_members:
                     active.discard(flow)
                     self._complete_flow(flow, now + flow._path_latency)
@@ -1909,9 +1673,6 @@ class FlowSimulator(Snapshottable):
                 if users is flow:
                     del link_users[key]
                     del link_id_keys[key[2]]
-                    if freed is not None:
-                        load.pop(key, None)
-                        self._deferred_debt.pop(key, None)
                 elif type(users) is set:
                     users.discard(flow)
                     if len(users) == 1:
@@ -1919,13 +1680,8 @@ class FlowSimulator(Snapshottable):
                         (link_users[key],) = users
                     # Only links with surviving users can wake anyone up.
                     dirty_links.append(key)
-                    if freed is not None:
-                        rate = flow.rate
-                        freed[key] = freed.get(key, 0.0) + rate
-                        left = load.get(key, 0.0) - rate
-                        load[key] = left if left > 0.0 else 0.0
             self._complete_flow(flow, now + flow._path_latency)
-        self._reallocate((), dirty_links, now, freed=freed)
+        self._reallocate((), dirty_links, now)
 
     # ------------------------------------------------------------------ #
     # Allocation
@@ -1936,8 +1692,6 @@ class FlowSimulator(Snapshottable):
         dirty_flows: Sequence[Flow],
         dirty_links: Sequence[LinkKey],
         now: float,
-        freed: Optional[Dict[LinkKey, float]] = None,
-        exact: bool = False,
     ) -> None:
         """Recompute rates for the component(s) touched by a flow change.
 
@@ -1949,25 +1703,8 @@ class FlowSimulator(Snapshottable):
         no link with anyone (the dominant case on dedicated circuits and
         fully-provisioned rails) bypass progressive filling entirely: their
         max–min fair rate is the plain path bottleneck.
-
-        Under ε-approximation (``allocator_epsilon > 0``) pure-completion
-        and pure-arrival events may skip the component closure entirely —
-        see :meth:`_skip_completion_rerate` and
-        :meth:`_approximate_arrival_rates`.  Fault paths pass ``exact=True``
-        to force the full re-rate regardless of ε.
         """
-        eps = 0.0 if exact else self.allocator_epsilon
-        track = self.allocator_epsilon > 0.0
-        if (
-            eps > 0.0
-            and freed is not None
-            and dirty_links
-            and not dirty_flows
-            and self._skip_completion_rerate(dirty_links, freed, now, eps)
-        ):
-            return
         link_users = self._link_users
-        load = self._link_load
         shared: List[Flow] = []
         for flow in dirty_flows:
             solo_rate = math.inf
@@ -1982,21 +1719,9 @@ class FlowSimulator(Snapshottable):
                 shared.append(flow)
             elif solo_rate != flow.rate:
                 self._advance_flow(flow, now)
-                if track and not math.isinf(solo_rate):
-                    delta = solo_rate - flow.rate
-                    for link in flow.path:
-                        key = link.key
-                        load[key] = load.get(key, 0.0) + delta
                 flow.rate = solo_rate
                 flow._epoch += 1
                 self._push_completion(flow, now)
-        if (
-            eps > 0.0
-            and shared
-            and not dirty_links
-            and self._approximate_arrival_rates(shared, now, eps)
-        ):
-            return
         affected: Set[Flow] = set()
         seen_links: Set[LinkKey] = set(dirty_links)
         stack: List[LinkKey] = list(seen_links)
@@ -2033,15 +1758,7 @@ class FlowSimulator(Snapshottable):
             stats.rerated_flows += len(flows)
             # The closure above already isolated the sharing component(s), so
             # dispatch straight to a solver instead of re-decomposing.
-            if (
-                self.fill_workers > 1
-                and _np is not None
-                and len(flows) >= _PARALLEL_MIN_FLOWS
-            ):
-                rates = _max_min_fair_rates_parallel(
-                    flows, workers=self.fill_workers
-                )
-            elif _np is not None and len(flows) >= _VECTORIZE_MIN_FLOWS:
+            if _np is not None and len(flows) >= _VECTORIZE_MIN_FLOWS:
                 rates = _max_min_fair_rates_numpy(flows)
             else:
                 rates = _max_min_fair_rates_python(flows)
@@ -2052,119 +1769,7 @@ class FlowSimulator(Snapshottable):
                     flow.rate = new_rate
                     flow._epoch += 1
                     self._push_completion(flow, now)
-            if track:
-                # Exact re-rate: refresh the component's load sums from the
-                # fresh allocation (every user of every seen link is in
-                # ``flows``, a closure property) and retire its debt.
-                debts = self._deferred_debt
-                for key in seen_links:
-                    debts.pop(key, None)
-                    if key in load:
-                        load[key] = 0.0
-                for flow in flows:
-                    rate = flow.rate
-                    if math.isinf(rate):
-                        continue
-                    for link in flow.path:
-                        load[link.key] = load.get(link.key, 0.0) + rate
         self._sync_completion_event(now)
-
-    def _skip_completion_rerate(
-        self,
-        dirty_links: Sequence[LinkKey],
-        freed: Dict[LinkKey, float],
-        now: float,
-        eps: float,
-    ) -> bool:
-        """ε-skip for a completion batch: leave the survivors' rates alone.
-
-        Completions only ever *free* capacity, so the current allocation
-        stays feasible; what the skip defers is redistributing the freed
-        rate.  That shortfall is tracked as per-link debt, and the skip is
-        taken only while every dirty link's accumulated debt stays within ε
-        of its remaining allocated load — the deferred-dirty bound: as soon
-        as a completion frees more than ε of a link's load, the component is
-        re-rated exactly (which also retires the debt).  Survivors' rates
-        are monotone under peer departures, so the deferral only ever delays
-        completions, by at most the ε fraction of capacity left unassigned.
-        """
-        debts = self._deferred_debt
-        load = self._link_load
-        pending: Dict[LinkKey, float] = {}
-        for key in dirty_links:
-            if key in pending:
-                continue
-            debt = debts.get(key, 0.0) + freed.get(key, 0.0)
-            # Written so inf/nan debt or load fails the comparison and forces
-            # the exact path (also wakes zero-rate survivors: their link
-            # carries no load, so any positive debt forces a re-rate).
-            if not debt <= eps * load.get(key, 0.0):
-                return False
-            pending[key] = debt
-        debts.update(pending)
-        self.stats.epsilon_skips += 1
-        self._sync_completion_event(now)
-        return True
-
-    def _approximate_arrival_rates(
-        self, shared: List[Flow], now: float, eps: float
-    ) -> bool:
-        """ε fast path for arrivals: rate new flows from residual capacity.
-
-        Existing flows keep their rates, and the new flows split the
-        *residual* capacity of their links max–min fairly among themselves —
-        a solve over the arriving batch instead of the full component
-        closure.  The shortcut is only taken when every new flow still
-        receives at least ``(1 - ε)`` of its equal-share reference
-        ``min(cap / users)`` — a lower bound on its exact max–min rate — so
-        no member's rate is off by more than a relative ε from a bound on
-        exact; otherwise the caller falls back to the exact closure (which
-        also reclaims anything an earlier skip left on the table).
-        """
-        link_users = self._link_users
-        load = self._link_load
-        residual: Dict[LinkKey, float] = {}
-        fair_reference: List[float] = []
-        for flow in shared:
-            fair = math.inf
-            for link in flow.path:
-                key = link.key
-                if key not in residual:
-                    left = link.bandwidth - load.get(key, 0.0)
-                    residual[key] = left if left > 0.0 else 0.0
-                users = link_users[key]
-                count = len(users) if type(users) is set else 1
-                share = link.bandwidth / count
-                if share < fair:
-                    fair = share
-            fair_reference.append(fair)
-        self.stats.allocator_invocations += 1
-        rates = max_min_fair_rates(shared, residual)
-        floor = 1.0 - eps
-        for flow, fair in zip(shared, fair_reference):
-            if rates[flow.flow_id] < fair * floor:
-                return False
-        disturbed = (
-            self._sealed_disturbed if self._sealed_outstanding else None
-        )
-        for flow in shared:
-            rate = rates[flow.flow_id]
-            if rate != flow.rate:
-                self._advance_flow(flow, now)
-                flow.rate = rate
-                flow._epoch += 1
-                self._push_completion(flow, now)
-            if not math.isinf(rate):
-                for link in flow.path:
-                    key = link.key
-                    load[key] = load.get(key, 0.0) + rate
-            if disturbed is not None:
-                # The skip joined these links without re-rating anyone:
-                # sealed batches riding them must fall back at completion.
-                disturbed.update(link.key for link in flow.path)
-        self.stats.epsilon_skips += 1
-        self._sync_completion_event(now)
-        return True
 
     def _advance_flow(self, flow: Flow, now: float) -> None:
         """Bring ``flow.remaining_bytes`` up to date at ``now`` (lazy progress)."""
@@ -2207,11 +1812,6 @@ class FlowSimulator(Snapshottable):
                 self._completion_event = None
             return
         target = heap[0][0]
-        if self.coarsen_quantum > 0.0:
-            # Coarsening: completion checks land on quantum boundaries, so
-            # estimates within one quantum drain in a single heap sweep and
-            # trigger one reallocation pass instead of one each.
-            target = self._quantize(target)
         if target < now:
             target = now
         if (

@@ -227,9 +227,8 @@ class PolicyRouter:
         """The path minimizing (worst link occupancy, total occupancy, index).
 
         Occupancy is the live active-flow count per link from the simulator's
-        user registry — maintained on every code path (unlike rate sums,
-        which only exist under ε-approximation) and identical between exact
-        and replayed batches, so the choice is deterministic.
+        user registry — maintained on every code path and identical between
+        solved and replayed batches, so the choice is deterministic.
         """
         occupancy = self.model.simulator.link_occupancy
         best_path = paths[0]

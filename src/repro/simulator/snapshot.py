@@ -34,7 +34,7 @@ from __future__ import annotations
 import pickle
 import types
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from ..errors import SnapshotError
 

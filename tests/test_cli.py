@@ -7,7 +7,11 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.cli import main, parse_cluster, parse_grid, parse_value
+from repro.experiments.cli import build_parser, main, spec_from_args
+from repro.experiments.runner import ExperimentRunner, scenario_hash
+from repro.experiments.spec import parse_cluster, parse_value
+from repro.service import ServiceClient, validate_sweep_spec
+from repro.simulator.faults import FaultEvent, FaultKind, FaultPlan
 
 
 # --------------------------------------------------------------------------- #
@@ -48,8 +52,16 @@ def test_parse_cluster_rejects_unknown_family():
 
 
 def test_parse_grid():
-    grid = parse_grid(["reconfiguration_delay=1e-5,0.015", "provisioning=false,true"])
-    assert grid == {
+    args = build_parser().parse_args(
+        [
+            "sweep",
+            "--grid",
+            "reconfiguration_delay=1e-5,0.015",
+            "--grid",
+            "provisioning=false,true",
+        ]
+    )
+    assert spec_from_args(args)["grid"] == {
         "reconfiguration_delay": [1e-5, 0.015],
         "provisioning": [False, True],
     }
@@ -266,3 +278,82 @@ def test_fig8_subcommand(capsys, tmp_path):
     assert len(rows) == 4  # two delays x (provisioning off/on)
     for row in rows:
         assert row["normalized_iteration_time"] >= 1.0 - 1e-9
+
+
+# --------------------------------------------------------------------------- #
+# CLI <-> HTTP parity
+# --------------------------------------------------------------------------- #
+
+
+class _Captured(Exception):
+    """Carries what a patched runner or client was handed, before any work."""
+
+    def __init__(self, value):
+        super().__init__("captured")
+        self.value = value
+
+
+def _local_scenarios(monkeypatch, argv):
+    """The scenarios ``run``/``sweep`` would simulate for ``argv``."""
+
+    def capture_run(self, scenario):
+        raise _Captured([scenario])
+
+    def capture_many(self, scenarios, **kwargs):
+        raise _Captured(list(scenarios))
+
+    monkeypatch.setattr(ExperimentRunner, "run", capture_run)
+    monkeypatch.setattr(ExperimentRunner, "run_many", capture_many)
+    with pytest.raises(_Captured) as excinfo:
+        main(argv)
+    return excinfo.value.value
+
+
+def _submitted_spec(monkeypatch, argv):
+    """The JSON spec ``submit`` would post for the same flags."""
+
+    def capture(self, spec):
+        raise _Captured(spec)
+
+    monkeypatch.setattr(ServiceClient, "submit", capture)
+    with pytest.raises(_Captured) as excinfo:
+        main(["submit", "--url", "http://127.0.0.1:1", *argv])
+    return excinfo.value.value
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--backend", "ocs", "--workload", "paper-trace", "--cluster", "perlmutter:4"],
+        ["--workload-arg", "pp=1"],
+        ["--cluster", "dgx-h200:8:2"],
+        ["--iterations", "1", "--mfu", "0.5"],
+        ["--backend", "ocs", "--knob", "technology=PLZT"],
+        ["--backend", "electrical", "--network-mode", "flow"],
+        ["--backend", "fattree", "--network-mode", "flow", "--routing-policy", "ecmp"],
+        ["--backend", "fattree", "--network-mode", "flow", "--fault-plan", "PLAN"],
+        ["--backend", "ocs", "--grid", "reconfiguration_delay=1e-5,0.015"],
+    ],
+    ids=[
+        "--workload",
+        "--workload-arg",
+        "--cluster",
+        "--iterations/--mfu",
+        "--knob",
+        "--network-mode",
+        "--routing-policy",
+        "--fault-plan",
+        "--grid",
+    ],
+)
+def test_cli_and_http_build_the_same_scenario_hashes(flags, monkeypatch, tmp_path):
+    plan = tmp_path / "faults.json"
+    FaultPlan(
+        events=(FaultEvent(time=0.0, kind=FaultKind.COMPUTE_SLOWDOWN, factor=2.0),)
+    ).to_file(plan)
+    flags = [str(plan) if flag == "PLAN" else flag for flag in flags]
+    command = "sweep" if "--grid" in flags else "run"
+    local = _local_scenarios(monkeypatch, [command, *flags])
+    remote = validate_sweep_spec(_submitted_spec(monkeypatch, flags)).scenarios
+    assert [scenario_hash(s) for s in local] == [scenario_hash(s) for s in remote]
+    assert len(local) == (2 if command == "sweep" else 1)

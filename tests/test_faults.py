@@ -322,51 +322,6 @@ def test_mid_flight_restore_rerates_back():
     assert flow.finish_time == pytest.approx(12.5)
 
 
-def test_degradation_forces_exact_rerating_regardless_of_epsilon():
-    """Fault events always re-rate exactly, even under an extreme ε.
-
-    ε-approximation may skip redistribution on arrivals and completions, but
-    a fault invalidates the capacities those skips were judged against — the
-    simulator must drop every deferred approximation and re-solve the
-    affected component exactly.
-    """
-    topology, (first, _second) = _line_topology()
-    plan = FaultPlan(
-        events=(
-            FaultEvent(
-                time=5.0, kind=FaultKind.LINK_DEGRADE, src="n0", dst="n1",
-                fraction=0.7,
-            ),
-        )
-    )
-    sim, _ = _sim_with_plan(topology, plan)
-    sim.allocator_epsilon = 0.9
-    share = 100.0 / 11.0  # 11 flows split the 100 B/s link
-    short = sim.add_flow((first,), 2.0 * share, start_time=0.0)
-    longs = [sim.add_flow((first,), 1000.0, start_time=0.0) for _ in range(10)]
-    # The short flow drains at t=2.  Its freed share is well within ε of the
-    # survivors' load, so redistribution is skipped: the ten survivors keep
-    # their 100/11 B/s as deferred debt against the link.
-    sim.engine.run(until=4.5)
-    assert short.finish_time == pytest.approx(2.0)
-    assert sim.stats.epsilon_skips >= 1
-    for flow in longs:
-        assert flow.rate == pytest.approx(share)
-    # The t=5 degradation (capacity 100 -> 70) must force an exact re-rate —
-    # the skipped allocation (10 x 100/11 ~ 90.9 B/s) would oversubscribe the
-    # degraded link.  Every survivor drops to the fair 7 B/s and no deferred
-    # debt survives the fault.
-    sim.engine.run(until=5.0)
-    for flow in longs:
-        assert flow.rate == pytest.approx(7.0)
-    assert not sim._deferred_debt
-    sim.run()
-    # (100/11) x 5 B drained by t=5, the rest at 7 B/s.
-    expected = 5.0 + (1000.0 - 5.0 * share) / 7.0
-    for flow in longs:
-        assert flow.finish_time == pytest.approx(expected)
-
-
 def _detour_topology(detour_bandwidth=50.0):
     """a->b direct plus an a->c->b detour at ``detour_bandwidth``."""
     topology = Topology(name="detour")

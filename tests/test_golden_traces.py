@@ -45,14 +45,6 @@ GOLDEN_CASES = {
     "degraded_fattree_flow": lambda: degraded_fabric_scenario(
         "fattree", "degraded", num_iterations=2
     ),
-    # The ε-approximate engine gets its own pinned trace: approximation is
-    # deterministic too, so its divergence from the exact trace is a fixed,
-    # reviewable artifact rather than an unchecked degree of freedom.
-    "shared_uplink_flow_approx": lambda: shared_uplink_incast_scenario(
-        num_iterations=2
-    ).with_knobs(
-        network_mode="flow", allocator_epsilon=0.1, coarsen_quantum=1e-6
-    ),
     # ECMP's per-flow hash choices are a fixed integer mix over stable path
     # enumerations, so the multipath trace is as pinnable as the single-path
     # one: any drift in hashing, path ordering, or enumeration shows up here.
@@ -195,31 +187,10 @@ def test_snapshot_restore_continue_golden(update_golden):
     assert json.loads(_canonical(payload)) == json.loads(path.read_text())
 
 
-def test_explicit_zero_knobs_reproduce_the_exact_golden_trace():
-    """ε = 0 / quantum = 0 is the exact engine, bit-for-bit.
-
-    The contention-scaling knobs must be pure opt-ins: spelling the defaults
-    out loud (as sweeps and CLI runs do) reproduces the committed pre-knob
-    golden trace down to the last float.
-    """
-    scenario = shared_uplink_incast_scenario(num_iterations=2).with_knobs(
-        network_mode="flow",
-        allocator_epsilon=0.0,
-        coarsen_quantum=0.0,
-        fill_workers=0,
-    )
-    produced = json.loads(_canonical(_simulate_training_dict(scenario)))
-    expected = json.loads((GOLDEN_DIR / "shared_uplink_flow.json").read_text())
-    # The scenario name embeds no knob values; everything else must match.
-    assert produced["iterations"] == expected["iterations"]
-    assert produced["backend"] == expected["backend"]
-
-
 def test_explicit_single_routing_policy_reproduces_the_golden_trace():
     """routing_policy = 'single' is the pre-knob router, bit-for-bit.
 
-    Same contract as the zero contention-scaling knobs: spelling the default
-    policy out loud must reproduce the committed single-path golden trace
+    Spelling the default policy out loud must reproduce the committed single-path golden trace
     down to the last float — the policy lane is a pure opt-in.
     """
     scenario = shared_uplink_incast_scenario(num_iterations=2).with_knobs(

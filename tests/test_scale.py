@@ -91,46 +91,6 @@ def test_scale_cli_rejects_unknown_backends():
     assert main(["scale", "--backends", "warpdrive"]) == 2
 
 
-def test_scale_scenario_threads_the_contention_knobs():
-    scenario = scale_scenario(
-        num_endpoints=200,
-        backend="fattree",
-        allocator_epsilon=0.05,
-        coarsen_quantum=1e-6,
-    )
-    assert scenario.knobs["allocator_epsilon"] == 0.05
-    assert scenario.knobs["coarsen_quantum"] == 1e-6
-    # Defaults stay knob-free so exact runs are indistinguishable from
-    # pre-knob scenario dicts (golden traces, sweep caches).
-    exact = scale_scenario(num_endpoints=200, backend="fattree")
-    assert "allocator_epsilon" not in exact.knobs
-    assert "coarsen_quantum" not in exact.knobs
-
-
-def test_scale_cli_passes_the_contention_knobs(capsys):
-    exit_code = main(
-        [
-            "scale",
-            "--endpoints",
-            "200",
-            "--backends",
-            "fattree",
-            "--iterations",
-            "1",
-            "--executor",
-            "serial",
-            "--allocator-epsilon",
-            "0.05",
-            "--coarsen-quantum",
-            "1e-6",
-        ]
-    )
-    assert exit_code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["knobs"]["allocator_epsilon"] == 0.05
-    assert payload[0]["knobs"]["coarsen_quantum"] == 1e-6
-
-
 @pytest.mark.slow
 def test_scale_10k_fattree_flow_completes_within_the_wall():
     """The headline scenario: 10k endpoints, fat tree, flow mode, exact.

@@ -112,6 +112,28 @@ def test_oversized_grid_is_rejected_before_any_work():
     assert excinfo.value.code == "oversized-grid"
 
 
+def test_non_numeric_reconfiguration_delay_is_rejected():
+    # The CLI rejects `--knob reconfiguration_delay=abc`; so must the door.
+    payload = {
+        "scenario": {"backend": "ocs", "knobs": {"reconfiguration_delay": "abc"}}
+    }
+    with pytest.raises(SpecValidationError) as excinfo:
+        validate_sweep_spec(payload)
+    assert excinfo.value.code == "bad-knobs"
+
+
+def test_knob_fixed_and_swept_at_once_is_rejected():
+    # `submit --network-mode flow --grid network_mode=analytic,flow`: the grid
+    # would silently override the fixed knob, so the spec is ambiguous.
+    payload = {
+        "scenario": {"backend": "electrical", "knobs": {"network_mode": "flow"}},
+        "grid": {"network_mode": ["analytic", "flow"]},
+    }
+    with pytest.raises(SpecValidationError) as excinfo:
+        validate_sweep_spec(payload)
+    assert excinfo.value.code == "bad-spec"
+
+
 # --------------------------------------------------------------------------- #
 # Quarantine: rejections are recorded, the queue stays healthy
 # --------------------------------------------------------------------------- #
