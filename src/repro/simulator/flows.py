@@ -13,7 +13,7 @@ Two things make the engine scale to 10k-endpoint fabrics:
 * **Vectorized water-filling** — :func:`max_min_fair_rates` runs the
   progressive-filling rounds over a flat link×flow incidence structure with
   numpy when the flow set is large, falling back to the incremental
-  pure-Python algorithm for small sets (and when numpy is unavailable).
+  pure-Python algorithm for small sets.
 * **Component-local reallocation** — the simulator maintains per-link user
   sets incrementally and, on every arrival/completion batch, recomputes rates
   only for the connected component of flows that (transitively) share links
@@ -49,15 +49,12 @@ from typing import (
     Union,
 )
 
+import numpy as _np
+
 from ..errors import LinkFailedError, SimulationError, TopologyError
 from ..topology.base import Link, Topology
 from .engine import SimulationEngine
 from .snapshot import Snapshottable, register_continuation
-
-try:  # numpy is a declared dependency, but the pure-Python path keeps the
-    import numpy as _np  # engine usable in stripped-down environments.
-except ImportError:  # pragma: no cover - exercised via the fallback tests
-    _np = None
 
 #: Tolerance used when deciding whether a flow has finished transferring.
 _BYTES_EPSILON = 1e-6
@@ -130,17 +127,15 @@ class _FlowGroup:
 
     The owner receives a single callback with the batch's last finish time
     once every member completed — one callback per collective step instead of
-    one per flow.  The group also remembers the (cached, shared) item list it
-    was built from, which keys the isolated-component allocation memo.
+    one per flow.
     """
 
-    __slots__ = ("outstanding", "end", "callback", "items")
+    __slots__ = ("outstanding", "end", "callback")
 
     def __init__(self, outstanding: int, callback: Callable[[float], None]) -> None:
         self.outstanding = outstanding
         self.end = 0.0
         self.callback = callback
-        self.items: object = None
 
 
 class _PhantomBatch:
@@ -168,22 +163,30 @@ class _PhantomBatch:
 
 
 class _BatchShape:
-    """Memoized bookkeeping for one recurring self-contained batch shape.
+    """Memoized allocation of one recurring self-contained batch.
 
-    Synchronized steady state re-injects identically-shaped batches — the
-    same (cached) path objects, the same sizes — once per collective step,
-    hundreds of times per iteration.  After the first fully-registered
-    solve, the shape records everything replay needs: the allocation, the
-    claimed link keys, per-flow latencies, and the uniform drain duration.
-    Replays then skip per-flow registration, solving, and estimate math
-    entirely (see ``_try_shape_replay``); a replay is bit-for-bit identical
-    to the slow path because every stored float was produced by it.
+    A self-contained batch shares links with no flow outside itself, so its
+    max–min fair rates are a pure function of its ordered paths and the live
+    capacities.  The shape table keys it on the topology version plus the
+    identities of its (cached) path tuples; ``anchors`` holds those tuples,
+    which pins the ids, and every hit checks them, so a recycled id can never
+    replay a stale allocation.  Synchronized steady state re-injects such
+    batches — one step of many concurrent rings re-uses the same routes step
+    after step — so each shape is solved once and its rates are applied
+    positionally thereafter.
+
+    A batch that can also *replay* (concrete routes, no member dropped, at
+    least ``_SEALED_MIN_FLOWS`` flows) records everything replay needs on
+    top: sizes, per-flow latencies, the claimed link keys and the drain
+    groups.  Replays then skip per-flow registration, solving, and estimate
+    math entirely (see ``_try_shape_replay``); a replay is bit-for-bit
+    identical to the slow path because every stored float was produced by it.
     """
 
     __slots__ = (
         "anchors",
-        "sizes",
         "rates",
+        "sizes",
         "latencies",
         "keys",
         "key_set",
@@ -192,27 +195,52 @@ class _BatchShape:
     )
 
     def __init__(
-        self,
-        anchors: Tuple[Tuple[Link, ...], ...],
-        sizes: Tuple[float, ...],
-        rates: List[float],
-        latencies: Tuple[float, ...],
-        keys: Tuple[LinkKey, ...],
-        key_set: FrozenSet[LinkKey],
-        groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]],
+        self, anchors: Tuple[Tuple[Link, ...], ...], rates: List[float]
     ) -> None:
         self.anchors = anchors
-        self.sizes = sizes
         self.rates = rates
-        self.latencies = latencies
-        self.keys = keys
-        self.key_set = key_set
-        self.id_items = tuple((key[2], key) for key in keys)
+        #: Replay fields, filled by :meth:`record_replay`; ``keys`` is
+        #: ``None`` until then.
+        self.sizes: Tuple[float, ...] = ()
+        self.latencies: Tuple[float, ...] = ()
+        self.keys: Optional[Tuple[LinkKey, ...]] = None
+        self.key_set: FrozenSet[LinkKey] = frozenset()
+        self.id_items: Tuple[Tuple[int, LinkKey], ...] = ()
         #: (drain_duration, member_indices) per completion-estimate group, in
         #: first-occurrence order (matching the slow path's estimate dict) —
-        #: or ``None`` when the shape is not replayable (a zero or infinite
-        #: rate somewhere).
-        self.groups = groups
+        #: or ``None`` when the shape cannot replay (not recorded, or a zero
+        #: or infinite rate somewhere).
+        self.groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]] = None
+
+    def record_replay(self, batch: Sequence["Flow"], links: Set[LinkKey]) -> None:
+        """Record the replay bookkeeping of a fully registered ``batch``.
+
+        Called by ``_on_batch_start`` right before rates are applied, while
+        every member is still fresh (``remaining_bytes`` untouched and
+        ``_path_latency`` set by the registration loop).  A shape without
+        finite positive rates keeps ``groups = None``, so the replay probe
+        caches the negative instead of re-deriving it.
+        """
+        grouping: Optional[Dict[float, List[int]]] = {}
+        for index, (flow, rate) in enumerate(zip(batch, self.rates)):
+            if not 0.0 < rate < math.inf:
+                grouping = None
+                break
+            duration = flow.remaining_bytes / rate
+            bucket = grouping.get(duration)
+            if bucket is None:
+                grouping[duration] = [index]
+            else:
+                bucket.append(index)
+        if grouping is not None:
+            self.groups = tuple(
+                (duration, tuple(idxs)) for duration, idxs in grouping.items()
+            )
+        self.sizes = tuple(flow.remaining_bytes for flow in batch)
+        self.latencies = tuple(flow._path_latency for flow in batch)
+        self.keys = tuple(links)
+        self.key_set = frozenset(links)
+        self.id_items = tuple((key[2], key) for key in self.keys)
 
 
 class Flow:
@@ -321,15 +349,15 @@ def max_min_fair_rates(
     """
     if len(flows) < _DECOMPOSE_MIN_FLOWS:
         return _max_min_fair_rates_python(flows, capacities)
-    if _np is not None and len(flows) >= _VECTORIZE_MIN_FLOWS:
+    if len(flows) >= _VECTORIZE_MIN_FLOWS:
         # The numpy solver labels link-sharing components itself and fills
         # them in parallel (one bottleneck per component per round), so no
         # Python-level decomposition is needed in front of it.
         return _max_min_fair_rates_numpy(flows, capacities)
     # Max-min fairness decomposes exactly over connected components of the
     # flow/link sharing graph: progressive filling on one component never
-    # reads capacity touched by another.  Without numpy, solving components
-    # independently still turns the round count from "distinct shares
+    # reads capacity touched by another.  Below the numpy threshold, solving
+    # components independently turns the round count from "distinct shares
     # overall" into "distinct shares per component".
     components = _sharing_components(flows)
     rates: Dict[int, float] = {}
@@ -658,18 +686,6 @@ class FlowSimulator(Snapshottable):
         #: carry ``-1`` and a list of (flow, epoch) members.
         self._completion_heap: List[Tuple[float, int, int, object]] = []
         self._completion_event = None
-        #: Memoized allocations for self-contained batches, keyed by the
-        #: identity of the (cached) item list they were injected from.
-        self._isolated_rates: Dict[int, Tuple[object, Optional[int], List[float]]] = {}
-        #: Content-keyed fallback memo for self-contained batches that span
-        #: several injection groups (e.g. one synchronized step of many
-        #: concurrent rings): max–min rates are a pure function of the
-        #: ordered path list and the topology version, so later steps with
-        #: the same routes replay the allocation positionally.
-        self._content_rates: Dict[
-            Tuple[Optional[int], Tuple[int, ...]],
-            Tuple[Tuple[Tuple[Link, ...], ...], List[float]],
-        ] = {}
         #: Sealed-batch bookkeeping.  A *sealed* completion-heap entry is a
         #: self-contained batch whose members all share one finish estimate;
         #: if nothing disturbed it in flight, completion retires its link
@@ -682,8 +698,9 @@ class FlowSimulator(Snapshottable):
         self._seal_gen = 0
         self._sealed_outstanding = 0
         self._sealed_disturbed: Set[LinkKey] = set()
-        #: Full replay bookkeeping for recurring batch shapes (the sealed
-        #: lane's other half): content key -> :class:`_BatchShape`.
+        #: The allocation memo of self-contained batches, plus the replay
+        #: bookkeeping of those that can replay (the sealed lane's other
+        #: half): (topology version, path ids) -> :class:`_BatchShape`.
         self._batch_shapes: Dict[
             Tuple[Optional[int], Tuple[int, ...]], _BatchShape
         ] = {}
@@ -721,13 +738,6 @@ class FlowSimulator(Snapshottable):
         # counted as extra allocator work, breaking the guarantee that a
         # continued snapshot reports the same stats as a straight run.
         self._path_meta = {id(meta[0]): meta for meta in self._path_meta.values()}
-        self._isolated_rates = {
-            id(memo[0]): memo for memo in self._isolated_rates.values()
-        }
-        self._content_rates = {
-            (key[0], tuple(id(anchor) for anchor in memo[0])): memo
-            for key, memo in self._content_rates.items()
-        }
         self._batch_shapes = {
             (key[0], tuple(id(anchor) for anchor in shape.anchors)): shape
             for key, shape in self._batch_shapes.items()
@@ -797,7 +807,6 @@ class FlowSimulator(Snapshottable):
                 raise SimulationError("flow size must be non-negative")
         version = self.topology.version if self.topology is not None else None
         group = _FlowGroup(len(items), on_complete)
-        group.items = items
         flow_id = self._counter
         batch = self._pending_at.get(start_time)
         if batch is None:
@@ -973,23 +982,12 @@ class FlowSimulator(Snapshottable):
         connected components of flows touching the changed links are
         re-allocated from the live capacities (everyone else keeps their
         rates and estimates), and the path-derived caches — per-path static
-        bottlenecks, isolated-batch allocations — are dropped so no future
-        batch replays a rate computed against the old capacity.
+        bottlenecks, self-contained batch allocations — are dropped so no
+        future batch replays a rate computed against the old capacity.
         """
         if now is None:
             now = self.engine.now
-        self._path_meta.clear()
-        self._isolated_rates.clear()
-        self._content_rates.clear()
-        self._batch_shapes.clear()
-        # Invalidate every outstanding sealed batch: capacities (or the
-        # registry itself) are about to change under them.  Phantom batches
-        # must come back to real per-flow registrations first — the exact
-        # re-rate below walks the user registry.
-        self._seal_gen += 1
-        if self._phantoms:
-            for phantom in list(self._phantoms):
-                self._materialize_phantom(phantom)
+        self._invalidate_memos()
         dirty = [key for key in keys if key in self._link_users]
         if dirty:
             self._reallocate((), dirty, now)
@@ -1009,18 +1007,7 @@ class FlowSimulator(Snapshottable):
         """
         if now is None:
             now = self.engine.now
-        self._path_meta.clear()
-        self._isolated_rates.clear()
-        self._content_rates.clear()
-        self._batch_shapes.clear()
-        # Invalidate every outstanding sealed batch: capacities (or the
-        # registry itself) are about to change under them.  Phantom batches
-        # must come back to real per-flow registrations first — the exact
-        # re-rate below walks the user registry.
-        self._seal_gen += 1
-        if self._phantoms:
-            for phantom in list(self._phantoms):
-                self._materialize_phantom(phantom)
+        self._invalidate_memos()
         link_users = self._link_users
         failed_keys = set(keys)
         casualties: List[Flow] = []
@@ -1077,6 +1064,21 @@ class FlowSimulator(Snapshottable):
         if not keys:
             return []
         return self.fail_links(keys, now)
+
+    def _invalidate_memos(self) -> None:
+        """Drop the path-derived memos and every outstanding seal.
+
+        Capacities (or the user registry itself) are about to change under
+        the memoized allocations and the sealed batches in flight.  Phantom
+        batches come back to real per-flow registrations first — the exact
+        re-rate that follows walks the user registry.
+        """
+        self._path_meta.clear()
+        self._batch_shapes.clear()
+        self._seal_gen += 1
+        if self._phantoms:
+            for phantom in list(self._phantoms):
+                self._materialize_phantom(phantom)
 
     def _unregister_path(
         self, flow: Flow, skip_keys: Set[LinkKey], dirty_links: List[LinkKey]
@@ -1148,6 +1150,7 @@ class FlowSimulator(Snapshottable):
         if (
             self._batch_shapes
             and len(batch) >= _SEALED_MIN_FLOWS
+            and batch[0]._resolver is None  # deferred routes never replay
             and self._try_shape_replay(batch, now)
         ):
             return
@@ -1163,12 +1166,14 @@ class FlowSimulator(Snapshottable):
         add_batch_link = batch_links.add
         intra_shared = False
         external_shared = False
+        resolved = False
         for flow in batch:
             resolver = flow._resolver
             if resolver is not None:
                 # Freshly resolved against the live topology; no liveness
                 # check needed (see PathResolver).
                 flow._resolver = None
+                resolved = True
                 flow.path = tuple(resolver())
             elif version is not None and flow._added_version != version:
                 self._check_links_alive(flow, now)
@@ -1231,32 +1236,29 @@ class FlowSimulator(Snapshottable):
         if not dirty:
             self._sync_completion_event(now)
             return
-        if not intra_shared and not external_shared:
-            # The whole batch rides dedicated links (the dominant case on
-            # provisioned circuits and fully-connected rails): every flow's
-            # max-min fair rate is its plain path bottleneck, no progressive
-            # filling and no component closure needed.
-            if len(dirty) == len(batch) and len(dirty) >= _SEALED_MIN_FLOWS:
-                self._store_shape(batch, solo_bw, version, batch_links)
-            self._apply_batch_rates(dirty, solo_bw, now, sealed_links=batch_links)
-            return
         if not external_shared:
-            # The batch contends only within itself (e.g. one collective step
-            # funneling through shared uplinks, no bystanders): its max-min
-            # fair allocation depends only on the batch's paths, so identical
-            # re-injections — the same step next iteration, the same-shape
-            # collective elsewhere — replay the memoized allocation.  The
-            # group memo replays single-group batches by item-list identity;
-            # the content memo catches everything else (multi-group unions
-            # like one synchronized step of many concurrent rings, whose
-            # routes repeat step after step), and on a genuine miss solves
-            # the batch directly — no component closure is needed when the
-            # batch shares links with nobody outside itself.
-            rates = self._isolated_batch_rates(batch, dirty, version)
-            if rates is None:
-                rates = self._self_contained_rates(dirty, version)
-            if len(dirty) == len(batch) and len(dirty) >= _SEALED_MIN_FLOWS:
-                self._store_shape(batch, rates, version, batch_links)
+            # The batch shares links with nobody outside itself: it rides
+            # dedicated links (the dominant case on provisioned circuits and
+            # fully-connected rails), or contends only within itself (e.g.
+            # one collective step funneling through shared uplinks, no
+            # bystanders).  Its allocation depends only on its own paths, so
+            # the shape table memoizes it, and a batch that can replay also
+            # records its replay bookkeeping there.
+            replay_links = (
+                batch_links
+                if not resolved
+                and len(dirty) == len(batch)
+                and len(dirty) >= _SEALED_MIN_FLOWS
+                else None
+            )
+            if intra_shared:
+                rates = self._self_contained_rates(dirty, version, replay_links)
+            else:
+                # Dedicated links: every flow's max-min fair rate is its
+                # plain path bottleneck, no progressive filling needed.
+                rates = solo_bw
+                if replay_links is not None:
+                    self._self_contained_rates(dirty, version, replay_links, solo_bw)
             self._apply_batch_rates(dirty, rates, now, sealed_links=batch_links)
             return
         self._reallocate(dirty, (), now)
@@ -1313,135 +1315,55 @@ class FlowSimulator(Snapshottable):
                 heapq.heappush(heap, (estimate, members[0][0].flow_id, -1, members))
         self._sync_completion_event(now)
 
-    def _isolated_batch_rates(
-        self, batch: Sequence[Flow], dirty: List[Flow], version: Optional[int]
-    ) -> Optional[List[float]]:
-        """Memoized allocation for a batch that only contends with itself.
-
-        Valid only when the batch is exactly one ``add_flows`` item list (the
-        shared, cached per-step list), nothing in it completed early, and the
-        topology version matches the memoized run — then the max-min fair
-        rates are a pure function of the item list and can be replayed
-        positionally.  Returns ``None`` when the memo cannot be used, in
-        which case the caller falls back to progressive filling (whose result
-        seeds the memo for next time via this same path).
-        """
-        group = batch[0]._group
-        if (
-            group is None
-            or batch[-1]._group is not group
-            or group.items is None
-            or len(dirty) != len(batch)
-        ):
-            return None
-        key = id(group.items)
-        memo = self._isolated_rates.get(key)
-        if (
-            memo is not None
-            and memo[0] is group.items
-            and memo[1] == version
-            and len(memo[2]) == len(dirty)
-        ):
-            return memo[2]
-        flows = list(dirty)
-        self.stats.allocator_invocations += 1
-        computed = max_min_fair_rates(flows)
-        rates = [computed[flow.flow_id] for flow in dirty]
-        if len(self._isolated_rates) >= 4096:
-            self._isolated_rates.clear()
-        self._isolated_rates[key] = (group.items, version, rates)
-        return rates
-
     def _self_contained_rates(
-        self, dirty: List[Flow], version: Optional[int]
+        self,
+        dirty: List[Flow],
+        version: Optional[int],
+        replay_links: Optional[Set[LinkKey]],
+        rates: Optional[List[float]] = None,
     ) -> List[float]:
-        """Allocation for a self-contained batch, memoized on its route list.
+        """Allocation of a self-contained batch, memoized in the shape table.
 
         Max–min fair rates are a pure function of the batch's ordered paths
-        and the live capacities, so the memo key is the tuple of path
-        identities plus the topology version (capacity changes bump the
-        version, and fault handling clears the memo outright).  The stored
-        path tuple re-anchors every identity on a hit — a recycled ``id``
-        (possible on circuit fabrics, whose per-flow resolver paths are not
-        held by the route table) can never replay a stale allocation.  This
-        is what makes synchronized steady state cheap: one step of N
-        concurrent rings re-uses the same routes every step, so each shape
-        is solved once and replayed positionally thereafter.
-        """
-        key = (version, tuple(id(flow.path) for flow in dirty))
-        memo = self._content_rates.get(key)
-        if memo is not None:
-            anchors, rates = memo
-            if all(a is flow.path for a, flow in zip(anchors, dirty)):
-                return rates
-        self.stats.allocator_invocations += 1
-        self.stats.rerated_components += 1
-        self.stats.rerated_flows += len(dirty)
-        computed = max_min_fair_rates(dirty)
-        rates = [computed[flow.flow_id] for flow in dirty]
-        if len(self._content_rates) >= 4096:
-            self._content_rates.clear()
-        self._content_rates[key] = (
-            tuple(flow.path for flow in dirty),
-            rates,
-        )
-        return rates
-
-    def _store_shape(
-        self,
-        batch: Sequence[Flow],
-        rates: Sequence[float],
-        version: Optional[int],
-        batch_links: Set[LinkKey],
-    ) -> None:
-        """Record a self-contained batch's full replay bookkeeping.
-
-        Called by ``_on_batch_start`` right before rates are applied, while
-        every member is still fresh (``remaining_bytes`` untouched and
-        ``_path_latency`` set by the registration loop).  A shape without a
-        uniform drain duration is stored with ``duration = None`` so the
-        replay probe caches the negative instead of re-deriving it.
+        and the live capacities, so the key is the topology version plus the
+        path identities (capacity changes bump the version, and fault
+        handling clears the table outright).  On a miss the batch is solved
+        directly — no component closure is needed when it shares links with
+        nobody outside itself — and counted like every other re-rate, unless
+        the caller passes the ``rates`` it already knows.  ``replay_links``
+        (the batch's link set, when it can replay) fills the entry's replay
+        bookkeeping the first time the shape is seen replayable.
         """
         shapes = self._batch_shapes
-        key = (version, tuple([id(flow.path) for flow in batch]))
-        if key in shapes:
-            return
-        inf = math.inf
-        grouping: Optional[Dict[float, List[int]]] = {}
-        for index, (flow, rate) in enumerate(zip(batch, rates)):
-            if not 0.0 < rate < inf:
-                grouping = None
-                break
-            duration = flow.remaining_bytes / rate
-            bucket = grouping.get(duration)
-            if bucket is None:
-                grouping[duration] = [index]
-            else:
-                bucket.append(index)
-        groups = (
-            tuple((duration, tuple(idxs)) for duration, idxs in grouping.items())
-            if grouping is not None
-            else None
-        )
-        if len(shapes) >= 4096:
-            shapes.clear()
-        shapes[key] = _BatchShape(
-            anchors=tuple(flow.path for flow in batch),
-            sizes=tuple(flow.remaining_bytes for flow in batch),
-            rates=list(rates),
-            latencies=tuple(flow._path_latency for flow in batch),
-            keys=tuple(batch_links),
-            key_set=frozenset(batch_links),
-            groups=groups,
-        )
+        key = (version, tuple([id(flow.path) for flow in dirty]))
+        shape = shapes.get(key)
+        if shape is None or not all(
+            anchor is flow.path for anchor, flow in zip(shape.anchors, dirty)
+        ):
+            if rates is None:
+                stats = self.stats
+                stats.allocator_invocations += 1
+                stats.rerated_components += 1
+                stats.rerated_flows += len(dirty)
+                computed = max_min_fair_rates(dirty)
+                rates = [computed[flow.flow_id] for flow in dirty]
+            if len(shapes) >= 4096:
+                shapes.clear()
+            shapes[key] = shape = _BatchShape(
+                tuple(flow.path for flow in dirty), rates
+            )
+        if replay_links is not None and shape.keys is None:
+            shape.record_replay(dirty, replay_links)
+        return shape.rates
 
     def _try_shape_replay(self, batch: Sequence[Flow], now: float) -> bool:
         """Start ``batch`` via its memoized shape, skipping per-flow work.
 
-        Hit conditions: same (cached) path objects in the same order, same
-        sizes, same topology version, a uniform memoized drain duration, and
-        none of the batch's links currently claimed by anyone.  On a hit the
-        links are claimed with one :class:`_PhantomBatch` marker per key (two
+        Hit conditions: same (cached) path objects in the same order (a
+        pending resolver's empty path never matches a recorded shape), same
+        sizes, same topology version, recorded replay bookkeeping, and none
+        of the batch's links currently claimed by anyone.  On a hit the links
+        are claimed with one :class:`_PhantomBatch` marker per key (two
         C-level bulk dict operations), the memoized rates and the single
         sealed completion estimate are applied, and the slow path — per-flow
         registration, classification, solving, estimate grouping — is skipped
@@ -1458,12 +1380,10 @@ class FlowSimulator(Snapshottable):
         groups = shape.groups
         if groups is None:
             return False
-        sizes = shape.sizes
-        for flow, anchor, size in zip(batch, shape.anchors, sizes):
+        for flow, anchor, size in zip(batch, shape.anchors, shape.sizes):
             if (
                 flow.path is not anchor
                 or flow.remaining_bytes != size
-                or flow._resolver is not None
                 or flow._added_version != version
             ):
                 return False
@@ -1620,8 +1540,12 @@ class FlowSimulator(Snapshottable):
             for flow, flow_epoch in members:
                 if flow.finish_time is not None or flow._epoch != flow_epoch:
                     continue  # stale: completed or the rate changed since
-                # Lazy progress and drain check, inlined (see _advance_flow /
-                # _flow_is_drained for the commented versions).
+                # Lazy progress (see _advance_flow) and drain check, inlined.
+                # Besides the byte tolerance, a flow whose residual drain
+                # time is below the clock's float resolution must complete
+                # now: no later event could drain it, and re-checking at the
+                # same instant would spin the engine.  Infinite-rate flows
+                # (unconstrained routes) drain instantly.
                 rate = flow.rate
                 elapsed = now - flow._progress_time
                 if elapsed > 0.0:
@@ -1758,7 +1682,7 @@ class FlowSimulator(Snapshottable):
             stats.rerated_flows += len(flows)
             # The closure above already isolated the sharing component(s), so
             # dispatch straight to a solver instead of re-decomposing.
-            if _np is not None and len(flows) >= _VECTORIZE_MIN_FLOWS:
+            if len(flows) >= _VECTORIZE_MIN_FLOWS:
                 rates = _max_min_fair_rates_numpy(flows)
             else:
                 rates = _max_min_fair_rates_python(flows)
@@ -1876,25 +1800,6 @@ class FlowSimulator(Snapshottable):
                 f"torn-down link {link.src}->{link.dst} (id {link.link_id}); "
                 "the circuit was reconfigured away before the flow started"
             )
-
-    @staticmethod
-    def _flow_is_drained(flow: Flow, now: float) -> bool:
-        """Whether ``flow`` counts as finished at ``now``.
-
-        Besides the byte tolerance, a flow whose residual drain time is below
-        the floating-point resolution of the clock (``now + time_left == now``)
-        must complete *now*: no representable future event could ever drain
-        it, and rescheduling a completion check at the same instant would spin
-        the engine forever.  Infinite-rate flows (unconstrained routes) drain
-        instantly by definition.
-        """
-        if flow.remaining_bytes <= _BYTES_EPSILON:
-            return True
-        if math.isinf(flow.rate):
-            return True
-        if flow.rate > 0:
-            return now + flow.remaining_bytes / flow.rate <= now
-        return False
 
     def _complete_flow(self, flow: Flow, finish_time: float) -> None:
         flow.finish_time = finish_time

@@ -270,8 +270,9 @@ def test_add_flows_interacts_with_later_external_arrivals():
 
 
 def test_repeated_identical_batches_replay_the_same_rates():
-    # The isolated-batch memo must replay, not corrupt, repeated injections
-    # of the same (cached) item list — the per-step pattern of a collective.
+    # The self-contained batch memo (the shape table) must replay, not
+    # corrupt, repeated injections of the same (cached) routes — the
+    # per-step pattern of a collective.
     sim = FlowSimulator()
     shared = _link(0, bandwidth=100.0)
     items = [((shared,), 300.0), ((shared,), 300.0)]
@@ -376,9 +377,10 @@ def test_path_meta_and_isolated_memo_invalidate_on_link_change():
     """Re-injecting a cached item list after a degrade uses the new capacity.
 
     Both per-path static bottlenecks (the solo fast path) and the
-    isolated-batch allocation memo key on object identity, so a capacity
-    change must explicitly drop them — otherwise the same (path, items)
-    objects would replay rates computed against the healthy fabric.
+    self-contained batch allocations of the shape table key on path
+    identity, so a capacity change must explicitly drop them — otherwise the
+    same path objects would replay rates computed against the healthy
+    fabric.
     """
     from repro.topology.base import NodeKind, Topology
 

@@ -265,6 +265,27 @@ def test_allocator_stats_count_invocations_and_epsilon_skips():
     assert all(flow.finish_time is not None for flow in longs)
 
 
+def test_self_contained_batch_solve_counts_as_one_rerate():
+    # Two flows of one batch share a link and nothing else: the first
+    # injection solves the batch (one component, two flows), the identical
+    # second injection replays the memoized allocation without solving.
+    link = make_link(bandwidth=100.0)
+    items = [((link,), 300.0), ((link,), 300.0)]
+    sim = FlowSimulator()
+    ends = []
+    sim.add_flows(items, start_time=0.0, on_complete=ends.append)
+    sim.run()
+    sim.add_flows(items, start_time=ends[0], on_complete=ends.append)
+    sim.run()
+    assert ends == [pytest.approx(6.0), pytest.approx(12.0)]
+    stats = sim.stats
+    assert (
+        stats.allocator_invocations,
+        stats.rerated_components,
+        stats.rerated_flows,
+    ) == (1, 1, 2)
+
+
 def _uniform_batch(sim, link_count=2, flows_per_link=40):
     """A self-contained batch large enough to take the sealed fast path."""
     links = [

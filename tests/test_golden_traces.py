@@ -54,8 +54,8 @@ GOLDEN_CASES = {
 }
 
 
-def _simulate_training_dict(scenario) -> dict:
-    """The full training trace of one scenario as a canonical dict."""
+def _simulate_training(scenario):
+    """Run one scenario end to end; returns ``(training, network)``."""
     dag = build_iteration_dag(scenario.workload, scenario.cluster, scenario.dag_options)
     registry = GroupRegistry(dag.mesh)
     network = create_network(
@@ -66,7 +66,12 @@ def _simulate_training_dict(scenario) -> dict:
         **dict(scenario.knobs),
     )
     executor = DAGExecutor(dag, scenario.cluster, network, config=scenario.simulation)
-    training = executor.run_training(scenario.num_iterations)
+    return executor.run_training(scenario.num_iterations), network
+
+
+def _simulate_training_dict(scenario) -> dict:
+    """The full training trace of one scenario as a canonical dict."""
+    training, _network = _simulate_training(scenario)
     return {
         "scenario": scenario.name,
         "backend": scenario.backend,
@@ -98,6 +103,29 @@ def test_golden_trace_is_bit_for_bit_stable(name, update_golden):
     expected = json.loads(path.read_text())
     produced = json.loads(_canonical(payload))
     assert produced == expected
+
+
+#: (allocator_invocations, rerated_components, rerated_flows) of each flow
+#: golden case.  The traces pin what the simulator computes; these pin how
+#: much solver work it takes, which memo changes can move without touching
+#: a single trace record.
+GOLDEN_ALLOCATOR_COUNTERS = {
+    "shared_uplink_flow": (1, 1, 16),
+    "provisioned_photonic_flow": (0, 0, 0),
+    "degraded_fattree_flow": (1, 1, 16),
+    "adaptive_routing_ecmp": (556, 556, 2963),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ALLOCATOR_COUNTERS))
+def test_golden_allocator_counters(name):
+    _training, network = _simulate_training(GOLDEN_CASES[name]())
+    stats = network.flow_stats
+    assert (
+        stats.allocator_invocations,
+        stats.rerated_components,
+        stats.rerated_flows,
+    ) == GOLDEN_ALLOCATOR_COUNTERS[name]
 
 
 def test_golden_files_cover_every_case():
