@@ -66,6 +66,7 @@ class CircuitPlanner:
         self.ports_per_gpu = fabric.cluster.nic_port_config.num_ports
         self._group_cache: Dict[FrozenSet[int], RailConfiguration] = {}
         self._axis_cache: Dict[str, Optional[Dict[int, CircuitConfiguration]]] = {}
+        self._target_cache: Dict[Tuple[str, Tuple[int, ...]], RailConfiguration] = {}
 
     # ------------------------------------------------------------------ #
     # Per-group configurations
@@ -200,21 +201,32 @@ class CircuitPlanner:
 
         Prefers the coalesced per-axis configuration (fewer reconfigurations,
         Objective 2); falls back to the op's own group configuration when the
-        axis is not coalescable.
+        axis is not coalescable.  Coalesced targets are memoized per
+        ``(axis, group)``; their per-rail values are the axis cache's own
+        objects, which the controller's identity-keyed memo relies on.
         """
         axis = op.parallelism
         if axis:
+            key = (axis, op.group)
+            target = self._target_cache.get(key)
+            if target is not None:
+                return target
             axis_config = self.axis_configuration(axis)
             if axis_config is not None:
-                rails = self.mesh.rails_of_group(op.group) if self.mesh.is_scaleout_group(op.group) else ()
-                return RailConfiguration(
+                _, rails, scaleout = self.mesh.group_placement(op.group)
+                target = RailConfiguration(
                     per_rail={
-                        rail: axis_config[rail] for rail in rails if rail in axis_config
+                        rail: axis_config[rail]
+                        for rail in (rails if scaleout else ())
+                        if rail in axis_config
                     }
                 )
+                self._target_cache[key] = target
+                return target
         return self.configuration_for_op(op)
 
     def clear_cache(self) -> None:
-        """Drop all cached configurations (used when the job layout changes)."""
+        """Drop all cached configurations (job layout change, OCS port failure)."""
         self._group_cache.clear()
         self._axis_cache.clear()
+        self._target_cache.clear()

@@ -200,8 +200,8 @@ class OpusShim:
 
     def notify_transfer(self, op: CollectiveOp, start: float, end: float) -> None:
         """Record the executed window of a collective and mark circuits busy."""
-        intent = intent_from_collective(op, self.mesh, issued_at=start)
         if self.profiling:
+            intent = intent_from_collective(op, self.mesh, issued_at=start)
             self.profiler.record_completion(intent, start, end)
         target = self.target_for(op)
         for rail in target.rails():
@@ -223,11 +223,14 @@ class OpusShim:
         rail must additionally be *armed* by blocking or hotspot evidence.
         """
         axis = op.parallelism
-        if not axis or not self.mesh.is_scaleout_group(op.group):
+        if not axis:
+            return
+        _, rails, scaleout = self.mesh.group_placement(op.group)
+        if not scaleout:
             return
         if self.options.reactive and self.controller.reactive is not None:
             reactive = self.controller.reactive
-            for rail in self.mesh.rails_of_group(op.group):
+            for rail in rails:
                 predicted = reactive.observe_completion(rail, axis, end_time)
                 if predicted is None or predicted == axis:
                     continue
@@ -251,7 +254,6 @@ class OpusShim:
             return
         if not self.options.provisioning or not self.profiler.frozen:
             return
-        rails = self.mesh.rails_of_group(op.group)
         for rail in rails:
             try:
                 self.tracker.observe(rail, axis)

@@ -85,9 +85,7 @@ class GroupRegistry:
             groups: List[CommunicationGroup] = []
             for index, ranks in enumerate(self.mesh.groups_along(axis)):
                 if self.mesh.cluster is not None:
-                    domains = self.mesh.domains_of_group(ranks)
-                    rails = self.mesh.rails_of_group(ranks)
-                    scaleout = self.mesh.is_scaleout_group(ranks)
+                    domains, rails, scaleout = self.mesh.group_placement(ranks)
                 else:
                     domains = ()
                     rails = ()

@@ -13,6 +13,10 @@ The mesh also answers the placement questions the rest of the library asks:
 * which (scale-up domain, local rank / rail) a global rank maps to;
 * which ranks form each communication group along each axis;
 * whether a group's traffic is scale-up (intra-domain) or scale-out (rail).
+
+Group membership never changes during a job, so a group's placement (its
+domains, its rails and whether it is scale-out) is resolved once per mesh
+and then served from a memo.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ from .config import ParallelismConfig
 
 #: Axis order from outermost (slowest varying) to innermost (fastest varying).
 AXIS_ORDER: Tuple[str, ...] = ("pp", "dp", "cp", "ep", "tp")
+
+#: ``(domains, rails, scaleout)`` of one communication group: the sorted
+#: scale-up domains and rails its ranks attach to, and whether it spans more
+#: than one domain.
+GroupPlacement = Tuple[Tuple[int, ...], Tuple[int, ...], bool]
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class DeviceMesh:
             "ep": parallelism.ep,
             "tp": parallelism.tp,
         }
+        self._placements: Dict[Tuple[int, ...], GroupPlacement] = {}
         if cluster is not None:
             if parallelism.world_size > cluster.num_gpus:
                 raise ConfigurationError(
@@ -200,22 +210,37 @@ class DeviceMesh:
         """Return the rail (local rank inside the domain) of ``rank``."""
         return self._require_cluster().rail_of(self.gpu_of(rank))
 
+    def group_placement(self, group: Sequence[int]) -> GroupPlacement:
+        """Return ``(domains, rails, scaleout)`` of ``group``.
+
+        Resolved from per-rank lookups on the first call for a group and
+        memoized; a mesh without a cluster raises on every call.
+        """
+        key = tuple(group)
+        placement = self._placements.get(key)
+        if placement is None:
+            self._require_cluster()
+            domains = tuple(sorted({self.domain_of(rank) for rank in key}))
+            rails = tuple(sorted({self.rail_of(rank) for rank in key}))
+            placement = (domains, rails, len(domains) > 1)
+            self._placements[key] = placement
+        return placement
+
     def is_scaleout_group(self, group: Sequence[int]) -> bool:
         """Return whether a group spans multiple scale-up domains.
 
         Scale-out groups generate rail traffic; intra-domain groups stay on
         the NVLink interconnect.
         """
-        domains = {self.domain_of(rank) for rank in group}
-        return len(domains) > 1
+        return self.group_placement(group)[2]
 
     def rails_of_group(self, group: Sequence[int]) -> Tuple[int, ...]:
         """Return the sorted set of rails the group's ranks attach to."""
-        return tuple(sorted({self.rail_of(rank) for rank in group}))
+        return self.group_placement(group)[1]
 
     def domains_of_group(self, group: Sequence[int]) -> Tuple[int, ...]:
         """Return the sorted set of scale-up domains the group's ranks live in."""
-        return tuple(sorted({self.domain_of(rank) for rank in group}))
+        return self.group_placement(group)[0]
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.world_size:

@@ -91,7 +91,7 @@ class _ScheduleState:
     scaleup_free: Dict[int, float]
     ready: Set[int]
     start_time: float
-    #: Ops added to ``ready`` since the flow loop last drained this list;
+    #: Ops added to ``ready`` since a scheduling loop last drained this list;
     #: lets its priority queue ingest newcomers without rescanning ``ready``.
     newly_ready: List[int] = field(default_factory=list)
 
@@ -173,29 +173,36 @@ class DAGExecutor:
         return trace
 
     def _schedule_analytic(self, state: "_ScheduleState", trace: IterationTrace) -> int:
-        """List scheduling against an analytic network model (synchronous ends)."""
-        completed = 0
-        ready = state.ready
-        while ready:
-            # Pick the ready operation with the earliest feasible start time;
-            # break ties by op id (issue order).
-            best_id = None
-            best_start = None
-            for op_id in ready:
-                op = self.dag.operation(op_id)
-                candidate = self._earliest_start(op, state)
-                if best_start is None or (candidate, op_id) < (best_start, best_id):
-                    best_start = candidate
-                    best_id = op_id
-            assert best_id is not None and best_start is not None
-            ready.discard(best_id)
-            operation = self.dag.operation(best_id)
+        """List scheduling against an analytic network model (synchronous ends).
 
+        Commits the ready operation with the earliest feasible start, ties
+        broken by op id (issue order), popped from the same lazy
+        ``(candidate, op_id)`` queue as :meth:`_schedule_flow`; the comment
+        on its heap states the invariant that keeps the pick exact.
+        """
+        completed = 0
+        heap: List[Tuple[float, int]] = []
+        newcomers = state.newly_ready
+        newcomers.extend(state.ready)
+        while True:
+            for op_id in newcomers:
+                candidate = self._earliest_start(self.dag.operation(op_id), state)
+                heapq.heappush(heap, (candidate, op_id))
+            newcomers.clear()
+            if not heap:
+                break
+            candidate, op_id = heapq.heappop(heap)
+            operation = self.dag.operation(op_id)
+            current = self._earliest_start(operation, state)
+            if current > candidate:
+                heapq.heappush(heap, (current, op_id))
+                continue
+            state.ready.discard(op_id)
             if operation.kind == OpKind.COMPUTE:
-                end = self._execute_compute(operation, best_start, state.gpu_free, trace)
+                end = self._execute_compute(operation, candidate, state.gpu_free, trace)
             else:
-                end = self._execute_comm(operation, best_start, state, trace)
-            state.finish(operation.op_id, end)
+                end = self._execute_comm(operation, candidate, state, trace)
+            state.finish(op_id, end)
             completed += 1
         return completed
 

@@ -75,7 +75,6 @@ class NetworkModel(Snapshottable, ABC):
         )
         self._ring = RingCostModel()
         self._tree = TreeCostModel()
-        self._scaleout_groups: dict = {}
         #: Bound fault injector (``None`` on healthy runs).  Set by
         #: :meth:`install_fault_plan`; the DAG executor reads it for compute
         #: slowdowns and trace records.
@@ -118,16 +117,11 @@ class NetworkModel(Snapshottable, ABC):
     def is_scaleout(self, operation: Operation) -> bool:
         """Whether the operation's group spans more than one scale-up domain.
 
-        Memoized per group: the executor asks on every scheduling pass, and
-        group membership is immutable for the lifetime of a mesh.
+        Served from the mesh's per-group placement memo: the executor asks
+        on every scheduling pass.
         """
         assert operation.collective is not None
-        group = operation.collective.group
-        cached = self._scaleout_groups.get(group)
-        if cached is None:
-            cached = self.mesh.is_scaleout_group(group)
-            self._scaleout_groups[group] = cached
-        return cached
+        return self.mesh.group_placement(operation.collective.group)[2]
 
     def transfer_duration(self, operation: Operation) -> float:
         """Duration of the data transfer itself (excluding circuit waits)."""

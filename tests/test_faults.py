@@ -520,6 +520,36 @@ def test_planner_routes_around_failed_ports():
         planner.configuration_for_group((0, 4))
 
 
+def test_planner_target_memo_drops_on_clear_cache_after_a_port_failure():
+    """A memoized coalesced target must not outlive an OCS port failure."""
+    from dataclasses import replace
+
+    from repro.collectives.primitives import CollectiveOp, CollectiveType
+    from repro.core.circuits import CircuitPlanner
+    from repro.parallelism.config import ParallelismConfig
+    from repro.parallelism.mesh import DeviceMesh
+
+    cluster = replace(perlmutter_testbed(num_nodes=2), nic_ports_per_gpu=2)
+    fabric = build_photonic_rail_fabric(cluster)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), cluster)
+    planner = CircuitPlanner(fabric, mesh)
+    op = CollectiveOp(
+        collective=CollectiveType.ALL_REDUCE,
+        group=(0, 4),
+        size_bytes=1e6,
+        parallelism="dp",
+    )
+    target = planner.target_for_op(op)
+    assert planner.target_for_op(op) is target
+    assert target.configuration(0).circuits == frozenset({Circuit(0, 2)})
+
+    fabric.rail(0).fail_port(0)
+    planner.clear_cache()
+    rerouted = planner.target_for_op(op)
+    assert rerouted is not target
+    assert rerouted.configuration(0).circuits == frozenset({Circuit(1, 2)})
+
+
 # --------------------------------------------------------------------------- #
 # End-to-end: knob, capabilities, equivalence, ordering
 # --------------------------------------------------------------------------- #

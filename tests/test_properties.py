@@ -510,3 +510,83 @@ def test_fork_sweeps_equal_independent_straight_runs(seed):
             scenario.name
         )
         assert dict(one.metrics) == dict(other.metrics), scenario.name
+
+
+# --------------------------------------------------------------------------- #
+# Analytic list scheduling: lazy ready heap against the full rescan
+# --------------------------------------------------------------------------- #
+
+
+def _rescan_executor_class():
+    from repro.parallelism.dag import OpKind
+    from repro.simulator.executor import DAGExecutor
+
+    class RescanExecutor(DAGExecutor):
+        """The O(|ready|) rescan per commit, kept as an oracle for the heap."""
+
+        def _schedule_analytic(self, state, trace):
+            completed = 0
+            while state.ready:
+                best_start, best_id = min(
+                    (self._earliest_start(self.dag.operation(op_id), state), op_id)
+                    for op_id in state.ready
+                )
+                state.ready.discard(best_id)
+                operation = self.dag.operation(best_id)
+                if operation.kind == OpKind.COMPUTE:
+                    end = self._execute_compute(
+                        operation, best_start, state.gpu_free, trace
+                    )
+                else:
+                    end = self._execute_comm(operation, best_start, state, trace)
+                state.finish(best_id, end)
+                completed += 1
+            return completed
+
+    return RescanExecutor
+
+
+#: ``(backend, knobs)`` of the analytic models the scheduler runs against.
+_ANALYTIC_MODELS = (
+    ("electrical", {}),
+    ("ideal", {}),
+    ("photonic", {"reconfiguration_delay": 1e-3, "provisioning": True}),
+    ("photonic", {"reconfiguration_delay": 1e-3, "provisioning": False}),
+)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_analytic_heap_schedule_equals_the_full_rescan(seed):
+    """The lazy ready heap commits exactly what a full rescan would.
+
+    Under compute jitter the earliest-start order shifts from seed to seed;
+    for every analytic model (photonic with and without provisioning, so
+    circuit waits and speculative installs move resource free times too)
+    the compute, comm and reconfiguration records must be equal, floats
+    compared exactly.
+    """
+    from repro.experiments.backends import create_network
+    from repro.parallelism.dag import build_iteration_dag
+    from repro.parallelism.workloads import small_test_workload
+    from repro.simulator.executor import DAGExecutor, SimulationConfig
+    from repro.topology.devices import perlmutter_testbed
+
+    workload = small_test_workload(pp=2, dp=2, tp=4)
+    cluster = perlmutter_testbed(num_nodes=4)
+    config = SimulationConfig(compute_jitter=0.02, seed=seed)
+    rescan_class = _rescan_executor_class()
+
+    def _run(executor_class, backend, knobs):
+        dag = build_iteration_dag(workload, cluster)
+        network = create_network(backend, cluster, dag.mesh, **knobs)
+        return executor_class(dag, cluster, network, config=config).run_training(2)
+
+    for backend, knobs in _ANALYTIC_MODELS:
+        heap = _run(DAGExecutor, backend, knobs)
+        rescan = _run(rescan_class, backend, knobs)
+        for fast, slow in zip(heap.iterations, rescan.iterations):
+            assert fast.compute_records == slow.compute_records, backend
+            assert fast.comm_records == slow.comm_records, backend
+            assert fast.reconfig_records == slow.reconfig_records, backend
+        if backend == "photonic":
+            assert any(trace.reconfig_records for trace in heap.iterations)
