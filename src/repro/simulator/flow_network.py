@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..collectives.primitives import CollectiveType
-from ..collectives.schedule import Schedule, Transfer, expand_cached
+from ..collectives.schedule import Schedule, expand_cached
 from ..errors import SimulationError, TopologyError
 from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
@@ -53,7 +53,7 @@ from ..topology.ocs import Circuit
 from ..topology.photonic import PhotonicRailFabric, build_photonic_rail_fabric
 from ..topology.railopt import build_rail_optimized_fabric
 from .fabric_network import TopologyNetworkModel
-from .flows import AllocatorStats, FlowSimulator
+from .flows import AllocatorStats, FlowSimulator, Routes, StepItems
 from .network import CommTiming
 from .routing import ROUTING_POLICIES, PolicyRouter
 from .telemetry import HotspotDetector, LinkTelemetry
@@ -86,31 +86,33 @@ EXPANDABLE_COLLECTIVES = frozenset(
 )
 
 
-class _RouteResolver:
-    """Deferred route lookup for one (src, dst) rank pair.
+class _StepRoutes:
+    """Deferred routes of one collective step: its (src, dst) rank pairs.
 
-    A picklable callable class rather than a lambda: resolvers live inside
-    the model's cached step items *across* iterations, so a snapshot must
-    serialize them and a fork must rebind them (through the deepcopy/pickle
+    Called once at the step's start event, when the circuits exist.  A
+    picklable callable class rather than a lambda: it lives inside the
+    model's cached step items *across* iterations, so a snapshot must
+    serialize it and a fork must rebind it (through the deepcopy/pickle
     memo) to the fork's own model — a closure would silently keep resolving
     against the parent simulation's topology.
     """
 
-    __slots__ = ("model", "src", "dst")
+    __slots__ = ("model", "pairs")
 
-    def __init__(self, model: "FlowNetworkModel", src: int, dst: int) -> None:
+    def __init__(
+        self, model: "FlowNetworkModel", pairs: Tuple[Tuple[int, int], ...]
+    ) -> None:
         self.model = model
-        self.src = src
-        self.dst = dst
+        self.pairs = pairs
 
-    def __call__(self) -> Tuple[Link, ...]:
-        return self.model.path_between(self.src, self.dst)
+    def __call__(self) -> Routes:
+        return self.model.step_routes(self.pairs)
 
     def __getstate__(self):
-        return (self.model, self.src, self.dst)
+        return (self.model, self.pairs)
 
     def __setstate__(self, state):
-        self.model, self.src, self.dst = state
+        self.model, self.pairs = state
 
 
 class _DeferredLaunch:
@@ -147,7 +149,7 @@ class _InFlightCollective:
     def __init__(
         self,
         model: "FlowNetworkModel",
-        steps: List[List[Tuple[object, float]]],
+        steps: List[object],
         on_complete: CompletionCallback,
     ) -> None:
         self._model = model
@@ -167,10 +169,10 @@ class _InFlightCollective:
             self._on_complete(self._step_end)
             return
         launch_at = ready_time + self._model.per_step_overhead
-        # On circuit fabrics the items carry resolvers called at the flow's
+        # On circuit fabrics the items carry a resolver called at the step's
         # start instant (the circuits only exist by then); static packet
         # fabrics carry the concrete route-table entries directly.  Either
-        # way the per-step item lists are built once per schedule and reused
+        # way the per-step items are built once per schedule and reused
         # across steps, iterations, and collectives with the same shape.
         self._model.simulator.add_flows(
             self._steps[self._step_index], launch_at, self._step_done
@@ -259,9 +261,12 @@ class FlowNetworkModel(TopologyNetworkModel):
         #: Topology version the path cache was built at; a mismatch (circuits
         #: installed or torn since) drops every cached route.
         self._paths_version = topology.version
-        #: Per-schedule flow-item lists (route/resolver + size per transfer),
-        #: keyed by schedule identity; rebuilt when the route table drops.
-        self._step_items: Dict[int, Tuple[Schedule, List[List[Tuple[object, float]]]]] = {}
+        #: Per-schedule step items (routes or route resolver, sizes), keyed
+        #: by schedule identity; rebuilt when the route table drops.
+        self._step_items: Dict[int, Tuple[Schedule, List[object]]] = {}
+        #: Resolved routes per step content (its rank pairs), valid for the
+        #: topology version in ``_paths_version`` like the pair table.
+        self._step_routes: Dict[Tuple[Tuple[int, int], ...], Routes] = {}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
@@ -352,8 +357,7 @@ class FlowNetworkModel(TopologyNetworkModel):
         once ``_prefetch_routes`` stops running.  The per-pair route table
         survives the switch — it is keyed on the topology version (faults
         bump it when they *fire*), and the eager and deferred resolvers
-        return identical paths — so the allocator's identity-anchored rate
-        memos keep hitting exactly as a straight deferred run's would.
+        return identical paths.
         """
         if plan.is_empty:
             return
@@ -391,10 +395,7 @@ class FlowNetworkModel(TopologyNetworkModel):
         connectivity mid-simulation, and a route resolved before a
         reconfiguration must not be served afterwards.
         """
-        version = self.topology.version
-        if version != self._paths_version:
-            self._pair_paths.clear()
-            self._paths_version = version
+        self._sync_paths_version()
         key = (src_rank, dst_rank)
         path = self._pair_paths.get(key)
         if path is None:
@@ -413,18 +414,25 @@ class FlowNetworkModel(TopologyNetworkModel):
             self._pair_paths[key] = path
         return path
 
-    def transfer_path(
-        self, transfer: Transfer
-    ) -> Union[Tuple[Link, ...], Callable[[], Tuple[Link, ...]]]:
-        """Route of one expanded transfer.
+    def step_routes(self, pairs: Tuple[Tuple[int, int], ...]) -> Routes:
+        """Routes of one step's (src, dst) rank pairs, memoized per content.
 
-        Static packet fabrics return the concrete route-table entry; circuit
-        fabrics (``deferred_routes``) return a resolver called at the flow's
-        start instant, when the circuits actually exist.
+        Deferred steps resolve here at their start event.  Steps recur with
+        the same pairs — every step of a ring, every iteration — so the memo
+        resolves each distinct step once per topology version instead of
+        once per flow.
         """
-        if self.deferred_routes or self._fault_deferred:
-            return _RouteResolver(self, transfer.src, transfer.dst)
-        return self.path_between(transfer.src, transfer.dst)
+        self._sync_paths_version()
+        routes = self._step_routes.get(pairs)
+        if routes is None:
+            path_between = self.path_between
+            routes = Routes(
+                [path_between(src, dst) for src, dst in pairs], self._paths_version
+            )
+            if len(self._step_routes) >= 4096:
+                self._step_routes.clear()
+            self._step_routes[pairs] = routes
+        return routes
 
     def _prefetch_routes(self, steps: Schedule) -> None:
         """Fill the route table for a schedule's unresolved (src, dst) pairs.
@@ -435,11 +443,7 @@ class FlowNetworkModel(TopologyNetworkModel):
         (one or two destinations) stay on the per-pair path, which explores
         far less of the graph.
         """
-        version = self.topology.version
-        if version != self._paths_version:
-            self._pair_paths.clear()
-            self._step_items.clear()  # item lists embed concrete routes
-            self._paths_version = version
+        self._refresh_route_version()
         cache = self._pair_paths
         by_src: Dict[int, Set[int]] = {}
         for step in steps:
@@ -491,22 +495,28 @@ class FlowNetworkModel(TopologyNetworkModel):
 
     def _refresh_route_version(self) -> None:
         """Drop route-embedding caches when the topology version moved."""
+        if self._sync_paths_version():
+            self._step_items.clear()  # step items embed concrete routes
+
+    def _sync_paths_version(self) -> bool:
+        """Drop the version-keyed route tables if the topology changed."""
         version = self.topology.version
-        if version != self._paths_version:
-            self._pair_paths.clear()
-            self._step_items.clear()
-            self._paths_version = version
+        if version == self._paths_version:
+            return False
+        self._pair_paths.clear()
+        self._step_routes.clear()
+        self._paths_version = version
+        return True
 
-    def step_items(
-        self, steps: Schedule
-    ) -> List[List[Tuple[object, float]]]:
-        """Per-step ``(route, size)`` item lists for a schedule, memoized.
+    def step_items(self, steps: Schedule) -> List[object]:
+        """Per-step items for a schedule, memoized.
 
-        Built once per schedule object and reused across steps, iterations,
-        and repeated collectives: route resolution (or resolver construction,
-        on circuit fabrics) happens once instead of once per flow injection.
-        Entries hold a reference to their schedule so the ``id`` key stays
-        valid for the cache's lifetime.
+        One :class:`~repro.simulator.flows.StepItems` per step (or, for
+        adaptive routing, a ``(resolver, size)`` list whose flows each read
+        the live occupancy at their own start).  Built once per schedule
+        object and reused across steps, iterations, and repeated
+        collectives.  Entries hold a reference to their schedule so the
+        ``id`` key stays valid for the cache's lifetime.
         """
         key = id(steps)
         cached = self._step_items.get(key)
@@ -516,10 +526,24 @@ class FlowNetworkModel(TopologyNetworkModel):
             items = self._router.step_items_for(
                 steps, self.deferred_routes or self._fault_deferred
             )
-        else:
-            transfer_path = self.transfer_path
+        elif self.deferred_routes or self._fault_deferred:
             items = [
-                [(transfer_path(t), t.size_bytes) for t in step.transfers]
+                StepItems(
+                    _StepRoutes(self, tuple((t.src, t.dst) for t in step.transfers)),
+                    [t.size_bytes for t in step.transfers],
+                )
+                for step in steps
+            ]
+        else:
+            path_between = self.path_between
+            version = self.topology.version
+            items = [
+                StepItems(
+                    Routes(
+                        [path_between(t.src, t.dst) for t in step.transfers], version
+                    ),
+                    [t.size_bytes for t in step.transfers],
+                )
                 for step in steps
             ]
         if len(self._step_items) >= 1024:
@@ -666,6 +690,7 @@ class PhotonicFlowNetworkModel(FlowNetworkModel):
         simulator's failure policy.
         """
         self._pair_paths.clear()
+        self._step_routes.clear()
         if not event.installed:
             self.simulator.fail_link_ids(event.link_ids)
 

@@ -1,45 +1,51 @@
 """Flow-level (fluid) network simulation with max–min fair bandwidth sharing.
 
-Each :class:`Flow` moves ``size_bytes`` along a fixed path of links.  Whenever
-the set of active flows changes (an arrival or a completion), the simulator
+Each flow moves ``size_bytes`` along a fixed path of links.  Whenever the set
+of active flows changes (an arrival or a completion), the simulator
 recomputes the max–min fair allocation with the standard progressive-filling
 algorithm and reschedules the next completion.  This is the usual fluid
 approximation used by datacenter-fabric studies, including the ones the paper
 builds on (TopoOpt, Rail-only): no packets, no transport dynamics, just
 capacity sharing.
 
-Two things make the engine scale to 10k-endpoint fabrics:
+The engine is batch-granular.  A *batch* — what one
+:meth:`FlowSimulator.add_flows` call injects, one collective step — is the
+unit of admission, link registration, rating and completion.  It keeps its
+flows' state in columns (remaining bytes, rate, progress, epoch, finish time)
+beside the per-flow link ids of its :class:`Routes`; a :class:`Flow` is a
+handle onto one row.  Flows that start together on links nobody else uses —
+every step on provisioned circuits — claim those links with one dict update,
+run at their path bottleneck and retire as a batch.  Otherwise the simulator
+keeps per-link user sets and re-rates only the connected component of flows
+that (transitively) share links with an arrival or completion: max–min fair
+allocation decomposes exactly over such components.  :func:`max_min_fair_rates`
+water-fills with numpy for large flow sets and with incremental pure Python
+for small ones, where numpy's per-call cost dominates.
 
-* **Vectorized water-filling** — :func:`max_min_fair_rates` runs the
-  progressive-filling rounds over a flat link×flow incidence structure with
-  numpy when the flow set is large, falling back to the incremental
-  pure-Python algorithm for small sets.
-* **Component-local reallocation** — the simulator maintains per-link user
-  sets incrementally and, on every arrival/completion batch, recomputes rates
-  only for the connected component of flows that (transitively) share links
-  with the changed flows.  Max–min fair allocation decomposes exactly over
-  such components: flows whose bottleneck sets are unaffected keep their
-  rates, their progress is tracked lazily per flow, and their completion
-  estimates stay queued in a lazy heap instead of being rescanned per event.
+The rates of a start event whose flows share links only among themselves are
+memoized per (topology version, routes).  When the same routes start again
+with the same sizes, and no completion of theirs would re-rate a survivor,
+the event replays its drain: it holds its links as one claim and retires
+group by group, until another flow joins one of its links or a capacity
+changes.
 
-The DAG executor uses this engine when run with a flow-level network model
-(:class:`~repro.simulator.flow_network.FlowNetworkModel`, selected with the
-``network_mode="flow"`` backend knob): every scale-out collective is expanded
-into per-step point-to-point transfers that share one simulator, so
-concurrent collectives contend for link capacity.  The analytic mode bypasses
-it.  The engine is also usable standalone for micro-studies such as incast on
-a shared rail switch versus dedicated circuits.
+The DAG executor drives this engine through a flow-level network model
+(:class:`~repro.simulator.flow_network.FlowNetworkModel`, the
+``network_mode="flow"`` backend knob): every scale-out collective becomes
+per-step point-to-point transfers in one shared simulator, so concurrent
+collectives contend for link capacity.  It is also usable standalone for
+micro-studies such as incast on a shared rail switch versus circuits.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+from itertools import chain, repeat
+from operator import attrgetter
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Optional,
@@ -49,12 +55,15 @@ from typing import (
     Union,
 )
 
-import numpy as _np
-
 from ..errors import LinkFailedError, SimulationError, TopologyError
 from ..topology.base import Link, Topology
 from .engine import SimulationEngine
 from .snapshot import Snapshottable, register_continuation
+from .waterfill import (
+    _max_min_fair_rates_numpy,
+    _max_min_fair_rates_python,
+    _sharing_components,
+)
 
 #: Tolerance used when deciding whether a flow has finished transferring.
 _BYTES_EPSILON = 1e-6
@@ -64,11 +73,16 @@ _BYTES_EPSILON = 1e-6
 _DECOMPOSE_MIN_FLOWS = 16
 
 #: Component size at which the numpy water-filling pays for its setup cost.
+#: Below it the pure-Python fill wins: on the faulted 128-GPU fat tree
+#: (about 12 flows, 60 links and 73 incidences per solve) the numpy
+#: incidence fill alone costs about 180 µs a call, the Python fill 100–130 µs.
 _VECTORIZE_MIN_FLOWS = 32
 
-#: Smallest batch worth sealing: below this the generic per-flow completion
-#: path costs about the same as seal validation plus the bulk sweep.
-_SEALED_MIN_FLOWS = 32
+#: Smallest start event whose drain the shape memo replays.
+_REPLAY_MIN_FLOWS = 32
+
+#: Entries the shape memo holds before it starts over.
+_SHAPES_MAX = 4096
 
 #: Deferred route: called at the flow's start event to resolve the path.
 #: Circuit-switched fabrics install a collective's circuits *after* its flows
@@ -81,9 +95,14 @@ PathResolver = Callable[[], Sequence[Link]]
 LinkKey = Tuple[str, str, int]
 
 
-def _flow_id_of(flow: "Flow") -> int:
-    """Sort key for deterministic iteration over flow sets."""
-    return flow.flow_id
+#: Sort key for deterministic iteration over flow sets.
+_flow_id_of = attrgetter("flow_id")
+
+
+def _check_size(size_bytes: float) -> None:
+    """Reject a size no transfer can have, before any state changes."""
+    if not 0.0 <= size_bytes < math.inf:  # also false for NaN
+        raise SimulationError(f"flow size must be finite and >= 0, got {size_bytes!r}")
 
 
 class AllocatorStats:
@@ -95,11 +114,7 @@ class AllocatorStats:
     times the underlying simulator is recreated.
     """
 
-    __slots__ = (
-        "allocator_invocations",
-        "rerated_components",
-        "rerated_flows",
-    )
+    __slots__ = ("allocator_invocations", "rerated_components", "rerated_flows")
 
     def __init__(self) -> None:
         self.reset()
@@ -122,191 +137,197 @@ class AllocatorStats:
         return f"AllocatorStats({self.as_dict()!r})"
 
 
-class _FlowGroup:
-    """Completion accounting for one batch of flows injected together.
+class Routes:
+    """The resolved routes of one batch and the per-flow columns they imply.
 
-    The owner receives a single callback with the batch's last finish time
-    once every member completed — one callback per collective step instead of
-    one per flow.
-    """
-
-    __slots__ = ("outstanding", "end", "callback")
-
-    def __init__(self, outstanding: int, callback: Callable[[float], None]) -> None:
-        self.outstanding = outstanding
-        self.end = 0.0
-        self.callback = callback
-
-
-class _PhantomBatch:
-    """Marker standing in for a sealed batch's per-flow link registrations.
-
-    A shape-replayed batch (see :class:`_BatchShape`) claims its links by
-    pointing every key at one of these instead of registering each member
-    flow — one dict entry per link either way, but claimed with two C-level
-    bulk operations instead of a Python loop per flow per link.  Any code
-    path that needs real per-flow membership (a later batch joining one of
-    the links, a fault) first calls ``_materialize_phantom``, which swaps
-    the markers for ordinary registrations; undisturbed batches retire in
-    bulk without ever materializing.
-    """
-
-    __slots__ = ("members", "keys", "retired", "outstanding")
-
-    def __init__(self) -> None:
-        self.members: List[Tuple["Flow", int]] = []
-        self.keys: Tuple[LinkKey, ...] = ()
-        self.retired = False
-        #: Sealed completion entries (one per drain-duration group) still in
-        #: flight; the markers come down when the last one retires.
-        self.outstanding = 0
-
-
-class _BatchShape:
-    """Memoized allocation of one recurring self-contained batch.
-
-    A self-contained batch shares links with no flow outside itself, so its
-    max–min fair rates are a pure function of its ordered paths and the live
-    capacities.  The shape table keys it on the topology version plus the
-    identities of its (cached) path tuples; ``anchors`` holds those tuples,
-    which pins the ids, and every hit checks them, so a recycled id can never
-    replay a stale allocation.  Synchronized steady state re-injects such
-    batches — one step of many concurrent rings re-uses the same routes step
-    after step — so each shape is solved once and its rates are applied
-    positionally thereafter.
-
-    A batch that can also *replay* (concrete routes, no member dropped, at
-    least ``_SEALED_MIN_FLOWS`` flows) records everything replay needs on
-    top: sizes, per-flow latencies, the claimed link keys and the drain
-    groups.  Replays then skip per-flow registration, solving, and estimate
-    math entirely (see ``_try_shape_replay``); a replay is bit-for-bit
-    identical to the slow path because every stored float was produced by it.
+    ``links`` holds each flow's link ids, ``bottlenecks`` its narrowest link
+    bandwidth (its max–min rate when it shares no link) and ``latencies``
+    its summed link latency.  Bandwidths are read at construction, so a
+    bundle is only as fresh as ``version``, the topology version at which
+    its paths were installed; a batch whose bundle is behind the topology
+    re-checks its paths when it starts (``None``: always).  Network models
+    memoize bundles per (step content, topology version).
     """
 
     __slots__ = (
-        "anchors",
-        "rates",
-        "sizes",
-        "latencies",
-        "keys",
-        "key_set",
-        "id_items",
-        "groups",
+        "paths", "links", "bottlenecks", "latencies", "lengths", "flat",
+        "disjoint", "positive", "empty", "version",
     )
 
     def __init__(
-        self, anchors: Tuple[Tuple[Link, ...], ...], rates: List[float]
+        self, paths: Iterable[Sequence[Link]], version: Optional[int] = None
     ) -> None:
-        self.anchors = anchors
-        self.rates = rates
-        #: Replay fields, filled by :meth:`record_replay`; ``keys`` is
-        #: ``None`` until then.
-        self.sizes: Tuple[float, ...] = ()
-        self.latencies: Tuple[float, ...] = ()
-        self.keys: Optional[Tuple[LinkKey, ...]] = None
-        self.key_set: FrozenSet[LinkKey] = frozenset()
-        self.id_items: Tuple[Tuple[int, LinkKey], ...] = ()
-        #: (drain_duration, member_indices) per completion-estimate group, in
-        #: first-occurrence order (matching the slow path's estimate dict) —
-        #: or ``None`` when the shape cannot replay (not recorded, or a zero
-        #: or infinite rate somewhere).
-        self.groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]] = None
-
-    def record_replay(self, batch: Sequence["Flow"], links: Set[LinkKey]) -> None:
-        """Record the replay bookkeeping of a fully registered ``batch``.
-
-        Called by ``_on_batch_start`` right before rates are applied, while
-        every member is still fresh (``remaining_bytes`` untouched and
-        ``_path_latency`` set by the registration loop).  A shape without
-        finite positive rates keeps ``groups = None``, so the replay probe
-        caches the negative instead of re-deriving it.
-        """
-        grouping: Optional[Dict[float, List[int]]] = {}
-        for index, (flow, rate) in enumerate(zip(batch, self.rates)):
-            if not 0.0 < rate < math.inf:
-                grouping = None
-                break
-            duration = flow.remaining_bytes / rate
-            bucket = grouping.get(duration)
-            if bucket is None:
-                grouping[duration] = [index]
-            else:
-                bucket.append(index)
-        if grouping is not None:
-            self.groups = tuple(
-                (duration, tuple(idxs)) for duration, idxs in grouping.items()
-            )
-        self.sizes = tuple(flow.remaining_bytes for flow in batch)
-        self.latencies = tuple(flow._path_latency for flow in batch)
-        self.keys = tuple(links)
-        self.key_set = frozenset(links)
-        self.id_items = tuple((key[2], key) for key in self.keys)
+        self.paths = tuple(path if type(path) is tuple else tuple(path) for path in paths)
+        self.links = tuple(tuple([link.link_id for link in path]) for path in self.paths)
+        self.bottlenecks = tuple(
+            min([link.bandwidth for link in path]) if path else math.inf
+            for path in self.paths
+        )
+        self.latencies = tuple(sum(link.latency for link in path) for path in self.paths)
+        self.lengths = tuple(map(len, self.links))
+        self.flat = tuple(chain.from_iterable(self.links))
+        #: No link is used by two of these flows.
+        self.disjoint = len(set(self.flat)) == len(self.flat)
+        #: Every bottleneck is a finite positive rate.
+        self.positive = all(0.0 < rate < math.inf for rate in self.bottlenecks)
+        #: Some flow has co-located endpoints (an empty path).
+        self.empty = 0 in self.lengths
+        self.version = version
 
 
-class Flow:
-    """One fluid flow over a fixed path.
+#: ``(durations, pairs)`` of flows on dedicated links at their bottleneck
+#: rates: each flow's drain time, and the distinct ``(size, rate)`` pairs
+#: whose drain check stands for every flow's.
+_Plan = Tuple[Tuple[float, ...], Tuple[Tuple[float, float], ...]]
 
-    Attributes
-    ----------
-    flow_id:
-        Unique identifier assigned by the simulator.
-    path:
-        The links the flow traverses, in order.  An empty path means the
-        source and destination are co-located and the flow completes after
-        its latency only.
-    size_bytes:
-        Bytes to transfer.
-    start_time:
-        Arrival time of the flow.
+
+def _drain_plan(sizes: Sequence[float], routes: Routes) -> _Plan:
+    pairs = list(zip(map(float, sizes), routes.bottlenecks))
+    return tuple([size / rate for size, rate in pairs]), tuple(dict.fromkeys(pairs))
+
+
+class StepItems:
+    """The flows of one batch: their sizes and their routes.
+
+    ``routes`` is a :class:`Routes`, or a zero-argument callable returning
+    one at the batch's start event (on circuit fabrics the route only exists
+    once the circuits are installed).  Only a route choice that is a pure
+    function of the endpoints and the topology version may be deferred this
+    way; one that reads live link occupancy stays a per-flow
+    :data:`PathResolver`, so each flow sees the flows registered before it.
+    """
+
+    __slots__ = ("routes", "sizes", "tiny", "_plan")
+
+    def __init__(
+        self, routes: Union[Routes, Callable[[], Routes]], sizes: Iterable[float]
+    ) -> None:
+        self.sizes = tuple(sizes)
+        for size in self.sizes:
+            _check_size(size)
+        self.routes = routes
+        #: Some member completes after its latency only.
+        self.tiny = any(size <= _BYTES_EPSILON for size in self.sizes)
+        self._plan: Optional[Tuple[Routes, _Plan]] = None
+
+    def plan(self, routes: Routes) -> _Plan:
+        """The drain plan of these sizes on dedicated ``routes``, cached."""
+        cached = self._plan
+        if cached is None or cached[0] is not routes:
+            cached = self._plan = (routes, _drain_plan(self.sizes, routes))
+        return cached[1]
+
+
+class _Batch:
+    """One ``add_flows`` (or ``add_flow``) call: its flows as columns.
+
+    ``source`` is what the caller passed: a :class:`StepItems`, or a list
+    of per-flow paths and :data:`PathResolver` s.  The start event fills
+    ``paths``, ``links`` and ``latencies`` (tuples shared with the
+    :class:`Routes`, copied to lists the first time one flow re-routes).
     """
 
     __slots__ = (
-        "flow_id",
-        "path",
-        "size_bytes",
-        "start_time",
-        "remaining_bytes",
-        "rate",
-        "finish_time",
-        "_progress_time",
-        "_epoch",
-        "_added_version",
-        "_resolver",
-        "_on_complete",
-        "_group",
-        "_path_latency",
+        "first_id", "start_time", "version", "sizes", "source", "routes",
+        "paths", "links", "latencies", "remaining", "rate", "progress", "epoch",
+        "finish", "outstanding", "end", "callback", "group", "flows", "unit",
+        "exclusive", "plan",
     )
 
     def __init__(
         self,
-        flow_id: int,
-        path: Sequence[Link],
-        size_bytes: float,
+        first_id: int,
         start_time: float,
+        version: Optional[int],
+        source: object,
+        sizes: Tuple[float, ...],
+        callback: Optional[Callable],
+        group: bool,
     ) -> None:
-        if size_bytes < 0:
-            raise SimulationError("flow size must be non-negative")
-        self.flow_id = flow_id
-        self.path: Tuple[Link, ...] = tuple(path)
-        self.size_bytes = size_bytes
+        count = len(sizes)
+        self.first_id = first_id
         self.start_time = start_time
-        self.remaining_bytes = float(size_bytes)
-        self.rate = 0.0
-        self.finish_time: Optional[float] = None
-        #: Time up to which ``remaining_bytes`` is accurate (lazy progress).
-        self._progress_time = start_time
-        #: Bumped on every rate change; stale completion-heap entries carry an
-        #: older epoch and are dropped when they surface.
-        self._epoch = 0
-        #: Topology version when the flow was admitted (liveness fast path).
-        self._added_version: Optional[int] = None
-        #: Deferred path resolver, completion callback, and batch accounting
-        #: (set by the owning simulator; None for standalone flows).
-        self._resolver: Optional[PathResolver] = None
-        self._on_complete: Optional[Callable[["Flow"], None]] = None
-        self._group: Optional[_FlowGroup] = None
-        #: Path latency, folded in during link registration (hot path).
-        self._path_latency = 0.0
+        self.version = version
+        self.sizes = sizes
+        self.source = source
+        self.routes: Optional[Routes] = None
+        self.paths: Optional[Sequence[Tuple[Link, ...]]] = None
+        self.links: Sequence[Tuple[int, ...]] = ()
+        self.latencies: Sequence[float] = ()
+        self.remaining = list(map(float, sizes))
+        self.rate = [0.0] * count
+        self.progress = [start_time] * count
+        #: Bumped on every rate change; a completion-heap entry carries the
+        #: epoch it was computed at and is dropped once that moved on.
+        self.epoch = [0] * count
+        self.finish: List[Optional[float]] = [None] * count
+        self.outstanding = count
+        self.end = 0.0
+        #: ``add_flows``: ``callback(end)`` once every flow finished
+        #: (``group``); ``add_flow``: ``callback(flow)`` when it finishes.
+        self.callback = callback
+        self.group = group
+        #: The handles, until every flow finished (see ``_retired``).
+        self.flows: List[Flow] = []
+        #: The replayed start event holding this batch's links, if any.
+        self.unit: Optional[_Unit] = None
+        #: Started on dedicated links and untouched since — no flow was
+        #: re-rated, finished alone or joined on a link — so the batch
+        #: drains and retires as one (see ``_drain_batch``), by ``plan``.
+        self.exclusive = False
+        self.plan: Optional[_Plan] = None
+
+    def path(self, index: int) -> Tuple[Link, ...]:
+        """A pending flow's path: concrete, or empty until it resolves."""
+        source = self.source
+        if type(source) is list:
+            path = source[index]
+            return () if callable(path) else tuple(path)
+        if type(source.routes) is Routes:
+            return source.routes.paths[index]
+        return ()  # deferred: resolved at the start event
+
+
+def _column(name: str, doc: str) -> property:
+    return property(lambda flow: getattr(flow._batch, name)[flow._index], doc=doc)
+
+
+class Flow:
+    """One fluid flow over a fixed path: a handle onto its batch's columns.
+
+    ``path`` is the links the flow traverses, in order.  An empty path means
+    the source and destination are co-located and the flow completes after
+    its latency only; a deferred path reads as empty until it resolves.
+    """
+
+    #: ``flow_id`` is the unique identifier assigned by the simulator, a slot
+    #: because the solvers read it in their inner loops.
+    __slots__ = ("_batch", "_index", "flow_id")
+
+    def __init__(
+        self, flow_id: int, path: Sequence[Link], size_bytes: float, start_time: float
+    ) -> None:
+        _check_size(size_bytes)
+        batch = _Batch(flow_id, start_time, None, None, (size_bytes,), None, False)
+        batch.paths = (tuple(path),)
+        self._batch = batch
+        self._index = 0
+        self.flow_id = flow_id
+
+    @property
+    def path(self) -> Tuple[Link, ...]:
+        paths = self._batch.paths
+        return self._batch.path(self._index) if paths is None else paths[self._index]
+
+    start_time = property(
+        lambda flow: flow._batch.start_time, doc="Arrival time of the flow."
+    )
+    size_bytes = _column("sizes", "Bytes to transfer.")
+    remaining_bytes = _column(
+        "remaining", "Bytes left as of the flow's last rate change (lazy)."
+    )
+    rate = _column("rate", "Allocated rate in bytes/second.")
+    finish_time = _column("finish", "Arrival of the last byte, or ``None``.")
 
     @property
     def latency(self) -> float:
@@ -325,27 +346,85 @@ class Flow:
         )
 
 
+def _handles(batch: _Batch) -> List[Flow]:
+    """One :class:`Flow` handle per flow of ``batch``."""
+    handles = [object.__new__(Flow) for _ in batch.sizes]
+    first = batch.first_id
+    for index, flow in enumerate(handles):
+        flow._batch = batch
+        flow._index = index
+        flow.flow_id = first + index
+    return handles
+
+
+class _Shape:
+    """Memoized allocation of one self-contained start event.
+
+    ``rates`` are its flows' max–min fair rates.  The first start of these
+    routes with at least ``_REPLAY_MIN_FLOWS`` concrete flows, none of them
+    degenerate, also records ``sizes``, the distinct link ``keys`` and the
+    drain ``groups`` — ``(duration, flow indices)`` in first-occurrence
+    order, ``None`` if some rate is 0 or infinite — for a replay.
+    """
+
+    __slots__ = ("rates", "sizes", "keys", "groups", "stable")
+
+    def __init__(self, rates: List[float]) -> None:
+        self.rates = rates
+        self.sizes: Optional[Tuple[float, ...]] = None
+        self.keys: Tuple[int, ...] = ()
+        self.groups: Optional[Tuple[Tuple[float, Tuple[int, ...]], ...]] = None
+        #: Whether a replay is exact (``_drain_is_stable``), once asked.
+        self.stable: Optional[bool] = None
+
+    def record(self, sizes: Tuple[float, ...], keys: Iterable[int]) -> None:
+        self.sizes = sizes
+        self.keys = tuple(dict.fromkeys(keys))
+        grouping: Dict[float, List[int]] = {}
+        for index, (size, rate) in enumerate(zip(sizes, self.rates)):
+            if not 0.0 < rate < math.inf:
+                return
+            grouping.setdefault(float(size) / rate, []).append(index)
+        self.groups = tuple(
+            (duration, tuple(indices)) for duration, indices in grouping.items()
+        )
+
+
+class _Unit:
+    """A replayed start event: it holds every one of its links as one claim
+    until its last drain group retires.  A flow joining one of the links, or
+    any capacity change, first ``_unseal`` s it into per-flow registrations.
+    """
+
+    __slots__ = ("keys", "batches", "outstanding", "sealed")
+
+    def __init__(
+        self, keys: Tuple[int, ...], batches: Sequence[_Batch], groups: int
+    ) -> None:
+        self.keys = keys
+        self.batches = tuple(batches)
+        self.outstanding = groups  # drain groups not yet retired
+        self.sealed = True
+
+    def live_on(self, link_id: int) -> List[Flow]:
+        """The unit's unfinished flows riding ``link_id``."""
+        return [
+            batch.flows[index]
+            for batch in self.batches
+            for index, links in enumerate(batch.links)
+            if batch.finish[index] is None and link_id in links
+        ]
+
+
 def max_min_fair_rates(
     flows: Sequence[Flow], capacities: Optional[Dict[LinkKey, float]] = None
 ) -> Dict[int, float]:
-    """Compute the max–min fair rate of each flow by progressive filling.
+    """Map each flow's id to its max–min fair rate, by progressive filling.
 
-    Dispatches to a numpy water-filling over the link×flow incidence
-    structure for large flow sets and to the incremental pure-Python
-    algorithm otherwise; both produce identical allocations.
-
-    Parameters
-    ----------
-    flows:
-        Active flows; flows with an empty path receive infinite rate.
-    capacities:
-        Optional override of per-link capacities keyed by ``link.key``
-        (defaults to each link's ``bandwidth``).
-
-    Returns
-    -------
-    dict
-        Mapping of ``flow_id`` to allocated rate in bytes/second.
+    Flows with an empty path receive infinite rate; ``capacities`` overrides
+    link bandwidths by ``link.key``.  Large flow sets go to the numpy
+    water-filling, small ones to the incremental pure-Python algorithm; both
+    produce identical allocations (see :mod:`repro.simulator.waterfill`).
     """
     if len(flows) < _DECOMPOSE_MIN_FLOWS:
         return _max_min_fair_rates_python(flows, capacities)
@@ -366,265 +445,6 @@ def max_min_fair_rates(
     return rates
 
 
-def _sharing_components(flows: Sequence[Flow]) -> List[List[Flow]]:
-    """Partition flows into connected components of link sharing.
-
-    Empty-path flows form singleton components (they get infinite rate from
-    either solver).  Union-find over link keys with path halving; each
-    (flow, link) incidence is touched O(alpha) times.
-    """
-    parent: Dict[LinkKey, LinkKey] = {}
-    for flow in flows:
-        path = flow.path
-        if not path:
-            continue
-        first = path[0].key
-        root = parent.setdefault(first, first)
-        while parent[root] is not root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        for link in path[1:]:
-            key = link.key
-            other = parent.setdefault(key, key)
-            while parent[other] is not other:
-                parent[other] = parent[parent[other]]
-                other = parent[other]
-            if other is not root:
-                parent[other] = root
-    groups: Dict[Optional[LinkKey], List[Flow]] = {}
-    for flow in flows:
-        if not flow.path:
-            groups.setdefault(None, []).append(flow)
-            continue
-        root = flow.path[0].key
-        while parent[root] is not root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        groups.setdefault(root, []).append(flow)
-    return list(groups.values())
-
-
-def _max_min_fair_rates_python(
-    flows: Sequence[Flow], capacities: Optional[Dict[LinkKey, float]] = None
-) -> Dict[int, float]:
-    """Progressive filling with incremental per-link user-set bookkeeping."""
-    remaining_capacity: Dict[LinkKey, float] = {}
-    # Per-link set of *still-unallocated* flows; flows are removed as they
-    # freeze, so each (flow, link) pair is touched O(1) times overall instead
-    # of being re-intersected against the unallocated set every round.
-    link_flows: Dict[LinkKey, Set[int]] = {}
-    flow_by_id: Dict[int, Flow] = {flow.flow_id: flow for flow in flows}
-    for flow in flows:
-        for link in flow.path:
-            key = link.key
-            if key not in remaining_capacity:
-                capacity = link.bandwidth
-                if capacities and key in capacities:
-                    capacity = capacities[key]
-                remaining_capacity[key] = capacity
-                link_flows[key] = set()
-            link_flows[key].add(flow.flow_id)
-
-    rates: Dict[int, float] = {}
-    num_unallocated = 0
-    for flow in flows:
-        if not flow.path:
-            rates[flow.flow_id] = math.inf
-        else:
-            num_unallocated += 1
-
-    while num_unallocated:
-        # Find the most constrained link: smallest fair share among its
-        # still-unallocated flows.
-        best_share = None
-        for key, users in link_flows.items():
-            if not users:
-                continue
-            share = remaining_capacity[key] / len(users)
-            if best_share is None or share < best_share:
-                best_share = share
-        if best_share is None:
-            # Remaining flows traverse only links with no capacity constraint.
-            for flow in flows:
-                if flow.flow_id not in rates:
-                    rates[flow.flow_id] = math.inf
-            break
-        # Freeze every flow crossing a link whose fair share equals the bottleneck.
-        frozen: Set[int] = set()
-        for key, users in link_flows.items():
-            if not users:
-                continue
-            share = remaining_capacity[key] / len(users)
-            if share <= best_share * (1 + 1e-12):
-                frozen.update(users)
-        # Subtract the frozen flows' rates from every link they traverse and
-        # drop them from the per-link user sets (incremental bookkeeping);
-        # links whose last user froze are retired from the scan entirely.
-        for flow_id in frozen:
-            rates[flow_id] = best_share
-            for link in flow_by_id[flow_id].path:
-                key = link.key
-                users = link_flows.get(key)
-                if users is None:
-                    continue  # retired in an earlier round; never read again
-                remaining_capacity[key] = max(
-                    0.0, remaining_capacity[key] - best_share
-                )
-                users.discard(flow_id)
-                if not users:
-                    del link_flows[key]
-        num_unallocated -= len(frozen)
-    return rates
-
-
-#: Iteration cap for the component-label propagation inside the numpy
-#: solver.  Typical sharing graphs converge in a handful of sweeps; on
-#: pathological long chains the solver safely falls back to one global
-#: component (exact, just more filling rounds).
-_LABEL_SWEEPS_MAX = 16
-
-
-def _max_min_fair_rates_numpy(
-    flows: Sequence[Flow], capacities: Optional[Dict[LinkKey, float]] = None
-) -> Dict[int, float]:
-    """Segmented water-filling over a flat link×flow incidence structure.
-
-    The solver first labels the connected components of the link-sharing
-    graph with a few ``minimum.reduceat`` sweeps, then runs progressive
-    filling with one bottleneck *per component* per round: independent
-    components fill in parallel, so the round count is the deepest single
-    component's share ladder instead of the number of distinct shares
-    overall.  Every round is a handful of O(incidence) array operations,
-    and the incidence arrays are compacted as flows freeze.  The allocation
-    is identical to the pure-Python algorithm.
-    """
-    rates: Dict[int, float] = {}
-    link_index: Dict[LinkKey, int] = {}
-    caps: List[float] = []
-    entry_flow: List[int] = []
-    entry_link: List[int] = []
-    constrained: List[Flow] = []
-    for flow in flows:
-        if not flow.path:
-            rates[flow.flow_id] = math.inf
-            continue
-        flow_pos = len(constrained)
-        constrained.append(flow)
-        for link in flow.path:
-            key = link.key
-            link_pos = link_index.get(key)
-            if link_pos is None:
-                link_pos = len(caps)
-                link_index[key] = link_pos
-                capacity = link.bandwidth
-                if capacities and key in capacities:
-                    capacity = capacities[key]
-                caps.append(capacity)
-            entry_flow.append(flow_pos)
-            entry_link.append(link_pos)
-    if not constrained:
-        return rates
-
-    flow_rate = _fill_incidence(
-        _np.asarray(caps, dtype=float),
-        _np.asarray(entry_flow, dtype=_np.intp),
-        _np.asarray(entry_link, dtype=_np.intp),
-        len(constrained),
-    )
-    for flow_pos, flow in enumerate(constrained):
-        value = flow_rate[flow_pos]
-        rates[flow.flow_id] = math.inf if math.isinf(value) else float(value)
-    return rates
-
-
-def _fill_incidence(cap, e_flow, e_link, num_flows):
-    """Water-fill one pre-built link×flow incidence; returns per-flow rates.
-
-    ``e_flow`` must be non-decreasing and every flow/link position must
-    appear at least once.
-    """
-    num_links = cap.shape[0]
-
-    # --- component labels (links): alternating min-propagation ----------- #
-    # Entries were appended flow-by-flow, so e_flow is non-decreasing and
-    # every flow/link has at least one entry: reduceat segments are exact.
-    flow_starts = _np.searchsorted(e_flow, _np.arange(num_flows))
-    link_order = _np.argsort(e_link, kind="stable")
-    sorted_links = e_link[link_order]
-    link_starts = _np.flatnonzero(
-        _np.r_[True, sorted_links[1:] != sorted_links[:-1]]
-    )
-    label = _np.arange(num_links, dtype=_np.intp)
-    converged = False
-    for _sweep in range(_LABEL_SWEEPS_MAX):
-        flow_label = _np.minimum.reduceat(label[e_link], flow_starts)
-        new_label = _np.minimum.reduceat(
-            flow_label[e_flow][link_order], link_starts
-        )
-        if _np.array_equal(new_label, label):
-            converged = True
-            break
-        label = new_label
-    if not converged:
-        # Under-merged labels would freeze non-global minima inside one true
-        # component; a single global component is always exact.
-        label = _np.zeros(num_links, dtype=_np.intp)
-    _uniq, comp_of_link = _np.unique(label, return_inverse=True)
-    comp_of_flow = comp_of_link[e_link[flow_starts]]
-    comp_order = _np.argsort(comp_of_link, kind="stable")
-    sorted_comps = comp_of_link[comp_order]
-    comp_starts = _np.flatnonzero(
-        _np.r_[True, sorted_comps[1:] != sorted_comps[:-1]]
-    )
-
-    user_count = _np.bincount(e_link, minlength=num_links).astype(float)
-    entry_alive = _np.ones(len(e_flow), dtype=bool)
-    flow_rate = _np.zeros(num_flows, dtype=float)
-    flow_unallocated = _np.ones(num_flows, dtype=bool)
-    remaining = num_flows
-
-    while remaining:
-        with _np.errstate(divide="ignore"):
-            shares = _np.where(
-                user_count > 0.0, cap / _np.maximum(user_count, 1.0), _np.inf
-            )
-        # One bottleneck per component; finished components read inf and
-        # freeze nothing (their entries are all dead).  A component whose
-        # remaining links are unconstrained freezes its flows at inf.
-        comp_best = _np.minimum.reduceat(shares[comp_order], comp_starts)
-        frozen_link = shares <= comp_best[comp_of_link] * (1 + 1e-12)
-        frozen_entries = entry_alive & frozen_link[e_link]
-        newly_frozen = _np.unique(e_flow[frozen_entries])
-        if newly_frozen.size == 0:
-            flow_rate[flow_unallocated] = _np.inf
-            break
-        flow_rate[newly_frozen] = comp_best[comp_of_flow[newly_frozen]]
-        flow_unallocated[newly_frozen] = False
-        dead = entry_alive & ~flow_unallocated[e_flow]
-        dead_link = e_link[dead]
-        finite_rate = _np.where(
-            _np.isfinite(flow_rate), flow_rate, 0.0
-        )  # inf-rate flows only ever cross unconstrained links
-        cap_drain = _np.bincount(
-            dead_link, weights=finite_rate[e_flow[dead]], minlength=num_links
-        )
-        cap -= cap_drain
-        _np.maximum(cap, 0.0, out=cap)
-        user_count -= _np.bincount(dead_link, minlength=num_links)
-        entry_alive &= ~dead
-        remaining -= int(newly_frozen.size)
-        # Compact the incidence arrays once most entries have died, so a
-        # many-round filling scans the shrinking live set instead of the
-        # full original incidence.
-        alive_count = int(entry_alive.sum())
-        if alive_count * 2 < e_flow.size:
-            e_flow = e_flow[entry_alive]
-            e_link = e_link[entry_alive]
-            entry_alive = _np.ones(alive_count, dtype=bool)
-
-    return flow_rate
-
-
 @register_continuation("flows.empty_batch_complete")
 def _complete_empty_batch(engine: SimulationEngine, on_complete) -> None:
     """Completion event for a degenerate zero-flow batch (see add_flows)."""
@@ -632,7 +452,7 @@ def _complete_empty_batch(engine: SimulationEngine, on_complete) -> None:
 
 
 class FlowSimulator(Snapshottable):
-    """Event-driven fluid simulator over a set of flows.
+    """Event-driven fluid simulator over batches of flows.
 
     Usage::
 
@@ -640,10 +460,9 @@ class FlowSimulator(Snapshottable):
         sim.add_flow(path, size_bytes, start_time=0.0, on_complete=callback)
         sim.run()
 
-    Arrivals at one instant are batched behind a single engine event, and a
-    batch of arrivals/completions triggers rate recomputation only for the
-    connected component of flows sharing links with the change (see the
-    module docstring).
+    Arrivals at one instant share a single engine event (the *start event*),
+    and an arrival or completion re-rates only the connected component of
+    flows sharing links with the change (see the module docstring).
     """
 
     def __init__(
@@ -654,94 +473,42 @@ class FlowSimulator(Snapshottable):
     ) -> None:
         self.engine = engine or SimulationEngine()
         self.stats = stats if stats is not None else AllocatorStats()
-        #: Optional topology the flows route over.  When set, every flow's
-        #: links are checked for liveness at the flow's start event, so a
-        #: route over a torn-down circuit fails loudly instead of silently
-        #: charging capacity that no longer exists.
+        #: Optional topology the flows route over.  A flow whose route
+        #: predates a topology change is checked for liveness when it starts,
+        #: so a route over a torn-down circuit fails loudly instead of
+        #: silently charging capacity that no longer exists.
         self.topology = topology
-        self._active: Set[Flow] = set()
-        #: Next flow id.  A plain int (not itertools.count) so snapshots can
-        #: capture and restore it explicitly.
+        #: Next flow id (a plain int, so snapshots capture it explicitly).
         self._counter = 0
-        #: Flows pending start, batched per exact arrival instant; one
-        #: engine event per distinct instant reallocates once for the batch.
-        self._pending_at: Dict[float, List[Flow]] = {}
-        #: Active flows per link key, maintained incrementally.  The value is
-        #: the lone :class:`Flow` while a link has a single user (the common
-        #: case on provisioned fabrics) and is promoted to a set of flows on
-        #: the first sharer — one allocation per *contended* link instead of
-        #: one per registration.
-        self._link_users: Dict[LinkKey, object] = {}
-        #: Per-path registration metadata keyed by the path tuple's identity:
-        #: (path, link keys, static bottleneck bandwidth, total latency).
-        #: Paths come from the models' route tables as shared tuples, so one
-        #: entry serves every flow and iteration using the route.  Holding
-        #: the path in the value pins the id.  (Mutating a link's bandwidth
-        #: between two same-path flows is not picked up by the cached
-        #: bottleneck; the progressive-filling path always reads live.)
-        self._path_meta: Dict[int, Tuple[Tuple[Link, ...], Tuple[LinkKey, ...], float, float]] = {}
-        #: Lazy completion heap of (finish_estimate, tiebreak_id, epoch,
-        #: payload) entries — single flows carry their epoch (stale entries,
-        #: whose flow's rate changed since, are skipped), uniform batches
-        #: carry ``-1`` and a list of (flow, epoch) members.
+        #: Batches pending start per arrival instant (one engine event each).
+        self._pending_at: Dict[float, List[_Batch]] = {}
+        #: Started batches with unfinished flows.
+        self._running: Set[_Batch] = set()
+        #: Users per link id: the lone :class:`Flow`, a set of flows once the
+        #: link is shared, or the :class:`_Unit` of a replayed start event.
+        self._users: Dict[int, object] = {}
+        #: Lazy completion heap of ``(estimate, tiebreak_id, epoch, payload)``.
+        #: A single flow's entry is stale once the flow's epoch moved on.  The
+        #: flows of one start event sharing one estimate carry ``-1`` and
+        #: ``(batch, flows)`` segments, each flow checked against epoch 1.
         self._completion_heap: List[Tuple[float, int, int, object]] = []
         self._completion_event = None
-        #: Sealed-batch bookkeeping.  A *sealed* completion-heap entry is a
-        #: self-contained batch whose members all share one finish estimate;
-        #: if nothing disturbed it in flight, completion retires its link
-        #: registrations per *link* instead of per flow×link and skips the
-        #: per-flow drain math.  Disturbances are recorded where they happen:
-        #: every re-rate adds its closure's links to ``_sealed_disturbed``,
-        #: and fault handling bumps ``_seal_gen`` (invalidating every
-        #: outstanding seal at once).  The disturbed-link set is cleared
-        #: whenever the last sealed entry pops, so it stays small.
-        self._seal_gen = 0
-        self._sealed_outstanding = 0
-        self._sealed_disturbed: Set[LinkKey] = set()
-        #: The allocation memo of self-contained batches, plus the replay
-        #: bookkeeping of those that can replay (the sealed lane's other
-        #: half): (topology version, path ids) -> :class:`_BatchShape`.
-        self._batch_shapes: Dict[
-            Tuple[Optional[int], Tuple[int, ...]], _BatchShape
-        ] = {}
-        #: Live phantom batches (shape replays whose links are claimed by
-        #: markers); faults materialize them all before touching capacities.
-        self._phantoms: Set[_PhantomBatch] = set()
+        #: (topology version, per-flow link ids) -> :class:`_Shape`.
+        self._shapes: Dict[Tuple[Optional[int], tuple], _Shape] = {}
+        #: Replayed start events still holding their links.
+        self._units: Set[_Unit] = set()
         #: What happens to a flow whose path loses a link while the flow is
         #: pending or on the wire: ``"fail"`` raises the typed
         #: :class:`~repro.errors.LinkFailedError`, ``"reroute"`` resolves a
         #: fresh route over the surviving topology.  Fault-aware network
         #: models set this from their :class:`~repro.simulator.faults.FaultPlan`.
         self.link_failure_policy: str = "fail"
-        #: Optional route chooser consulted when a rerouted casualty needs a
-        #: fresh path: ``route_policy(src_node, dst_node)`` returns the link
-        #: sequence to move the flow onto.  Network models running a
-        #: non-default routing policy install their policy router here so a
-        #: fault reroute stays under the run's policy (adaptive flows pick
-        #: the least-congested survivor, ECMP flows re-hash over the
-        #: surviving equal-cost set) instead of collapsing onto the
-        #: deterministic shortest path.  ``None`` — the default — preserves
-        #: the original shortest-path reroute bit-for-bit.
+        #: Optional route chooser for rerouted casualties:
+        #: ``route_policy(src_node, dst_node)`` returns the new link sequence.
+        #: Models running a routing policy install their router here, so a
+        #: fault reroute stays under the run's policy; ``None`` — the default
+        #: — takes the plain shortest path.
         self.route_policy: Optional[Callable[[str, str], Sequence[Link]]] = None
-        #: link_id -> key of every link with at least one active user, so
-        #: circuit tear-downs (which only know topology link ids) can find
-        #: the flows riding them without scanning the user registry.
-        self._link_id_keys: Dict[int, LinkKey] = {}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Identity-keyed memo caches: pickle and deepcopy preserve object
-        # identity *within* one captured graph but not the id() values used
-        # as dict keys, so every memo is re-keyed on the anchor object its
-        # value pins.  Without this the memos would merely go cold after a
-        # restore or fork — still correct, but the cold rebuilds would be
-        # counted as extra allocator work, breaking the guarantee that a
-        # continued snapshot reports the same stats as a straight run.
-        self._path_meta = {id(meta[0]): meta for meta in self._path_meta.values()}
-        self._batch_shapes = {
-            (key[0], tuple(id(anchor) for anchor in shape.anchors)): shape
-            for key, shape in self._batch_shapes.items()
-        }
 
     # ------------------------------------------------------------------ #
     # Flow management
@@ -761,114 +528,94 @@ class FlowSimulator(Snapshottable):
         resolution): on circuit-switched fabrics the route only exists once
         the circuits are installed, which happens between scheduling and
         start.  Until a deferred path resolves, the flow reports an empty
-        path.
+        path.  A negative, infinite or NaN size raises
+        :class:`~repro.errors.SimulationError` before any state changes.
         """
-        resolver: Optional[PathResolver] = None
-        if callable(path):
-            resolver, path = path, ()
-        flow_id = self._counter
-        self._counter = flow_id + 1
-        flow = Flow(
-            flow_id=flow_id,
-            path=path,
-            size_bytes=size_bytes,
-            start_time=start_time,
-        )
-        if self.topology is not None:
-            flow._added_version = self.topology.version
-        flow._resolver = resolver
-        flow._on_complete = on_complete
-        batch = self._pending_at.get(start_time)
-        if batch is None:
-            self._pending_at[start_time] = batch = []
-            self.engine.schedule(start_time, self._on_batch_start, start_time)
-        batch.append(flow)
-        return flow
+        _check_size(size_bytes)
+        return self._admit([path], (size_bytes,), start_time, on_complete, False)[0]
 
     def add_flows(
         self,
-        items: Sequence[Tuple[Union[Sequence[Link], PathResolver], float]],
+        items: Union[
+            StepItems, Sequence[Tuple[Union[Sequence[Link], PathResolver], float]]
+        ],
         start_time: float,
         on_complete: Callable[[float], None],
     ) -> List[Flow]:
         """Register a batch of flows sharing one arrival instant and callback.
 
-        ``items`` are ``(path_or_resolver, size_bytes)`` pairs.  The batch's
-        ``on_complete`` fires once — with the last member's finish time — when
+        ``items`` is a :class:`StepItems`, or a sequence of
+        ``(path_or_resolver, size_bytes)`` pairs.  The batch's
+        ``on_complete`` fires once — with the last flow's finish time — when
         every flow in the batch has drained.  This is the bulk interface the
         flow network models use for collective steps: one engine event and
-        one completion callback per step instead of one per transfer.
+        one completion callback per step instead of one per transfer.  Every
+        size is validated before any state changes.
         """
-        for _path, size_bytes in items:
-            # Validate before any state mutation: a mid-loop raise would
-            # otherwise leave phantom flows registered in the pending batch
-            # under a group whose callback could never fire.
-            if size_bytes < 0:
-                raise SimulationError("flow size must be non-negative")
-        version = self.topology.version if self.topology is not None else None
-        group = _FlowGroup(len(items), on_complete)
-        flow_id = self._counter
-        batch = self._pending_at.get(start_time)
-        if batch is None:
-            self._pending_at[start_time] = batch = []
-            self.engine.schedule(start_time, self._on_batch_start, start_time)
-        created: List[Flow] = []
-        new_flow = Flow.__new__
-        for path, size_bytes in items:
-            resolver = None
-            if callable(path):
-                resolver, path = path, ()
-            # Inlined Flow construction: this loop runs once per transfer of
-            # every collective step, so the constructor call overhead counts.
-            flow = new_flow(Flow)
-            flow.flow_id = flow_id
-            flow_id += 1
-            flow.path = path if type(path) is tuple else tuple(path)
-            flow.size_bytes = size_bytes
-            flow.start_time = start_time
-            flow.remaining_bytes = float(size_bytes)
-            flow.rate = 0.0
-            flow.finish_time = None
-            flow._progress_time = start_time
-            flow._epoch = 0
-            flow._added_version = version
-            flow._resolver = resolver
-            flow._on_complete = None
-            flow._group = group
-            flow._path_latency = 0.0
-            batch.append(flow)
-            created.append(flow)
-        self._counter = flow_id
-        if not items:
-            # Degenerate empty batch: nothing will ever decrement the group,
-            # so it completes at its start time.  The callback is a named
-            # continuation (not a closure) so a snapshot taken while the
-            # event is pending stays serializable.
+        if type(items) is StepItems:
+            source: object = items
+            sizes = items.sizes
+        else:
+            pairs = list(items)
+            source = [path for path, _size in pairs]
+            sizes = tuple([size for _path, size in pairs])
+            for size in sizes:
+                _check_size(size)
+        if not sizes:
+            if start_time not in self._pending_at:
+                self._pending_at[start_time] = []
+                self.engine.schedule(start_time, self._on_batch_start, start_time)
+            # Degenerate empty batch: it completes at its start time.  The
+            # callback is a named continuation (not a closure) so a snapshot
+            # taken while the event is pending stays serializable.
             self.engine.schedule(start_time, _complete_empty_batch, on_complete)
-        return created
+            return []
+        return self._admit(source, sizes, start_time, on_complete, True)
+
+    def _admit(
+        self,
+        source: object,
+        sizes: Tuple[float, ...],
+        start_time: float,
+        callback: Optional[Callable],
+        group: bool,
+    ) -> List[Flow]:
+        version = self.topology.version if self.topology is not None else None
+        batch = _Batch(self._counter, start_time, version, source, sizes, callback, group)
+        self._counter += len(sizes)
+        pending = self._pending_at.get(start_time)
+        if pending is None:
+            self._pending_at[start_time] = pending = []
+            self.engine.schedule(start_time, self._on_batch_start, start_time)
+        pending.append(batch)
+        batch.flows = _handles(batch)
+        return batch.flows
 
     def flow(self, flow_id: int) -> Flow:
         """Return the pending or active flow with id ``flow_id``.
 
-        Completed flows are dropped from the simulator's bookkeeping (callers
-        hold the :class:`Flow` returned by :meth:`add_flow` or receive it in
-        their completion callback), so looking one up here raises.  This is a
-        debugging accessor and scans the pending/active sets; the hot paths
-        deliberately carry flow objects instead of ids.
+        Completed flows are dropped from the bookkeeping (callers hold the
+        :class:`Flow` handles :meth:`add_flow` returned), so looking one up
+        here raises.  A debugging accessor: it scans the batches.
         """
-        for flow in self._active:
-            if flow.flow_id == flow_id:
-                return flow
-        for batch in self._pending_at.values():
-            for flow in batch:
-                if flow.flow_id == flow_id:
-                    return flow
+        for batch in chain(self._running, *self._pending_at.values()):
+            index = flow_id - batch.first_id
+            if 0 <= index < len(batch.sizes) and batch.finish[index] is None:
+                return batch.flows[index]
         raise SimulationError(f"unknown (or already completed) flow id {flow_id}")
 
     @property
     def active_flows(self) -> List[Flow]:
         """Flows currently transferring."""
-        return sorted(self._active, key=_flow_id_of)
+        return sorted(
+            (
+                flow
+                for batch in self._running
+                for flow, finish in zip(batch.flows, batch.finish)
+                if finish is None
+            ),
+            key=_flow_id_of,
+        )
 
     # ------------------------------------------------------------------ #
     # Live-load introspection (routing policies, telemetry)
@@ -877,87 +624,44 @@ class FlowSimulator(Snapshottable):
     def link_occupancy(self, key: LinkKey) -> int:
         """Number of active flows currently riding the link ``key``.
 
-        Read from the user registry, which every code path maintains — so
-        adaptive route choice sees the same congestion picture whether the competing
-        batches went through the exact solver or the sealed replay lane.
-        Phantom batches are counted without materializing them: reading
-        congestion must not perturb the replay fast path.
+        Read from the user registry, which every code path maintains; a
+        replayed event's claim is counted without unsealing it, since
+        reading congestion must not perturb the run.
         """
-        users = self._link_users.get(key)
+        users = self._users.get(key[2])
         if users is None:
             return 0
-        kind = type(users)
-        if kind is set:
-            return len(users)
-        if kind is _PhantomBatch:
-            count = 0
-            for flow, _epoch in users.members:
-                if flow.finish_time is None:
-                    for link in flow.path:
-                        if link.key == key:
-                            count += 1
-                            break
-            return count
-        return 1
+        if type(users) is _Unit:
+            return len(users.live_on(key[2]))
+        return len(users) if type(users) is set else 1
 
     def link_loads(self) -> Iterable[Tuple[LinkKey, float, int]]:
         """Yield ``(key, allocated_rate, active_flows)`` per in-use link.
 
         The telemetry collector's sampling primitive: one pass over the user
-        registry, summing live member rates (infinite rates — empty-path
-        flows never register on links, but a defensive 0 keeps the sums
-        finite).  Phantom batches are expanded read-only into a side
-        accumulator, shared across all of the phantom's links.
+        registry (infinite rates count as 0, keeping the sums finite).
         """
-        phantom_loads: Dict[int, Dict[LinkKey, Tuple[float, int]]] = {}
-        for key, users in self._link_users.items():
-            kind = type(users)
-            if kind is set:
-                rate = 0.0
-                for flow in users:
-                    if not math.isinf(flow.rate):
-                        rate += flow.rate
-                yield key, rate, len(users)
-            elif kind is _PhantomBatch:
-                loads = phantom_loads.get(id(users))
-                if loads is None:
-                    loads = {}
-                    for flow, _epoch in users.members:
-                        if flow.finish_time is not None:
-                            continue
-                        rate = flow.rate if not math.isinf(flow.rate) else 0.0
-                        for link in flow.path:
-                            entry = loads.get(link.key)
-                            loads[link.key] = (
-                                (entry[0] + rate, entry[1] + 1)
-                                if entry is not None
-                                else (rate, 1)
-                            )
-                    phantom_loads[id(users)] = loads
-                rate, count = loads.get(key, (0.0, 0))
-                yield key, rate, count
+        for link_id, users in self._users.items():
+            if type(users) is _Unit:
+                flows = users.live_on(link_id)
             else:
-                rate = users.rate
-                yield key, (0.0 if math.isinf(rate) else rate), 1
-
-    # ------------------------------------------------------------------ #
-    # Simulation
-    # ------------------------------------------------------------------ #
+                flows = users if type(users) is set else (users,)
+            rate = 0.0
+            for flow in flows:
+                if not math.isinf(flow.rate):
+                    rate += flow.rate
+            yield _link_key(users, link_id), rate, len(flows)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until all flows complete (or ``until``); returns the stop time.
 
-        Raises
-        ------
-        SimulationError
-            If the event queue drains while flows are still active.  This
-            happens when a flow is allocated rate 0 forever — e.g. its path
-            crosses a link whose capacity was overridden to 0 — so it would
-            otherwise never complete and ``run`` would silently return with
-            unfinished flows.
+        Raises :class:`~repro.errors.SimulationError` if the event queue
+        drains while flows are still active — a flow allocated rate 0 forever
+        (e.g. over a link whose capacity dropped to 0) would otherwise leave
+        ``run`` returning silently with unfinished flows.
         """
         stop = self.engine.run(until=until)
-        if self._active and self.engine.pending == 0:
+        if self._running and self.engine.pending == 0:
             stalled = ", ".join(
                 f"flow {flow.flow_id} (rate {flow.rate:g} B/s, "
                 f"{flow.remaining_bytes:g} B left)"
@@ -979,16 +683,14 @@ class FlowSimulator(Snapshottable):
         """Re-rate flows after the capacity of ``keys`` changed.
 
         Called when a fault event degrades or restores link bandwidth: the
-        connected components of flows touching the changed links are
-        re-allocated from the live capacities (everyone else keeps their
-        rates and estimates), and the path-derived caches — per-path static
-        bottlenecks, self-contained batch allocations — are dropped so no
-        future batch replays a rate computed against the old capacity.
+        components of flows touching the changed links are re-allocated
+        from the live capacities, and the shape memo is dropped so no later
+        start reuses a rate computed against the old capacity.
         """
         if now is None:
             now = self.engine.now
         self._invalidate_memos()
-        dirty = [key for key in keys if key in self._link_users]
+        dirty = [key[2] for key in keys if key[2] in self._users]
         if dirty:
             self._reallocate((), dirty, now)
 
@@ -1008,27 +710,23 @@ class FlowSimulator(Snapshottable):
         if now is None:
             now = self.engine.now
         self._invalidate_memos()
-        link_users = self._link_users
+        users = self._users
         failed_keys = set(keys)
         casualties: List[Flow] = []
         seen: Set[Flow] = set()
         for key in sorted(failed_keys):
-            users = link_users.pop(key, None)
-            if users is None:
-                continue
-            del self._link_id_keys[key[2]]
-            for flow in (users,) if type(users) is not set else users:
-                if flow not in seen:
+            riders = users.pop(key[2], None)
+            for flow in riders if type(riders) is set else (riders,):
+                if flow is not None and flow not in seen:
                     seen.add(flow)
                     casualties.append(flow)
         if not casualties:
             return []
         casualties.sort(key=_flow_id_of)
-        reroute = self.link_failure_policy == "reroute"
         victims: List[Tuple[Flow, Link]] = []
         for flow in casualties:
             dead = next(link for link in flow.path if link.key in failed_keys)
-            if not reroute:
+            if self.link_failure_policy != "reroute":
                 raise LinkFailedError(
                     f"flow {flow.flow_id} was on the wire over link "
                     f"{dead.src}->{dead.dst} (id {dead.link_id}) when it "
@@ -1037,14 +735,17 @@ class FlowSimulator(Snapshottable):
                     link_key=dead.key,
                 )
             victims.append((flow, dead))
-        dirty_links: List[LinkKey] = []
-        version = self.topology.version if self.topology is not None else None
+        failed_ids = {key[2] for key in failed_keys}
+        dirty_links: List[int] = []
         for flow, dead in victims:
-            self._advance_flow(flow, now)
-            self._unregister_path(flow, failed_keys, dirty_links)
-            flow.path = self._reroute_path(flow, dead, now)
-            flow._added_version = version
-            self._register_path(flow)
+            batch, index = flow._batch, flow._index
+            batch.exclusive = False
+            self._advance(batch, index, now)
+            for link_id in batch.links[index]:
+                if link_id not in failed_ids:
+                    self._release(flow, link_id, dirty_links)
+            _set_path(batch, index, self._reroute_path(flow, dead, now))
+            self._register(flow)
         self._reallocate(casualties, dirty_links, now)
         return casualties
 
@@ -1053,70 +754,24 @@ class FlowSimulator(Snapshottable):
     ) -> List[Flow]:
         """Like :meth:`fail_links`, addressed by topology link id.
 
-        Circuit tear-down events only know the topology link ids they
-        removed; this resolves them against the per-id index and is a no-op
-        (no cache invalidation, no allocation work) when no active flow was
-        riding the torn links — the overwhelmingly common case on a healthy
-        circuit fabric.
+        Circuit tear-downs only know the link ids they removed.  A no-op (no
+        memo invalidation, no allocation work) when no flow rides the torn
+        links — the overwhelmingly common case on a healthy circuit fabric.
         """
-        index = self._link_id_keys
-        keys = [index[link_id] for link_id in link_ids if link_id in index]
+        users = self._users
+        keys = [_link_key(users[link], link) for link in link_ids if link in users]
         if not keys:
             return []
         return self.fail_links(keys, now)
 
     def _invalidate_memos(self) -> None:
-        """Drop the path-derived memos and every outstanding seal.
+        """Drop the shape memo and unseal every replayed start event: the
+        capacities or the registry are about to change under them."""
+        self._shapes.clear()
+        for unit in list(self._units):
+            self._unseal(unit)
 
-        Capacities (or the user registry itself) are about to change under
-        the memoized allocations and the sealed batches in flight.  Phantom
-        batches come back to real per-flow registrations first — the exact
-        re-rate that follows walks the user registry.
-        """
-        self._path_meta.clear()
-        self._batch_shapes.clear()
-        self._seal_gen += 1
-        if self._phantoms:
-            for phantom in list(self._phantoms):
-                self._materialize_phantom(phantom)
-
-    def _unregister_path(
-        self, flow: Flow, skip_keys: Set[LinkKey], dirty_links: List[LinkKey]
-    ) -> None:
-        """Remove ``flow`` from its links' user sets (cold fault path)."""
-        link_users = self._link_users
-        for link in flow.path:
-            key = link.key
-            if key in skip_keys:
-                continue
-            users = link_users.get(key)
-            if users is flow:
-                del link_users[key]
-                del self._link_id_keys[key[2]]
-            elif type(users) is set:
-                users.discard(flow)
-                if len(users) == 1:
-                    (link_users[key],) = users
-                dirty_links.append(key)
-
-    def _register_path(self, flow: Flow) -> None:
-        """Register ``flow`` on every link of its path (cold fault path)."""
-        link_users = self._link_users
-        for link in flow.path:
-            key = link.key
-            users = link_users.get(key)
-            if users is None:
-                link_users[key] = flow
-                self._link_id_keys[key[2]] = key
-            elif type(users) is set:
-                users.add(flow)
-            else:
-                link_users[key] = {users, flow}
-        flow._path_latency = sum(link.latency for link in flow.path)
-
-    def _reroute_path(
-        self, flow: Flow, dead: Link, now: float
-    ) -> Tuple[Link, ...]:
+    def _reroute_path(self, flow: Flow, dead: Link, now: float) -> Tuple[Link, ...]:
         """A fresh route for a flow whose path lost ``dead``; typed raise if none."""
         if self.topology is None:
             raise LinkFailedError(
@@ -1140,422 +795,397 @@ class FlowSimulator(Snapshottable):
                 link_key=dead.key,
             ) from exc
 
+    def _register(self, flow: Flow, claimed: Optional[Dict[int, None]] = None) -> int:
+        """Add ``flow`` to the users of every link of its path, unsealing any
+        replayed event holding one.  The links ``flow`` is first on go into
+        ``claimed``; the result has bit 1 set if ``flow`` joined a link in
+        ``claimed`` and bit 2 if it joined any other used link."""
+        users = self._users
+        joined = 0
+        for link_id in flow._batch.links[flow._index]:
+            riders = users.get(link_id)
+            if type(riders) is _Unit:
+                self._unseal(riders)
+                riders = users.get(link_id)
+            if riders is None:
+                users[link_id] = flow
+                if claimed is not None:
+                    claimed[link_id] = None
+                continue
+            joined |= 1 if claimed is not None and link_id in claimed else 2
+            if type(riders) is set:
+                riders.add(flow)
+            else:
+                riders._batch.exclusive = False
+                users[link_id] = {riders, flow}
+        return joined
+
+    def _release(self, flow: Flow, link_id: int, dirty_links: List[int]) -> None:
+        """Drop ``flow`` from the users of ``link_id``, noting shared links."""
+        users = self._users
+        riders = users.get(link_id)
+        if riders is flow:
+            del users[link_id]
+        elif type(riders) is set:
+            riders.discard(flow)
+            if len(riders) == 1:
+                # Collapse back to the lone-survivor representation.
+                (users[link_id],) = riders
+            # Only links with surviving users can wake anyone up.
+            dirty_links.append(link_id)
+
+    def _unseal(self, unit: _Unit) -> None:
+        """Swap a replayed event's claim for per-flow registrations."""
+        if not unit.sealed:
+            return
+        unit.sealed = False
+        self._units.discard(unit)
+        users = self._users
+        for link_id in unit.keys:
+            del users[link_id]
+        for batch in unit.batches:
+            batch.unit = None
+            for flow, finish in zip(batch.flows, batch.finish):
+                if finish is None:
+                    self._register(flow)
+
     # ------------------------------------------------------------------ #
-    # Event handlers
+    # Start events
     # ------------------------------------------------------------------ #
 
     def _on_batch_start(self, engine: SimulationEngine, start_time: float) -> None:
         now = engine.now
-        batch = self._pending_at.pop(start_time, ())
-        if (
-            self._batch_shapes
-            and len(batch) >= _SEALED_MIN_FLOWS
-            and batch[0]._resolver is None  # deferred routes never replay
-            and self._try_shape_replay(batch, now)
-        ):
-            return
-        link_users = self._link_users
-        link_id_keys = self._link_id_keys
-        active = self._active
+        batches = self._pending_at.pop(start_time, ())
         topology = self.topology
         version = topology.version if topology is not None else None
-        path_meta = self._path_meta
-        dirty: List[Flow] = []
-        solo_bw: List[float] = []
-        batch_links: Set[LinkKey] = set()
-        add_batch_link = batch_links.add
-        intra_shared = False
-        external_shared = False
+        bulk = True
         resolved = False
-        for flow in batch:
-            resolver = flow._resolver
-            if resolver is not None:
-                # Freshly resolved against the live topology; no liveness
-                # check needed (see PathResolver).
-                flow._resolver = None
-                resolved = True
-                flow.path = tuple(resolver())
-            elif version is not None and flow._added_version != version:
-                self._check_links_alive(flow, now)
-            flow._progress_time = now
-            path = flow.path
-            if flow.size_bytes <= _BYTES_EPSILON or not path:
-                # Zero-size flows and co-located endpoints (empty path =
-                # infinite rate) complete after their latency only; no
-                # representable transfer time separates start from finish.
-                self._complete_flow(flow, now + flow.latency)
+        for batch in batches:
+            self._running.add(batch)
+            source = batch.source
+            if type(source) is list:
+                if any(map(callable, source)):
+                    bulk = False  # per-flow resolvers: resolved flow by flow
+                    continue
+                routes = Routes(source, batch.version)
+                tiny = min(batch.sizes) <= _BYTES_EPSILON
+            else:
+                routes = source.routes
+                if type(routes) is not Routes:
+                    resolved = True
+                    routes = routes()
+                tiny = source.tiny
+            batch.routes = routes
+            batch.paths = routes.paths
+            batch.links = routes.links
+            batch.latencies = routes.latencies
+            if tiny or routes.empty or (version is not None and routes.version != version):
+                bulk = False
+        if not bulk:
+            self._start_each(batches, now, version, resolved)
+        elif not (
+            (not resolved and self._shapes and self._replay(batches, now, version))
+            or self._start_dedicated(batches, now, version, resolved)
+        ):
+            self._start_each(batches, now, version, resolved)
+
+    def _start_dedicated(
+        self, batches: List[_Batch], now: float, version: Optional[int], resolved: bool
+    ) -> bool:
+        """Start flows riding links nobody else uses, if that is what they do:
+        one dict update per batch claims the links, each flow runs at its
+        path bottleneck, and a batch whose flows share one finish estimate
+        is one segment of the heap entry."""
+        users = self._users
+        if len(batches) == 1:
+            flat: Sequence[int] = batches[0].routes.flat
+            if not batches[0].routes.disjoint:
+                return False
+        else:
+            flat = list(chain.from_iterable(batch.routes.flat for batch in batches))
+            if len(set(flat)) != len(flat):
+                return False
+        if not users.keys().isdisjoint(flat):
+            for link_id in flat:
+                if type(users.get(link_id)) is _Unit:
+                    self._unseal(users[link_id])
+            if not users.keys().isdisjoint(flat):
+                return False
+        if not resolved and len(flat) >= _REPLAY_MIN_FLOWS:
+            flows = list(chain.from_iterable(batch.flows for batch in batches))
+            if len(flows) >= _REPLAY_MIN_FLOWS:
+                bottlenecks = chain.from_iterable(b.routes.bottlenecks for b in batches)
+                self._self_contained_rates(flows, version, flat, list(bottlenecks))
+        groups: Dict[float, List[_Segment]] = {}
+        for batch in batches:
+            routes = batch.routes
+            users.update(
+                zip(routes.flat, chain.from_iterable(map(repeat, batch.flows, routes.lengths)))
+            )
+            if not routes.positive:
+                self._apply_rates(batch.flows, routes.bottlenecks, now, groups)
                 continue
-            active.add(flow)
-            # Register the flow on every link of its (shared, cached) path
-            # via the per-path metadata, and track who shares links with
-            # whom — other members of this batch, or flows already on the wire.
-            meta = path_meta.get(id(path))
-            if meta is None or meta[0] is not path:
-                keys = tuple(link.key for link in path)
-                meta = (
-                    path,
-                    keys,
-                    min(link.bandwidth for link in path),
-                    sum(link.latency for link in path),
-                )
-                if len(path_meta) >= 65536:
-                    path_meta.clear()
-                path_meta[id(path)] = meta
-            for key in meta[1]:
-                users = link_users.get(key)
-                if users is None:
-                    link_users[key] = flow
-                    link_id_keys[key[2]] = key
-                    add_batch_link(key)
-                else:
-                    if type(users) is _PhantomBatch:
-                        # A shape-replayed batch holds this link via a
-                        # marker; swap in its real registrations and join
-                        # them.  The key can come back empty — the marker
-                        # may have outlived its members (they finished, but
-                        # the phantom's later duration groups kept the
-                        # claim up) — in which case this flow is alone.
-                        self._materialize_phantom(users)
-                        users = link_users.get(key)
-                    if users is None:
-                        link_users[key] = flow
-                        link_id_keys[key[2]] = key
-                        add_batch_link(key)
-                        continue
-                    if type(users) is set:
-                        users.add(flow)
+            count = len(batch.sizes)
+            batch.rate = list(routes.bottlenecks)
+            batch.epoch = [1] * count
+            batch.exclusive = True
+            source = batch.source
+            batch.plan = plan = (
+                source.plan(routes)
+                if type(source) is StepItems
+                else _drain_plan(batch.sizes, routes)
+            )
+            durations = plan[0]
+            if durations.count(durations[0]) == count:
+                # Uniform step: the whole batch is one segment.
+                groups.setdefault(now + durations[0], []).append((batch, batch.flows))
+                continue
+            for flow, duration in zip(batch.flows, durations):
+                _add_to_group(groups, now + duration, flow)
+        self._push_groups(groups, now)
+        return True
+
+    def _start_each(
+        self, batches: List[_Batch], now: float, version: Optional[int], resolved: bool
+    ) -> None:
+        """Start batches flow by flow, in order: per-flow resolvers (adaptive
+        routing reads the live occupancy, so flow k sees flows 0..k-1
+        registered), routes to re-check, flows that finish after their
+        latency only, and flows that share links."""
+        dirty: List[Flow] = []
+        claimed: Dict[int, None] = {}  # links first registered by this event
+        joined = 0  # 1: links shared within the event, 2: with running flows
+        for batch in batches:
+            source = batch.source
+            per_flow = batch.routes is None
+            if per_flow:
+                resolved = resolved or any(map(callable, source))
+                batch.paths = [batch.path(index) for index in range(len(source))]
+                batch.links = [()] * len(source)
+                batch.latencies = [0.0] * len(source)
+                stale = version is not None and batch.version != version
+            else:
+                stale = version is not None and batch.routes.version != version
+            for index, flow in enumerate(batch.flows):
+                check = stale
+                if per_flow:
+                    path = source[index]
+                    if callable(path):
+                        # Freshly resolved against the live topology; no
+                        # liveness check needed (see PathResolver).
+                        _set_path(batch, index, tuple(path()))
+                        check = False
                     else:
-                        link_users[key] = {users, flow}
-                    if key in batch_links:
-                        intra_shared = True
-                    else:
-                        external_shared = True
-            flow._path_latency = meta[3]
-            dirty.append(flow)
-            solo_bw.append(meta[2])
+                        _set_path(batch, index, batch.paths[index])
+                if check:
+                    self._check_links_alive(batch, index, now)
+                path = batch.paths[index]
+                if batch.sizes[index] <= _BYTES_EPSILON or not path:
+                    # Zero-size flows and co-located endpoints (empty path =
+                    # infinite rate) complete after their latency only; no
+                    # representable transfer time separates start from finish.
+                    self._complete(flow, now + batch.latencies[index])
+                    continue
+                joined |= self._register(flow, claimed)
+                dirty.append(flow)
         if not dirty:
             self._sync_completion_event(now)
             return
-        if not external_shared:
-            # The batch shares links with nobody outside itself: it rides
-            # dedicated links (the dominant case on provisioned circuits and
-            # fully-connected rails), or contends only within itself (e.g.
-            # one collective step funneling through shared uplinks, no
-            # bystanders).  Its allocation depends only on its own paths, so
-            # the shape table memoizes it, and a batch that can replay also
-            # records its replay bookkeeping there.
-            replay_links = (
-                batch_links
-                if not resolved
-                and len(dirty) == len(batch)
-                and len(dirty) >= _SEALED_MIN_FLOWS
-                else None
-            )
-            if intra_shared:
-                rates = self._self_contained_rates(dirty, version, replay_links)
-            else:
-                # Dedicated links: every flow's max-min fair rate is its
-                # plain path bottleneck, no progressive filling needed.
-                rates = solo_bw
-                if replay_links is not None:
-                    self._self_contained_rates(dirty, version, replay_links, solo_bw)
-            self._apply_batch_rates(dirty, rates, now, sealed_links=batch_links)
+        if joined & 2:
+            self._reallocate(dirty, (), now)
             return
-        self._reallocate(dirty, (), now)
-
-    def _apply_batch_rates(
-        self,
-        dirty: List[Flow],
-        rates: Sequence[float],
-        now: float,
-        sealed_links: Optional[Set[LinkKey]] = None,
-    ) -> None:
-        """Assign known rates to a fresh batch and schedule its completions.
-
-        Flows sharing one completion estimate (every transfer of a uniform
-        collective step) ride a single heap entry.  When the caller vouches
-        that the batch is self-contained (``sealed_links`` is its link set)
-        and every member lands on the same estimate, the entry is *sealed*:
-        unless something disturbs it in flight, completion retires the whole
-        batch with per-link bookkeeping (see :meth:`_on_completion_check`).
-        """
-        inf = math.inf
-        sealable = sealed_links is not None and len(dirty) >= _SEALED_MIN_FLOWS
-        batches: Dict[float, List[Tuple[Flow, int]]] = {}
-        for flow, rate in zip(dirty, rates):
-            if rate <= 0.0:
-                sealable = False  # zero-capacity link; run() reports the stall
-                continue
-            flow.rate = rate
-            epoch = flow._epoch + 1
-            flow._epoch = epoch
-            estimate = now if rate == inf else now + flow.remaining_bytes / rate
-            members = batches.get(estimate)
-            if members is None:
-                batches[estimate] = [(flow, epoch)]
-            else:
-                members.append((flow, epoch))
-        heap = self._completion_heap
-        if sealable and len(batches) == 1:
-            ((estimate, members),) = batches.items()
-            heapq.heappush(
-                heap,
-                (
-                    estimate,
-                    members[0][0].flow_id,
-                    -2,
-                    (self._seal_gen, members, sealed_links, None),
-                ),
-            )
-            self._sealed_outstanding += 1
+        total = sum(len(batch.sizes) for batch in batches)
+        keys = (
+            claimed
+            if not resolved and len(dirty) == total and total >= _REPLAY_MIN_FLOWS
+            else None
+        )
+        if joined:
+            rates = self._self_contained_rates(dirty, version, keys)
         else:
-            for estimate, members in batches.items():
-                # ``epoch -1`` marks a batch entry; the unique first-member
-                # flow id keeps tuple comparison away from the payload.
-                heapq.heappush(heap, (estimate, members[0][0].flow_id, -1, members))
-        self._sync_completion_event(now)
+            rates = [min([link.bandwidth for link in flow.path]) for flow in dirty]
+            if keys is not None:
+                self._self_contained_rates(dirty, version, keys, rates)
+        self._apply_rates(dirty, rates, now)
 
     def _self_contained_rates(
         self,
-        dirty: List[Flow],
+        flows: List[Flow],
         version: Optional[int],
-        replay_links: Optional[Set[LinkKey]],
+        keys: Optional[Iterable[int]],
         rates: Optional[List[float]] = None,
     ) -> List[float]:
-        """Allocation of a self-contained batch, memoized in the shape table.
+        """Rates of a start event sharing links with nobody else, memoized.
 
-        Max–min fair rates are a pure function of the batch's ordered paths
-        and the live capacities, so the key is the topology version plus the
-        path identities (capacity changes bump the version, and fault
-        handling clears the table outright).  On a miss the batch is solved
-        directly — no component closure is needed when it shares links with
-        nobody outside itself — and counted like every other re-rate, unless
-        the caller passes the ``rates`` it already knows.  ``replay_links``
-        (the batch's link set, when it can replay) fills the entry's replay
-        bookkeeping the first time the shape is seen replayable.
+        Max–min fair rates are a pure function of the event's routes and the
+        live capacities, so the key is the topology version plus every
+        flow's link ids (fault handling also clears the memo).  A miss is
+        solved directly and counted like any other re-rate, unless the
+        caller passes the ``rates`` it already knows.  ``keys`` (the event's
+        link ids, when it may replay) record the replay fields once.
         """
-        shapes = self._batch_shapes
-        key = (version, tuple([id(flow.path) for flow in dirty]))
+        shapes = self._shapes
+        key = (version, tuple([flow._batch.links[flow._index] for flow in flows]))
         shape = shapes.get(key)
-        if shape is None or not all(
-            anchor is flow.path for anchor, flow in zip(shape.anchors, dirty)
-        ):
+        if shape is None:
             if rates is None:
                 stats = self.stats
                 stats.allocator_invocations += 1
                 stats.rerated_components += 1
-                stats.rerated_flows += len(dirty)
-                computed = max_min_fair_rates(dirty)
-                rates = [computed[flow.flow_id] for flow in dirty]
-            if len(shapes) >= 4096:
+                stats.rerated_flows += len(flows)
+                computed = max_min_fair_rates(flows)
+                rates = [computed[flow.flow_id] for flow in flows]
+            if len(shapes) >= _SHAPES_MAX:
                 shapes.clear()
-            shapes[key] = shape = _BatchShape(
-                tuple(flow.path for flow in dirty), rates
+            shapes[key] = shape = _Shape(rates)
+        if keys is not None and shape.sizes is None:
+            shape.record(
+                tuple([flow._batch.sizes[flow._index] for flow in flows]), keys
             )
-        if replay_links is not None and shape.keys is None:
-            shape.record_replay(dirty, replay_links)
         return shape.rates
 
-    def _try_shape_replay(self, batch: Sequence[Flow], now: float) -> bool:
-        """Start ``batch`` via its memoized shape, skipping per-flow work.
-
-        Hit conditions: same (cached) path objects in the same order (a
-        pending resolver's empty path never matches a recorded shape), same
-        sizes, same topology version, recorded replay bookkeeping, and none
-        of the batch's links currently claimed by anyone.  On a hit the links
-        are claimed with one :class:`_PhantomBatch` marker per key (two
-        C-level bulk dict operations), the memoized rates and the single
-        sealed completion estimate are applied, and the slow path — per-flow
-        registration, classification, solving, estimate grouping — is skipped
-        entirely.  Every float applied here was produced by the slow path for
-        an identical batch, so replays are bit-for-bit identical to it.
-        """
-        topology = self.topology
-        version = topology.version if topology is not None else None
-        shape = self._batch_shapes.get(
-            (version, tuple([id(flow.path) for flow in batch]))
-        )
-        if shape is None:
+    def _replay(
+        self, batches: List[_Batch], now: float, version: Optional[int]
+    ) -> bool:
+        """Start ``batches`` by replaying their memoized drain, if one applies:
+        the same routes started before with the same sizes, none of their
+        links is in use, and the replay is exact (:meth:`_drain_is_stable`).
+        The event claims its links as one :class:`_Unit`, takes the memoized
+        rates, and pushes one completion entry per drain group."""
+        links = tuple(chain.from_iterable(batch.links for batch in batches))
+        shape = self._shapes.get((version, links))
+        users = self._users
+        if (
+            shape is None
+            or shape.groups is None
+            or shape.sizes != tuple(chain.from_iterable(b.sizes for b in batches))
+            or not users.keys().isdisjoint(shape.keys)
+        ):
             return False
-        groups = shape.groups
-        if groups is None:
+        flows = list(chain.from_iterable(batch.flows for batch in batches))
+        if shape.stable is None:
+            shape.stable = self._drain_is_stable(flows, shape)
+        if not shape.stable:
             return False
-        for flow, anchor, size in zip(batch, shape.anchors, shape.sizes):
-            if (
-                flow.path is not anchor
-                or flow.remaining_bytes != size
-                or flow._added_version != version
-            ):
-                return False
-        link_users = self._link_users
-        keys = shape.keys
-        key_set = shape.key_set
-        # ``isdisjoint`` iterates its argument: probe with whichever side is
-        # smaller (the registry is tiny in steady state, the shape at 10k
-        # endpoints claims tens of thousands of keys).
-        if len(link_users) < len(key_set):
-            if not key_set.isdisjoint(link_users):
-                return False
-        elif not link_users.keys().isdisjoint(key_set):
-            return False
-        phantom = _PhantomBatch()
-        link_users.update(zip(keys, itertools.repeat(phantom)))
-        self._link_id_keys.update(shape.id_items)
-        members: List[Tuple[Flow, int]] = []
-        append = members.append
-        # Members stay out of ``_active``: their pending sealed completion
-        # keeps the engine busy (so the stall check can't misfire), nothing
-        # else iterates the set, and ``_materialize_phantom`` adds them back
-        # the moment the batch rejoins the slow path.
-        for flow, rate, latency in zip(batch, shape.rates, shape.latencies):
-            flow._progress_time = now
-            flow.rate = rate
-            flow._path_latency = latency
-            epoch = flow._epoch + 1
-            flow._epoch = epoch
-            append((flow, epoch))
-        phantom.members = members
-        phantom.keys = keys
-        phantom.outstanding = len(groups)
-        self._phantoms.add(phantom)
-        heap = self._completion_heap
-        gen = self._seal_gen
-        for duration, indices in groups:
-            group_members = [members[i] for i in indices]
+        unit = _Unit(shape.keys, batches, len(shape.groups))
+        users.update(zip(shape.keys, repeat(unit)))
+        offset = 0
+        for batch in batches:
+            count = len(batch.sizes)
+            batch.unit = unit
+            batch.rate = shape.rates[offset : offset + count]
+            batch.epoch = [1] * count
+            offset += count
+        for duration, indices in shape.groups:
+            groups: Dict[float, List[_Segment]] = {}
+            for index in indices:
+                _add_to_group(groups, duration, flows[index])
             heapq.heappush(
-                heap,
-                (
-                    now + duration,
-                    group_members[0][0].flow_id,
-                    -2,
-                    (gen, group_members, key_set, phantom),
-                ),
+                self._completion_heap,
+                (now + duration, flows[indices[0]].flow_id, -1, groups[duration]),
             )
-        self._sealed_outstanding += len(groups)
+        self._units.add(unit)
         self._sync_completion_event(now)
         return True
 
-    def _materialize_phantom(self, phantom: _PhantomBatch) -> None:
-        """Swap a phantom batch's link markers for real registrations.
+    def _drain_is_stable(self, flows: List[Flow], shape: _Shape) -> bool:
+        """Whether no group completion of ``shape`` would re-rate a survivor:
+        after each drain group but the last, the survivors' max–min fair
+        rates must equal their memoized ones.  The solves check the memo
+        rather than allocate, so they are not counted."""
+        alive = dict.fromkeys(range(len(flows)))
+        for _duration, indices in sorted(shape.groups)[:-1]:
+            for index in indices:
+                del alive[index]
+            solved = max_min_fair_rates([flows[index] for index in alive])
+            for index in alive:
+                if solved[flows[index].flow_id] != shape.rates[index]:
+                    return False
+        return True
 
-        Called the moment anything needs per-flow membership on one of the
-        phantom's links: a later batch joining one of them, or a fault
-        walking the registry.  After this the batch is indistinguishable
-        from one started on the slow path — its seal stays valid unless the
-        usual disturbance channels (re-rate closure links, generation bumps)
-        invalidate it.
-        """
-        if phantom.retired:
-            return
-        phantom.retired = True
-        self._phantoms.discard(phantom)
-        link_users = self._link_users
-        link_id_keys = self._link_id_keys
-        for key in phantom.keys:
-            # Markers are exclusive (claimed only on unclaimed keys, and any
-            # toucher materializes before registering), so this is ours.
-            del link_users[key]
-        active_add = self._active.add
-        for flow, _epoch in phantom.members:
-            if flow.finish_time is not None:
+    def _apply_rates(
+        self,
+        flows: Sequence[Flow],
+        rates: Sequence[float],
+        now: float,
+        groups: Optional[Dict[float, List[_Segment]]] = None,
+    ) -> None:
+        """Assign known rates to freshly started flows and schedule them:
+        flows sharing one finish estimate ride one heap entry, and a flow of
+        rate 0 none (``run`` reports the stall)."""
+        push = groups is None
+        if push:
+            groups = {}
+        for flow, rate in zip(flows, rates):
+            if rate <= 0.0:
                 continue
-            active_add(flow)
-            for link in flow.path:
-                key = link.key
-                users = link_users.get(key)
-                if users is None:
-                    link_users[key] = flow
-                    link_id_keys[key[2]] = key
-                elif type(users) is set:
-                    users.add(flow)
-                else:
-                    link_users[key] = {users, flow}
+            batch, index = flow._batch, flow._index
+            batch.rate[index] = rate
+            batch.epoch[index] += 1
+            estimate = now if rate == math.inf else now + batch.remaining[index] / rate
+            _add_to_group(groups, estimate, flow)
+        if push:
+            self._push_groups(groups, now)
+
+    def _push_groups(self, groups: Dict[float, List[_Segment]], now: float) -> None:
+        heap = self._completion_heap
+        for estimate, segments in groups.items():
+            # The unique first flow id keeps tuple comparison away from the
+            # payload.
+            heapq.heappush(heap, (estimate, segments[0][1][0].flow_id, -1, segments))
+        self._sync_completion_event(now)
+
+    # ------------------------------------------------------------------ #
+    # Completions
+    # ------------------------------------------------------------------ #
 
     def _on_completion_check(self, engine: SimulationEngine, _payload: object) -> None:
         self._completion_event = None
         now = engine.now
         heap = self._completion_heap
-        pop = heapq.heappop
-        push = heapq.heappush
         inf = math.inf
         finished: List[object] = []
         while heap and heap[0][0] <= now:
-            _estimate, entry_id, epoch, payload = pop(heap)
-            if epoch == -2:
-                # Sealed self-contained batch: if its generation matches, no
-                # re-rate's closure touched its links, and no member was
-                # re-rated, then every user of every
-                # batch link is still a member draining at the sealed rate —
-                # the whole entry completes in bulk (ordered marker below).
-                gen, seal_members, seal_keys, seal_phantom = payload
-                disturbed_links = self._sealed_disturbed
-                # ``seal_keys`` (a set, often tens of thousands of links at
-                # scale) probes the usually-empty disturbance set, not the
-                # other way round — ``isdisjoint`` iterates its argument.
-                ok = gen == self._seal_gen and (
-                    not disturbed_links
-                    or seal_keys.isdisjoint(disturbed_links)
-                )
-                if ok and seal_phantom is not None:
-                    # Materialized in flight: per-flow registrations now back
-                    # the batch, so retire it through the generic path.  An
-                    # *unretired* phantom needs no per-member validation at
-                    # all — every channel that can touch a member's epoch or
-                    # finish time first materializes the phantom.
-                    ok = not seal_phantom.retired
-                elif ok:
-                    for flow, flow_epoch in seal_members:
-                        if flow._epoch != flow_epoch or flow.finish_time is not None:
-                            ok = False
-                            break
-                self._sealed_outstanding -= 1
-                if self._sealed_outstanding == 0 and disturbed_links:
-                    disturbed_links.clear()
-                if seal_phantom is not None:
-                    seal_phantom.outstanding -= 1
-                if ok:
-                    if seal_phantom is None:
-                        # Slow-path seal: exclusive per-flow registrations
-                        # retire with the (single) entry.
-                        finished.append((seal_members, seal_keys))
-                    elif seal_phantom.outstanding == 0:
-                        # Last duration group of the phantom: markers come
-                        # down with it.
-                        seal_phantom.retired = True
-                        self._phantoms.discard(seal_phantom)
-                        finished.append((seal_members, seal_keys))
-                    else:
-                        # Earlier duration group: members complete, but the
-                        # markers stay up for the groups still draining.
-                        finished.append((seal_members, None))
-                    continue
-                # Disturbed: fall back to generic per-flow processing.  Every
-                # disturbance channel materializes phantoms before it can
-                # invalidate a seal; this is insurance for paths that don't.
-                if seal_phantom is not None:
-                    self._materialize_phantom(seal_phantom)
-                members = seal_members
+            _estimate, _entry_id, epoch, payload = heapq.heappop(heap)
+            if epoch >= 0:
+                members: Sequence[Flow] = (payload,)
             else:
-                members = ((payload, epoch),) if epoch >= 0 else payload
-            for flow, flow_epoch in members:
-                if flow.finish_time is not None or flow._epoch != flow_epoch:
+                unit = payload[0][0].unit
+                if unit is not None:
+                    # An undisturbed replayed event: the group retires in
+                    # bulk, its survivors keep their (exact) rates.
+                    unit.outstanding -= 1
+                    finished.append((unit, payload, unit.outstanding == 0))
+                    continue
+                epoch = 1
+                members = []
+                for batch, segment in payload:
+                    if (
+                        segment is batch.flows
+                        and batch.exclusive
+                        and self._drain_batch(batch, now)
+                    ):
+                        finished.append(batch)
+                    else:
+                        members.extend(segment)
+            for flow in members:
+                batch, index = flow._batch, flow._index
+                if batch.finish[index] is not None or batch.epoch[index] != epoch:
                     continue  # stale: completed or the rate changed since
-                # Lazy progress (see _advance_flow) and drain check, inlined.
-                # Besides the byte tolerance, a flow whose residual drain
-                # time is below the clock's float resolution must complete
-                # now: no later event could drain it, and re-checking at the
-                # same instant would spin the engine.  Infinite-rate flows
-                # (unconstrained routes) drain instantly.
-                rate = flow.rate
-                elapsed = now - flow._progress_time
+                # Lazy progress (see _advance) and drain check, inlined.  A
+                # residual drain time below the clock's float resolution also
+                # completes now: re-checking at the same instant would spin
+                # the engine.  Infinite-rate flows drain instantly.
+                rate = batch.rate[index]
+                elapsed = now - batch.progress[index]
                 if elapsed > 0.0:
                     if rate == inf:
-                        flow.remaining_bytes = 0.0
+                        batch.remaining[index] = 0.0
                     elif rate > 0.0:
-                        left = flow.remaining_bytes - rate * elapsed
-                        flow.remaining_bytes = left if left > 0.0 else 0.0
-                    flow._progress_time = now
-                remaining = flow.remaining_bytes
+                        left = batch.remaining[index] - rate * elapsed
+                        batch.remaining[index] = left if left > 0.0 else 0.0
+                    batch.progress[index] = now
+                remaining = batch.remaining[index]
                 if (
                     remaining <= _BYTES_EPSILON
                     or rate == inf
@@ -1564,117 +1194,161 @@ class FlowSimulator(Snapshottable):
                     finished.append(flow)
                 else:
                     # Float roundoff left representable drain time: re-estimate.
-                    push(
-                        heap,
-                        (now + remaining / rate, flow.flow_id, flow_epoch, flow),
+                    heapq.heappush(
+                        heap, (now + remaining / rate, flow.flow_id, epoch, flow)
                     )
-        link_users = self._link_users
-        active = self._active
-        dirty_links: List[LinkKey] = []
-        link_id_keys = self._link_id_keys
+        users = self._users
+        dirty_links: List[int] = []
         for item in finished:
-            if type(item) is tuple:
-                # Sealed batch (or one duration group of a phantom one),
-                # validated at pop: every key's users are exactly the members
-                # or the phantom marker standing in for them, so
-                # registrations retire per link — deferred to the phantom's
-                # last group when ``seal_keys`` is None — and the drain math
-                # is skipped (rates never changed in flight).
-                seal_members, seal_keys = item
-                if seal_keys is not None:
-                    for key in seal_keys:
-                        del link_users[key]
-                        del link_id_keys[key[2]]
-                for flow, _epoch in seal_members:
-                    active.discard(flow)
-                    self._complete_flow(flow, now + flow._path_latency)
+            kind = type(item)
+            if kind is _Batch:
+                self._retire_batch(item, now)
                 continue
-            flow = item
-            active.discard(flow)
-            for link in flow.path:
-                key = link.key
-                users = link_users.get(key)
-                if users is flow:
-                    del link_users[key]
-                    del link_id_keys[key[2]]
-                elif type(users) is set:
-                    users.discard(flow)
-                    if len(users) == 1:
-                        # Collapse back to the lone-survivor representation.
-                        (link_users[key],) = users
-                    # Only links with surviving users can wake anyone up.
-                    dirty_links.append(key)
-            self._complete_flow(flow, now + flow._path_latency)
+            if kind is tuple:
+                unit, segments, last = item
+                members = list(chain.from_iterable(flows for _b, flows in segments))
+                if unit.sealed:
+                    if last:
+                        # Last drain group: the claim comes down with it.
+                        unit.sealed = False
+                        self._units.discard(unit)
+                        for link_id in unit.keys:
+                            del users[link_id]
+                        for batch in unit.batches:
+                            batch.unit = None
+                    for flow in members:
+                        self._complete(flow, now + flow._batch.latencies[flow._index])
+                    continue
+                # Unsealed by a callback since the pop: retire flow by flow.
+            else:
+                members = (item,)
+            for flow in members:
+                batch, index = flow._batch, flow._index
+                for link_id in batch.links[index]:
+                    riders = users.get(link_id)  # _release, inlined: hot loop
+                    if riders is flow:
+                        del users[link_id]
+                    elif type(riders) is set:
+                        riders.discard(flow)
+                        if len(riders) == 1:
+                            (users[link_id],) = riders
+                        dirty_links.append(link_id)
+                self._complete(flow, now + batch.latencies[index])
         self._reallocate((), dirty_links, now)
+
+    @staticmethod
+    def _drain_batch(batch: _Batch, now: float) -> bool:
+        """Drain check of a whole exclusive batch; True if every flow is done.
+
+        The per-flow check of :meth:`_on_completion_check`, once per distinct
+        (size, rate), since every flow ran at its start rate from one
+        instant.  On False the columns advance to ``now``, so the per-flow
+        check that follows sees no elapsed time.
+        """
+        elapsed = now - batch.progress[0]
+        for size, rate in batch.plan[1]:
+            left = size - rate * elapsed if elapsed > 0.0 else size
+            if left > _BYTES_EPSILON and now + left / rate > now:
+                break
+        else:
+            return True
+        if elapsed > 0.0:
+            columns = zip(batch.remaining, batch.rate)
+            batch.remaining = [max(0.0, left - rate * elapsed) for left, rate in columns]
+            batch.progress = [now] * len(batch.remaining)
+        return False
+
+    def _retire_batch(self, batch: _Batch, now: float) -> None:
+        """Complete every flow of a drained exclusive batch in bulk."""
+        flows = batch.flows
+        users = self._users
+        for link_id in batch.routes.flat:
+            del users[link_id]
+        count = len(batch.sizes)
+        batch.finish = [now + latency for latency in batch.latencies]
+        batch.remaining = [0.0] * count
+        batch.rate = [0.0] * count
+        batch.exclusive = False
+        batch.end = max(batch.end, max(batch.finish))
+        batch.outstanding = 0
+        self._retired(batch)
+        if batch.group:
+            batch.callback(batch.end)
+        elif batch.callback is not None:
+            batch.callback(flows[0])
+
+    def _complete(self, flow: Flow, finish_time: float) -> None:
+        batch, index = flow._batch, flow._index
+        batch.exclusive = False
+        batch.finish[index] = finish_time
+        batch.remaining[index] = 0.0
+        batch.rate[index] = 0.0
+        if finish_time > batch.end:
+            batch.end = finish_time
+        batch.outstanding -= 1
+        if batch.outstanding == 0:
+            self._retired(batch)
+        if not batch.group:
+            if batch.callback is not None:
+                batch.callback(flow)
+        elif batch.outstanding == 0:
+            batch.callback(batch.end)
+
+    def _retired(self, batch: _Batch) -> None:
+        """Forget a batch whose every flow finished.  Its handles still read
+        its columns, but it lets go of them: a handle -> batch -> handle
+        cycle would keep each finished step alive until a full collection."""
+        self._running.discard(batch)
+        batch.flows = []
 
     # ------------------------------------------------------------------ #
     # Allocation
     # ------------------------------------------------------------------ #
 
     def _reallocate(
-        self,
-        dirty_flows: Sequence[Flow],
-        dirty_links: Sequence[LinkKey],
-        now: float,
+        self, dirty_flows: Sequence[Flow], dirty_links: Sequence[int], now: float
     ) -> None:
         """Recompute rates for the component(s) touched by a flow change.
 
         ``dirty_flows`` are newly-started flows, ``dirty_links`` the links of
         flows that just completed.  The affected set is the transitive
-        closure of link sharing starting from those seeds; max–min fair
-        allocation decomposes exactly over such components, so every other
-        active flow keeps its rate and completion estimate.  Flows that share
-        no link with anyone (the dominant case on dedicated circuits and
-        fully-provisioned rails) bypass progressive filling entirely: their
-        max–min fair rate is the plain path bottleneck.
+        closure of link sharing from those seeds; every other flow keeps its
+        rate and estimate.  A flow sharing no link runs at its bottleneck.
         """
-        link_users = self._link_users
-        shared: List[Flow] = []
+        users = self._users
+        affected: Set[Flow] = set()
+        seen_links: Set[int] = set(dirty_links)
+        stack: List[int] = list(seen_links)
         for flow in dirty_flows:
+            batch, index = flow._batch, flow._index
             solo_rate = math.inf
-            for link in flow.path:
-                if type(link_users[link.key]) is set:
+            for link in batch.paths[index]:
+                if type(users[link.link_id]) is set:
                     solo_rate = None
                     break
-                bandwidth = link.bandwidth
-                if bandwidth < solo_rate:
-                    solo_rate = bandwidth
-            if solo_rate is None:
-                shared.append(flow)
-            elif solo_rate != flow.rate:
-                self._advance_flow(flow, now)
-                flow.rate = solo_rate
-                flow._epoch += 1
-                self._push_completion(flow, now)
-        affected: Set[Flow] = set()
-        seen_links: Set[LinkKey] = set(dirty_links)
-        stack: List[LinkKey] = list(seen_links)
-        for flow in shared:
-            affected.add(flow)
-            for link in flow.path:
-                key = link.key
-                if key not in seen_links:
-                    seen_links.add(key)
-                    stack.append(key)
-        while stack:
-            key = stack.pop()
-            users = link_users.get(key)
-            if users is None:
+                solo_rate = min(solo_rate, link.bandwidth)
+            if solo_rate is not None:
+                if solo_rate != batch.rate[index]:
+                    self._rerate(flow, solo_rate, now)
                 continue
-            for user in users if type(users) is set else (users,):
-                if user in affected:
+            affected.add(flow)
+            for link_id in batch.links[index]:
+                if link_id not in seen_links:
+                    seen_links.add(link_id)
+                    stack.append(link_id)
+        while stack:
+            riders = users.get(stack.pop())
+            if riders is None:
+                continue
+            for rider in riders if type(riders) is set else (riders,):
+                if rider in affected:
                     continue
-                affected.add(user)
-                for link in user.path:
-                    other = link.key
-                    if other not in seen_links:
-                        seen_links.add(other)
-                        stack.append(other)
+                affected.add(rider)
+                for link_id in rider._batch.links[rider._index]:
+                    if link_id not in seen_links:
+                        seen_links.add(link_id)
+                        stack.append(link_id)
         if affected:
-            if self._sealed_outstanding:
-                # The closure touched these links: any sealed batch riding
-                # one of them can no longer complete in bulk.
-                self._sealed_disturbed.update(seen_links)
             flows = sorted(affected, key=_flow_id_of)
             stats = self.stats
             stats.allocator_invocations += 1
@@ -1688,35 +1362,38 @@ class FlowSimulator(Snapshottable):
                 rates = _max_min_fair_rates_python(flows)
             for flow in flows:
                 new_rate = rates[flow.flow_id]
-                if new_rate != flow.rate:
-                    self._advance_flow(flow, now)
-                    flow.rate = new_rate
-                    flow._epoch += 1
-                    self._push_completion(flow, now)
+                if new_rate != flow._batch.rate[flow._index]:
+                    self._rerate(flow, new_rate, now)
         self._sync_completion_event(now)
 
-    def _advance_flow(self, flow: Flow, now: float) -> None:
-        """Bring ``flow.remaining_bytes`` up to date at ``now`` (lazy progress)."""
-        elapsed = now - flow._progress_time
-        if elapsed > 0.0:
-            if math.isinf(flow.rate):
-                flow.remaining_bytes = 0.0
-            elif flow.rate > 0.0:
-                flow.remaining_bytes = max(
-                    0.0, flow.remaining_bytes - flow.rate * elapsed
-                )
-        flow._progress_time = now
-
-    def _push_completion(self, flow: Flow, now: float) -> None:
-        if flow.rate <= 0.0:
+    def _rerate(self, flow: Flow, rate: float, now: float) -> None:
+        """Give ``flow`` a new rate and queue its new completion estimate."""
+        batch, index = flow._batch, flow._index
+        batch.exclusive = False
+        self._advance(batch, index, now)
+        batch.rate[index] = rate
+        batch.epoch[index] += 1
+        if rate <= 0.0:
             return  # no completion in sight; run() reports the stall
-        if math.isinf(flow.rate):
-            estimate = now
-        else:
-            estimate = now + flow.remaining_bytes / flow.rate
+        estimate = now if math.isinf(rate) else now + batch.remaining[index] / rate
         heapq.heappush(
-            self._completion_heap, (estimate, flow.flow_id, flow._epoch, flow)
+            self._completion_heap,
+            (estimate, batch.first_id + index, batch.epoch[index], flow),
         )
+
+    @staticmethod
+    def _advance(batch: _Batch, index: int, now: float) -> None:
+        """Bring a flow's remaining bytes up to date at ``now`` (lazy progress)."""
+        elapsed = now - batch.progress[index]
+        if elapsed > 0.0:
+            rate = batch.rate[index]
+            if math.isinf(rate):
+                batch.remaining[index] = 0.0
+            elif rate > 0.0:
+                batch.remaining[index] = max(
+                    0.0, batch.remaining[index] - rate * elapsed
+                )
+        batch.progress[index] = now
 
     def _sync_completion_event(self, now: float) -> None:
         """Keep exactly one engine event pointed at the earliest live estimate."""
@@ -1724,70 +1401,49 @@ class FlowSimulator(Snapshottable):
         while heap:
             _estimate, _entry_id, epoch, payload = heap[0]
             if epoch < 0:
-                # Batch entry: treated as live without scanning its members
+                # Group entry: treated as live without scanning its flows
                 # (at worst one spurious, empty completion event fires).
                 break
-            if payload.finish_time is None and payload._epoch == epoch:
+            batch, index = payload._batch, payload._index
+            if batch.finish[index] is None and batch.epoch[index] == epoch:
                 break
             heapq.heappop(heap)
+        event = self._completion_event
         if not heap:
-            if self._completion_event is not None:
-                self._completion_event.cancel()
+            if event is not None:
+                event.cancel()
                 self._completion_event = None
             return
-        target = heap[0][0]
-        if target < now:
-            target = now
-        if (
-            self._completion_event is not None
-            and self._completion_event.time == target
-            and not self._completion_event.cancelled
-        ):
-            return
-        if self._completion_event is not None:
-            self._completion_event.cancel()
+        target = max(heap[0][0], now)
+        if event is not None:
+            if event.time == target and not event.cancelled:
+                return
+            event.cancel()
         self._completion_event = self.engine.schedule(
             target, self._on_completion_check, None
         )
 
-    # ------------------------------------------------------------------ #
-    # Liveness and completion
-    # ------------------------------------------------------------------ #
+    def _check_links_alive(self, batch: _Batch, index: int, now: float) -> None:
+        """Validate (under ``"reroute"``, repair) a starting flow's path.
 
-    def _check_links_alive(self, flow: Flow, now: float) -> None:
-        """Validate (and, under ``"reroute"``, repair) a pending flow's path.
-
-        Skipped entirely when the topology version is unchanged since the
-        flow was admitted (nothing can have been torn down), which makes the
-        check O(1) on static packet fabrics.  When a path link is dead and
-        :attr:`link_failure_policy` is ``"reroute"``, the flow is moved onto
-        a fresh route over the surviving topology before it registers.
-
-        Raises
-        ------
-        LinkFailedError
-            If a path link was *failed* by fault injection (or no surviving
-            route exists under the reroute policy).
-        SimulationError
-            If a path link is no longer installed for any other reason — on
-            circuit fabrics this means a reconfiguration tore the circuit
-            down between routing and flow start, and charging the stale
-            capacity would silently corrupt the allocation.
+        A dead link under the ``"reroute"`` policy moves the flow onto a
+        fresh route.  Otherwise a link *failed* by fault injection raises
+        :class:`~repro.errors.LinkFailedError`, and one gone for any other
+        reason — a circuit torn down between routing and flow start — raises
+        :class:`~repro.errors.SimulationError`: charging its stale capacity
+        would silently corrupt the allocation.
         """
-        if self.topology is None:
-            return
-        if flow._added_version == self.topology.version:
-            return
-        for link in flow.path:
-            if self.topology.has_link(link.link_id) and (
-                self.topology.link(link.link_id) is link
+        topology = self.topology
+        flow = batch.flows[index]
+        for link in batch.paths[index]:
+            if topology.has_link(link.link_id) and (
+                topology.link(link.link_id) is link
             ):
                 continue
             if self.link_failure_policy == "reroute":
-                flow.path = self._reroute_path(flow, link, now)
-                flow._added_version = self.topology.version
+                _set_path(batch, index, self._reroute_path(flow, link, now))
                 return
-            if self.topology.link_failed(link.link_id):
+            if topology.link_failed(link.link_id):
                 raise LinkFailedError(
                     f"flow {flow.flow_id} starting at t={now:g}s is routed "
                     f"over failed link {link.src}->{link.dst} "
@@ -1801,16 +1457,44 @@ class FlowSimulator(Snapshottable):
                 "the circuit was reconfigured away before the flow started"
             )
 
-    def _complete_flow(self, flow: Flow, finish_time: float) -> None:
-        flow.finish_time = finish_time
-        flow.remaining_bytes = 0.0
-        flow.rate = 0.0
-        if flow._on_complete is not None:
-            flow._on_complete(flow)
-        group = flow._group
-        if group is not None:
-            if finish_time > group.end:
-                group.end = finish_time
-            group.outstanding -= 1
-            if group.outstanding == 0:
-                group.callback(group.end)
+
+#: The flows of one batch inside a completion-heap group entry; the batch's
+#: own ``flows`` list when the whole batch is in it.
+_Segment = Tuple[_Batch, List[Flow]]
+
+
+def _add_to_group(
+    groups: Dict[float, List[_Segment]], estimate: float, flow: Flow
+) -> None:
+    """Append ``flow`` to the completion group of ``estimate``."""
+    segments = groups.get(estimate)
+    batch = flow._batch
+    if segments is None:
+        groups[estimate] = [(batch, [flow])]
+    elif segments[-1][0] is batch and segments[-1][1] is not batch.flows:
+        segments[-1][1].append(flow)
+    else:
+        segments.append((batch, [flow]))
+
+
+def _set_path(batch: _Batch, index: int, path: Tuple[Link, ...]) -> None:
+    """Give one flow a new path, copying shared route columns first."""
+    if type(batch.paths) is not list:
+        batch.paths = list(batch.paths)
+        batch.links = list(batch.links)
+        batch.latencies = list(batch.latencies)
+    batch.paths[index] = path
+    batch.links[index] = tuple([link.link_id for link in path])
+    batch.latencies[index] = sum(link.latency for link in path)
+
+
+def _link_key(riders: object, link_id: int) -> LinkKey:
+    """The full key of link ``link_id``, read off the path of one of its riders."""
+    if type(riders) is _Unit:
+        paths: Iterable[Tuple[Link, ...]] = chain.from_iterable(
+            batch.paths for batch in riders.batches
+        )
+    else:
+        flows = riders if type(riders) is set else (riders,)
+        paths = (flow.path for flow in flows)
+    return next(link.key for path in paths for link in path if link.link_id == link_id)

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..errors import SimulationError, TopologyError
 from ..topology.base import Link, gpu_node_name
+from .flows import Routes, StepItems
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..collectives.schedule import Schedule, Transfer
@@ -76,13 +77,14 @@ def _name_mix(src: str, dst: str) -> int:
 class _PolicyResolver:
     """Deferred per-flow route choice under a routing policy.
 
-    The picklable sibling of :class:`~repro.simulator.flow_network._RouteResolver`:
-    adaptive flows (and any policy-routed flow under an active fault plan)
-    resolve their path at the flow's start instant, against the live
-    topology and — for adaptive — the live link occupancy.  ``salt`` and
-    ``way`` replay the same deterministic choice a concrete item would have
-    embedded, so switching to deferred resolution changes *when* the route
-    is read, never *which* route a given policy picks from a given state.
+    Adaptive flows resolve their path at the flow's start instant, against
+    the live topology and link occupancy.  Under an active fault plan the
+    other policies defer too, but a whole step at a time
+    (:class:`_PolicyStepRoutes`, built from these resolvers' coordinates).
+    ``salt`` and ``way`` replay the same deterministic choice a concrete
+    item would have embedded, so switching to deferred resolution changes
+    *when* the route is read, never *which* route a given policy picks from
+    a given state.
     """
 
     __slots__ = ("router", "src", "dst", "salt", "way")
@@ -106,15 +108,39 @@ class _PolicyResolver:
         self.router, self.src, self.dst, self.salt, self.way = state
 
 
+class _PolicyStepRoutes:
+    """Deferred routes of one policy-routed step, resolved at its start.
+
+    Only for policies whose choice is a pure function of the flow's
+    ``(src, dst, salt, way)`` coordinates and the topology version — ECMP
+    and spray; adaptive flows read the live occupancy and stay per-flow
+    :class:`_PolicyResolver` s.
+    """
+
+    __slots__ = ("router", "choices")
+
+    def __init__(
+        self, router: "PolicyRouter", choices: Tuple[Tuple[int, int, int, int], ...]
+    ) -> None:
+        self.router = router
+        self.choices = choices
+
+    def __call__(self) -> Routes:
+        return self.router.step_routes(self.choices)
+
+    def __getstate__(self):
+        return (self.router, self.choices)
+
+    def __setstate__(self, state):
+        self.router, self.choices = state
+
+
 class PolicyRouter:
     """Chooses concrete flow paths for one network model under a policy.
 
     Owns the per-pair equal-cost path sets (version-keyed, flushed whenever
-    the topology changes) and turns a schedule's transfers into the
-    ``(path_or_resolver, size)`` item lists the flow simulator injects.  The
-    path tuples are shared across flows, steps, and iterations, so the
-    simulator's identity-anchored rate memos keep hitting exactly as they do
-    under single-path routing.
+    the topology changes) and turns a schedule's transfers into the step
+    items the flow simulator injects.
     """
 
     def __init__(
@@ -137,6 +163,8 @@ class PolicyRouter:
         self._rank_sets: Dict[Tuple[int, int], Tuple[Tuple[Link, ...], ...]] = {}
         #: (src_node, dst_node) -> same, for name-addressed fault reroutes.
         self._node_sets: Dict[Tuple[str, str], Tuple[Tuple[Link, ...], ...]] = {}
+        #: Resolved routes per deferred step's flow coordinates.
+        self._step_routes: Dict[Tuple[Tuple[int, int, int, int], ...], Routes] = {}
         self._sets_version = model.topology.version
 
     # ------------------------------------------------------------------ #
@@ -148,6 +176,7 @@ class PolicyRouter:
         if version != self._sets_version:
             self._rank_sets.clear()
             self._node_sets.clear()
+            self._step_routes.clear()
             self._sets_version = version
 
     def _node_set(self, src: str, dst: str) -> Tuple[Tuple[Link, ...], ...]:
@@ -227,8 +256,8 @@ class PolicyRouter:
         """The path minimizing (worst link occupancy, total occupancy, index).
 
         Occupancy is the live active-flow count per link from the simulator's
-        user registry — maintained on every code path and identical between
-        solved and replayed batches, so the choice is deterministic.
+        user registry — maintained on every code path, so the choice is
+        deterministic.
         """
         occupancy = self.model.simulator.link_occupancy
         best_path = paths[0]
@@ -251,23 +280,49 @@ class PolicyRouter:
     # Item expansion
     # ------------------------------------------------------------------ #
 
-    def step_items_for(
-        self, steps: "Schedule", deferred: bool
-    ) -> List[List[Tuple[object, float]]]:
-        """Per-step ``(path_or_resolver, size)`` item lists for a schedule.
+    def step_routes(self, choices: Tuple[Tuple[int, int, int, int], ...]) -> Routes:
+        """Routes of one deferred step, memoized per content and version."""
+        self._check_version()
+        routes = self._step_routes.get(choices)
+        if routes is None:
+            resolve = self.resolve
+            routes = Routes(
+                [resolve(*choice) for choice in choices],
+                self.model.topology.version,
+            )
+            if len(self._step_routes) >= 4096:
+                self._step_routes.clear()
+            self._step_routes[choices] = routes
+        return routes
 
-        ``deferred`` (an active fault plan) switches concrete routes to
-        resolvers so every flow re-reads the live topology at its start
-        instant — same contract as single-path routing under faults.
+    def step_items_for(self, steps: "Schedule", deferred: bool) -> List[object]:
+        """Per-step items for a schedule.
+
+        Adaptive steps are ``(resolver, size)`` lists: each flow reads the
+        live occupancy at its own start.  Otherwise each step is one
+        :class:`~repro.simulator.flows.StepItems`, with concrete routes, or
+        — when ``deferred`` (an active fault plan) — routes resolved at the
+        step's start instant against the live topology, the same contract
+        as single-path routing under faults.
         """
-        items: List[List[Tuple[object, float]]] = []
+        items: List[object] = []
+        version = self.model.topology.version
         for step_index, step in enumerate(steps):
             row: List[Tuple[object, float]] = []
             for position, transfer in enumerate(step.transfers):
                 row.extend(
                     self.transfer_items(transfer, step_index, position, deferred)
                 )
-            items.append(row)
+            sizes = [size for _item, size in row]
+            if self.policy == "adaptive":
+                items.append(row)
+            elif deferred:
+                choices = tuple(
+                    (item.src, item.dst, item.salt, item.way) for item, _size in row
+                )
+                items.append(StepItems(_PolicyStepRoutes(self, choices), sizes))
+            else:
+                items.append(StepItems(Routes([path for path, _ in row], version), sizes))
         return items
 
     def transfer_items(

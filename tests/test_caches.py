@@ -104,6 +104,48 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
 # --------------------------------------------------------------------------- #
 
 
+def test_deferred_step_routes_resolve_once_per_step_content_and_version(
+    tiny_cluster,
+):
+    """A deferred step resolves its routes at its start, once per distinct
+    (src, dst) content and topology version — not once per flow."""
+    fabric = build_photonic_rail_fabric(tiny_cluster)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
+    model = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
+    model.deferred_routes = True
+    rail = fabric.rail(0)
+    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    op = CollectiveOp(
+        collective=CollectiveType.ALL_REDUCE,
+        group=(0, 4),
+        size_bytes=1e6,
+        parallelism="dp",
+    )
+    items = model.step_items(expand(op))
+    assert len(items) > 1
+    lookups = []
+    path_between = model.path_between
+
+    def counted(src, dst):
+        lookups.append((src, dst))
+        return path_between(src, dst)
+
+    model.path_between = counted
+    routes = [step.routes() for step in items]
+    # Every ring step carries the same (src, dst) pairs: one bundle, one
+    # lookup per distinct pair.
+    assert all(bundle is routes[0] for bundle in routes)
+    assert sorted(lookups) == sorted(set(lookups))
+    assert routes[0].version == fabric.topology.version
+
+    fabric.clear_rail(0)
+    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    fresh = items[0].routes()
+    assert fresh is not routes[0]
+    assert fresh.version == fabric.topology.version
+    assert all(fabric.topology.has_link(link_id) for link_id in fresh.flat)
+
+
 def _collective(collective, group, size, tag=""):
     return CollectiveOp(
         collective=collective,
@@ -270,7 +312,7 @@ def test_add_flows_interacts_with_later_external_arrivals():
 
 
 def test_repeated_identical_batches_replay_the_same_rates():
-    # The self-contained batch memo (the shape table) must replay, not
+    # The self-contained batch memo (the shape memo) must serve, not
     # corrupt, repeated injections of the same (cached) routes — the
     # per-step pattern of a collective.
     sim = FlowSimulator()
@@ -373,14 +415,13 @@ def test_fault_events_invalidate_route_tables_and_group_parameters(tiny_cluster)
     assert flow_model.path_between(0, 4) is not path
 
 
-def test_path_meta_and_isolated_memo_invalidate_on_link_change():
+def test_shape_memo_and_bottlenecks_follow_a_link_change():
     """Re-injecting a cached item list after a degrade uses the new capacity.
 
-    Both per-path static bottlenecks (the solo fast path) and the
-    self-contained batch allocations of the shape table key on path
-    identity, so a capacity change must explicitly drop them — otherwise the
-    same path objects would replay rates computed against the healthy
-    fabric.
+    The shape memo keys self-contained batch allocations on the routes'
+    link ids, and a batch's bottlenecks are read when it starts, so a
+    capacity change must reach both — otherwise the same routes would reuse
+    rates computed against the healthy fabric.
     """
     from repro.topology.base import NodeKind, Topology
 

@@ -226,6 +226,29 @@ def test_negative_flow_size_is_rejected():
         sim.add_flow([make_link()], size_bytes=-1.0)
 
 
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), -1.0])
+def test_unusable_sizes_are_rejected_before_any_state_changes(size):
+    # A NaN size would hang run() (its completion check re-firing at one
+    # instant forever) and an infinite one "complete" at t=inf.  Both entry
+    # points must raise before touching any state: no start event, no flow
+    # id spent.
+    sim = FlowSimulator()
+    with pytest.raises(SimulationError, match="finite"):
+        sim.add_flow((make_link(),), size)
+    with pytest.raises(SimulationError, match="finite"):
+        sim.add_flows(
+            [((make_link(),), 100.0), ((make_link(link_id=1),), size)],
+            start_time=0.0,
+            on_complete=lambda end: None,
+        )
+    assert sim.engine.pending == 0  # no start event was scheduled
+    assert sim.active_flows == []
+    flow = sim.add_flow((make_link(),), 100.0)
+    assert flow.flow_id == 0  # no id was burned
+    sim.run()
+    assert flow.finish_time == pytest.approx(1.0)
+
+
 def test_foreign_same_instant_events_do_not_defer_reallocation():
     # The simulator may share its engine with other event sources; an
     # unrelated event at a flow's arrival instant must not be mistaken for a
@@ -242,7 +265,7 @@ def test_foreign_same_instant_events_do_not_defer_reallocation():
 
 
 # --------------------------------------------------------------------------- #
-# Allocator counters and sealed batches
+# Allocator counters, the shape memo and replayed (sealed) drains
 # --------------------------------------------------------------------------- #
 
 
@@ -287,7 +310,7 @@ def test_self_contained_batch_solve_counts_as_one_rerate():
 
 
 def _uniform_batch(sim, link_count=2, flows_per_link=40):
-    """A self-contained batch large enough to take the sealed fast path."""
+    """A self-contained batch large enough for the shape memo to replay."""
     links = [
         make_link(bandwidth=100.0, link_id=i, src=f"s{i}", dst=f"d{i}")
         for i in range(link_count)
@@ -302,27 +325,46 @@ def _uniform_batch(sim, link_count=2, flows_per_link=40):
 
 
 def test_sealed_batch_completes_in_bulk_and_replays_identically():
-    # Two identical injections of the same batch shape: the second run
-    # replays the memoized allocation (phantom markers) yet must finish at
-    # exactly the same per-flow times as the first.
+    # Two identical injections of the same batch shape: the second replays
+    # the memoized drain (its links held as one sealed claim) yet must finish
+    # at exactly the same per-flow times as the first, and both must leave
+    # no active flow and no link occupied behind.
     sim = FlowSimulator()
-    _links, first = _uniform_batch(sim)
+    links, first = _uniform_batch(sim)
     sim.run()
     first_times = sorted(flow.finish_time for flow in first)
-    assert sim._sealed_outstanding == 0
-    assert not sim._phantoms
-    assert not sim._link_users
+    assert sim.active_flows == []
+    assert all(sim.link_occupancy(link.key) == 0 for link in links)
 
     again = FlowSimulator()
     _links, warmup = _uniform_batch(again)
     again.run()
     offset = again.engine.now
-    _links, replayed = _uniform_batch_at(again, offset)
+    links, replayed = _uniform_batch_at(again, offset)
     again.run()
     assert sorted(
         flow.finish_time - offset for flow in replayed
     ) == pytest.approx(first_times)
-    assert not again._phantoms  # replay retired its markers
+    assert again.active_flows == []
+    assert all(again.link_occupancy(link.key) == 0 for link in links)
+
+
+def test_replayed_drain_re_rates_survivors_like_the_first_run():
+    # 31 short flows and one long flow share a link.  When the short ones
+    # finish, the long flow speeds up to the whole link; an identical later
+    # batch must drain exactly like the first instead of keeping the long
+    # flow at its shared start rate (41 s, not 320 s).
+    link = make_link(bandwidth=100.0)
+    items = [((link,), 100.0)] * 31 + [((link,), 1000.0)]
+    sim = FlowSimulator()
+    ends = []
+    sim.add_flows(items, start_time=0.0, on_complete=ends.append)
+    sim.run()
+    again = sim.engine.now
+    sim.add_flows(items, start_time=again, on_complete=ends.append)
+    sim.run()
+    assert ends[0] == pytest.approx(41.0)
+    assert ends[1] - again == pytest.approx(41.0)
 
 
 def _uniform_batch_at(sim, start_time, link_count=2, flows_per_link=40):
@@ -340,8 +382,9 @@ def _uniform_batch_at(sim, start_time, link_count=2, flows_per_link=40):
 
 
 def test_disturbed_sealed_batch_falls_back_to_exact_processing():
-    # A straggler joining one of the sealed batch's links mid-flight forces
-    # the seal to fall back: everyone still finishes at the exact times.
+    # A straggler joining the batch's link mid-flight re-rates the whole
+    # component (and would unseal a replayed drain): everyone still finishes
+    # at the exact times.
     sim = FlowSimulator()
     links, batch = _uniform_batch(sim, link_count=1, flows_per_link=40)
     straggler = sim.add_flow((links[0],), 100.0, start_time=100.0)

@@ -19,6 +19,9 @@ routed over it, then asserts invariants that must hold for *any* such input:
 * **solver independence** — a whole simulation gives bit-identical finish
   times whether shared components go through the numpy or the pure-Python
   water-filling.
+* **engine vs naive reference** — every batch completes when a naive
+  simulator says it does: one that re-solves all active flows globally at
+  every arrival and completion, with no memo and no component locality.
 
 Everything is seeded (25 cases per invariant in tier-1) so the suite is
 deterministic — no flakes, no hypothesis dependency.
@@ -30,6 +33,7 @@ import random
 import pytest
 
 from repro.simulator.flows import (
+    Flow,
     FlowSimulator,
     _max_min_fair_rates_numpy,
     _max_min_fair_rates_python,
@@ -181,8 +185,6 @@ def test_degrading_links_never_decreases_the_makespan(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_allocators_agree_on_faulted_and_degraded_link_sets(seed):
-    from repro.simulator.flows import Flow
-
     rng = random.Random(seed)
     topology, names = _random_topology(rng)
     transfers = _random_transfers(rng, topology, names)
@@ -227,6 +229,115 @@ def test_parallel_water_filling_is_bit_identical_to_serial(seed, monkeypatch):
     monkeypatch.setattr(flows_module, "_VECTORIZE_MIN_FLOWS", 10**9)
     serial = _run_flow(transfers)
     assert parallel == serial  # bitwise, not approx
+
+
+# --------------------------------------------------------------------------- #
+# The engine against a naive reference simulator
+# --------------------------------------------------------------------------- #
+
+
+def _naive_batch_ends(batches, degrade):
+    """Each batch's completion time, by global re-solving at every event.
+
+    ``batches`` are ``(start, [(path, size), ...])``; ``degrade`` is
+    ``(time, topology, link, fraction)``.  At every arrival, completion and
+    the degrade instant all active flows are re-rated together by the
+    pure-Python progressive filling and advanced in lockstep: no shape memo,
+    no component locality, no lazy progress, no batch-level anything.
+    """
+    ends = [0.0] * len(batches)
+    order = sorted(range(len(batches)), key=lambda index: batches[index][0])
+    active = []  # [flow, remaining bytes, batch index]
+    now, next_id = 0.0, 0
+    while order or active or degrade:
+        rates = _max_min_fair_rates_python([entry[0] for entry in active])
+        times = [now + entry[1] / rates[entry[0].flow_id] for entry in active]
+        if order:
+            times.append(batches[order[0]][0])
+        if degrade:
+            times.append(degrade[0])
+        at = min(times)
+        for entry in active:
+            entry[1] -= rates[entry[0].flow_id] * (at - now)
+        now = at
+        for entry in [entry for entry in active if entry[1] <= 1e-6]:
+            active.remove(entry)
+            ends[entry[2]] = max(ends[entry[2]], now + entry[0].latency)
+        if degrade and degrade[0] == now:
+            _time, topology, link, fraction = degrade
+            topology.degrade_link(link.link_id, fraction)
+            degrade = None
+        while order and batches[order[0]][0] == now:
+            index = order.pop(0)
+            for path, size in batches[index][1]:
+                flow = Flow(flow_id=next_id, path=path, size_bytes=size, start_time=now)
+                next_id += 1
+                if size == 0.0 or not path:
+                    ends[index] = max(ends[index], now + flow.latency)
+                else:
+                    active.append([flow, size, index])
+    return ends
+
+
+def _random_batches(rng, topology, names):
+    """Random batches: tied and distinct starts, shared links, degenerate
+    members, and one large batch injected twice, so the shape memo replays
+    it when its drain allows; a straggler joins a one-group replay."""
+    starts = [0.0, 0.0, 0.5, 1.25, 3.0]
+    batches = []
+    for _ in range(rng.randint(3, 7)):
+        items = []
+        for path, size in _random_transfers(rng, topology, names):
+            roll = rng.random()
+            if roll < 0.1:
+                size = 0.0
+            elif roll < 0.2:
+                path = ()
+            items.append((path, size))
+        batches.append((rng.choice(starts), items))
+    pool = _random_transfers(rng, topology, names)
+    if rng.random() < 0.5:
+        big = [pool[0]] * 36  # one drain group: a replay is exact
+        batches.append((1e7 + 1.0, [big[0]]))
+    else:
+        big = [rng.choice(pool) for _ in range(36)]
+    batches.append((2e6, big))
+    batches.append((1e7, big))
+    return batches
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_engine_matches_the_naive_reference_simulator(seed):
+    ends = []
+    for engine in (True, False):
+        rng = random.Random(seed)
+        topology, names = _random_topology(rng)
+        batches = _random_batches(rng, topology, names)
+        link = rng.choice(list(topology.links()))
+        when, fraction = rng.uniform(0.1, 50.0), rng.choice([0.25, 0.5, 0.9])
+        if not engine:
+            ends.append(_naive_batch_ends(batches, (when, topology, link, fraction)))
+            continue
+        sim = FlowSimulator(topology=topology)
+        done = [None] * len(batches)
+
+        def admit(_engine, index):
+            start, items = batches[index]
+            sim.add_flows(items, start, lambda end: done.__setitem__(index, end))
+
+        def degrade(_engine, _payload):
+            topology.degrade_link(link.link_id, fraction)
+            sim.apply_link_change([link.key])
+
+        for index, (start, _items) in enumerate(batches):
+            # The large batches are admitted after the degrade, the way a
+            # collective's next step is, so their routes are current.
+            sim.engine.schedule(0.0 if start < 1e6 else start - 1.0, admit, index)
+        sim.engine.schedule(when, degrade)
+        sim.run()
+        ends.append(done)
+    engine_ends, naive_ends = ends
+    assert engine_ends == pytest.approx(naive_ends, rel=1e-9)
 
 
 # --------------------------------------------------------------------------- #

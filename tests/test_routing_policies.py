@@ -13,8 +13,8 @@ plane:
 * fault reroutes stay under the run's policy (the simulator's route hook is
   the router, not the raw shortest path), and a policy-routed run survives
   the NIC-attachment failure of the degraded-fabric family;
-* the sealed-replay fast lane never serves a stale rate after a capacity
-  change, including for recurring policy-routed batches.
+* a replayed (sealed) drain of a recurring batch never serves a stale rate
+  after a capacity change.
 """
 
 import math
@@ -224,7 +224,7 @@ def test_policy_routed_run_survives_nic_attachment_failure(policy):
 
 
 # --------------------------------------------------------------------------- #
-# Sealed-replay staleness
+# Drain-replay staleness
 # --------------------------------------------------------------------------- #
 
 
@@ -232,10 +232,10 @@ def test_sealed_replay_never_serves_a_stale_rate_after_degradation():
     """Recurring batches must re-rate after a capacity change, not replay.
 
     Three identical 32-flow batches on one bottleneck link: the second batch
-    replays the first's memoized shape bit-for-bit; between the second and
-    third the link is degraded to half capacity, so the third batch must take
-    exactly twice as long — a replayed (stale) rate would finish it at the
-    healthy speed.
+    replays the first's memoized drain bit-for-bit as one sealed claim;
+    between the second and third the link is degraded to half capacity, so
+    the third batch must take exactly twice as long — a replayed (stale)
+    rate would finish it at the healthy speed.
     """
     topology = Topology(name="bottleneck")
     topology.add_node("a", NodeKind.GPU)
@@ -255,7 +255,7 @@ def test_sealed_replay_never_serves_a_stale_rate_after_degradation():
     sim.run(until=2000.0)
     first_duration = max(f.finish_time for f in first)
     assert first_duration == pytest.approx(320.0)
-    # The second batch is a sealed replay of the first: bit-identical drain.
+    # The second batch replays the first's drain: bit-identical finishes.
     assert [f.finish_time - 1000.0 for f in second] == [
         f.finish_time for f in first
     ]
