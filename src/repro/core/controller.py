@@ -331,8 +331,7 @@ class OpusController:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         # Configuration-identity memo: re-key on the anchored configuration
-        # objects, whose identity pickle/deepcopy preserve while their id()
-        # changes (see FlowSimulator.__setstate__ for the full rationale).
+        # objects.  Pickle and deepcopy keep object identity but change id().
         self._ensure_cache = {
             (rail, id(cached[0])): cached
             for (rail, _), cached in self._ensure_cache.items()
@@ -381,7 +380,6 @@ class OpusController:
         """
         state = self.rail_state(rail)
         self.scheduler.submit(request)
-        self.scheduler.next_request()
 
         cache_key = (rail, id(target))
         cached = self._ensure_cache.get(cache_key)

@@ -12,17 +12,17 @@ policy must guarantee is:
 * no control divergence across rails for collectives spanning multiple rails
   (all rails of one request are handled as a unit).
 
-This module provides the request bookkeeping: an ordered queue with
-per-group-domain FIFO validation.  The actual time arithmetic lives in
-:class:`~repro.core.controller.OpusController`, which consumes requests in the
-order this scheduler releases them.
+This module provides the request bookkeeping: per-group-domain FIFO
+validation of each admitted request.  The actual time arithmetic lives in
+:class:`~repro.core.controller.OpusController`, which admits every request
+here before serving it, in the order the executor issues them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..errors import SchedulingError
 
@@ -70,9 +70,7 @@ class FCFSScheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: List[ReconfigurationRequest] = []
         self._last_issue_per_group: Dict[FrozenSet[int], float] = {}
-        self._served: List[ReconfigurationRequest] = []
 
     def submit(self, request: ReconfigurationRequest) -> None:
         """Admit one request, enforcing per-group FIFO order."""
@@ -84,38 +82,7 @@ class FCFSScheduler:
                 f"admitted request at {last:.6f} (FC-FS violation)"
             )
         self._last_issue_per_group[request.group_key] = request.issue_time
-        self._queue.append(request)
-
-    def next_request(self) -> Optional[ReconfigurationRequest]:
-        """Pop the oldest pending request (by issue time, then id)."""
-        if not self._queue:
-            return None
-        self._queue.sort(key=lambda r: (r.issue_time, r.request_id))
-        request = self._queue.pop(0)
-        self._served.append(request)
-        return request
-
-    def drain(self) -> List[ReconfigurationRequest]:
-        """Pop every pending request in FC-FS order."""
-        drained: List[ReconfigurationRequest] = []
-        while True:
-            request = self.next_request()
-            if request is None:
-                return drained
-            drained.append(request)
-
-    @property
-    def pending(self) -> int:
-        """Number of requests waiting to be served."""
-        return len(self._queue)
-
-    @property
-    def served(self) -> Tuple[ReconfigurationRequest, ...]:
-        """Requests served so far, in service order."""
-        return tuple(self._served)
 
     def reset(self) -> None:
         """Clear all scheduler state (new job)."""
-        self._queue.clear()
         self._last_issue_per_group.clear()
-        self._served.clear()

@@ -19,19 +19,17 @@ ordering — faithful to how collectives are issued per CUDA stream in the real
 system.  Communication order per communication group follows issue order,
 which is the FIFO the paper's FC-FS control-plane policy relies on.
 
-The executor supports two kinds of network models:
-
-* **analytic** models answer ``timing()`` synchronously with a closed-form
-  alpha–beta estimate, so an operation's end is known the moment it is
-  scheduled;
-* **flow-level** models (:class:`~repro.simulator.flow_network.FlowNetworkModel`,
-  ``flow_mode = True``) expand scale-out collectives into point-to-point
-  transfers inside a shared max–min fair flow simulator, so a collective's
-  end depends on which other collectives are concurrently on the wire.  For
-  these the executor interleaves its scheduling decisions with network
-  events: a collective stays "in flight" (its ranks' NICs locked) until the
-  simulator reaches its completion, and no operation is committed at a start
-  time that network events could still precede.
+One loop serves every network model.  Analytic models answer ``timing()``
+synchronously with a closed-form alpha–beta estimate, so an operation's end
+is known the moment it is scheduled.  Flow-level models
+(:class:`~repro.simulator.flow_network.FlowNetworkModel`) expand scale-out
+collectives into point-to-point transfers inside a shared max–min fair flow
+simulator, so a collective's end depends on which other collectives are
+concurrently on the wire: it stays "in flight" (its ranks' NICs locked) until
+the simulator reaches its completion, and no operation is committed at a
+start time that network events could still precede.  An analytic model
+expands nothing and has no events, so for it the loop reduces to plain list
+scheduling.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ class SimulationConfig:
 
 @dataclass
 class _ScheduleState:
-    """Mutable bookkeeping shared by the two scheduling loops."""
+    """Mutable bookkeeping of one iteration's scheduling loop."""
 
     remaining_deps: Dict[int, int]
     dep_end: Dict[int, float]
@@ -91,7 +89,7 @@ class _ScheduleState:
     scaleup_free: Dict[int, float]
     ready: Set[int]
     start_time: float
-    #: Ops added to ``ready`` since a scheduling loop last drained this list;
+    #: Ops added to ``ready`` since the scheduling loop last drained this list;
     #: lets its priority queue ingest newcomers without rescanning ``ready``.
     newly_ready: List[int] = field(default_factory=list)
 
@@ -151,18 +149,14 @@ class DAGExecutor:
                 state.successors[dep].append(op.op_id)
         total = len(operations)
 
-        if getattr(self.network, "flow_mode", False):
-            completed = self._schedule_flow(state, trace)
-        else:
-            completed = self._schedule_analytic(state, trace)
-
+        completed = self._schedule(state, trace)
         if completed != total:
             raise DeadlockError(
                 f"executor finished only {completed}/{total} operations; "
                 "the DAG has unreachable operations"
             )
         self.network.on_iteration_end(iteration, trace.end)
-        injector = getattr(self.network, "fault_injector", None)
+        injector = self.network.fault_injector
         if injector is not None:
             if injector.inline:
                 # Analytic models advance the injector as collectives are
@@ -172,54 +166,21 @@ class DAGExecutor:
             trace.fault_records.extend(injector.pop_records())
         return trace
 
-    def _schedule_analytic(self, state: "_ScheduleState", trace: IterationTrace) -> int:
-        """List scheduling against an analytic network model (synchronous ends).
+    def _schedule(self, state: "_ScheduleState", trace: IterationTrace) -> int:
+        """List scheduling interleaved with the network model's events.
 
         Commits the ready operation with the earliest feasible start, ties
-        broken by op id (issue order), popped from the same lazy
-        ``(candidate, op_id)`` queue as :meth:`_schedule_flow`; the comment
-        on its heap states the invariant that keeps the pick exact.
-        """
-        completed = 0
-        heap: List[Tuple[float, int]] = []
-        newcomers = state.newly_ready
-        newcomers.extend(state.ready)
-        while True:
-            for op_id in newcomers:
-                candidate = self._earliest_start(self.dag.operation(op_id), state)
-                heapq.heappush(heap, (candidate, op_id))
-            newcomers.clear()
-            if not heap:
-                break
-            candidate, op_id = heapq.heappop(heap)
-            operation = self.dag.operation(op_id)
-            current = self._earliest_start(operation, state)
-            if current > candidate:
-                heapq.heappush(heap, (current, op_id))
-                continue
-            state.ready.discard(op_id)
-            if operation.kind == OpKind.COMPUTE:
-                end = self._execute_compute(operation, candidate, state.gpu_free, trace)
-            else:
-                end = self._execute_comm(operation, candidate, state, trace)
-            state.finish(op_id, end)
-            completed += 1
-        return completed
-
-    def _schedule_flow(self, state: "_ScheduleState", trace: IterationTrace) -> int:
-        """Event-interleaved list scheduling against a flow-level network model.
-
-        Scale-out collectives the model can expand are injected into the
-        shared flow simulator at their start time; their completion is only
-        known once the simulator has advanced past it, because transfers
-        injected later (but starting earlier than the tentative completion)
-        reshape the max–min fair allocation.  The loop therefore interleaves
+        broken by op id (issue order).  Scale-out collectives the model can
+        expand are injected into the shared flow simulator at their start
+        time; their completion is only known once the simulator has advanced
+        past it, because transfers injected later (but starting earlier than
+        the tentative completion) reshape the max–min fair allocation.  The loop therefore interleaves
         scheduling decisions with network events: before committing the
         earliest-start ready operation, every network event at or before that
         start is processed, so any collective completion that would unlock an
         earlier (or tie-breaking lower-id) operation is observed first.
         Compute operations and analytically-priced collectives finalize
-        immediately, exactly as in the analytic loop.
+        immediately.
 
         Circuit-switched models additionally gate each launch: ``begin_comm``
         may schedule the collective's first flows at a later time than
@@ -230,6 +191,7 @@ class DAGExecutor:
         measures.
         """
         network = self.network
+        dag = self.dag
         completed = 0
         ready = state.ready
         #: op_id -> (operation, start); completion pending in the simulator.
@@ -243,71 +205,57 @@ class DAGExecutor:
         # times only move forward), so a stored candidate is a lower bound:
         # pop the minimum, recompute, and re-push if it moved.  A pop whose
         # value is still accurate is the true (candidate, op_id) minimum —
-        # every other stored entry is a lower bound at or above it.  This
-        # replaces the O(|ready|) rescan per commit without changing which
-        # operation is selected, so traces stay bit-identical.
+        # every other stored entry is a lower bound at or above it.  Every
+        # ready op has exactly one entry across ``heap`` and ``parked``: it
+        # enters ``newly_ready`` once, when its last dependency finishes, and
+        # is re-pushed only after being popped, so every popped op is ready.
         heap: List[Tuple[float, int]] = []
-        queued: Set[int] = set()
         #: Scale-out ops popped while their NIC was locked; re-queued once
         #: ``finalize`` releases locks (the only place locks clear).
         parked: List[Tuple[float, int]] = []
-
-        def refill() -> None:
-            newcomers = state.newly_ready
-            if not newcomers:
-                return
-            for op_id in newcomers:
-                if op_id not in queued:
-                    queued.add(op_id)
-                    candidate = self._earliest_start(self.dag.operation(op_id), state)
-                    heapq.heappush(heap, (candidate, op_id))
-            newcomers.clear()
-
-        state.newly_ready.extend(ready)
-        # Circuit-switched flow models gate launches on the controller and
-        # buffer the switching events performed per collective; pick them up
-        # at completion so they land in the trace like analytic reconfigs do.
-        pop_records = getattr(network, "pop_reconfig_records", None)
+        newcomers = state.newly_ready
+        newcomers.extend(ready)
 
         def finalize() -> None:
             nonlocal completed
-            any_finished = bool(finished)
             while finished:
                 op_id, end = finished.pop(0)
                 operation, begin = inflight.pop(op_id)
                 for rank in operation.ranks:
                     state.nic_free[rank] = end
                     locked.discard(rank)
-                records = tuple(pop_records(op_id)) if pop_records else ()
+                # Circuit-switched models buffer the switching events performed
+                # per collective; they land in the trace like analytic reconfigs.
+                records = network.pop_reconfig_records(op_id)
                 self._record_comm(operation, begin, end, records, trace)
-                self.network.on_comm_end(operation, end)
+                network.on_comm_end(operation, end)
                 state.finish(op_id, end)
                 completed += 1
-            if any_finished and parked:
-                # Locks may have cleared; parked ops compete again.
-                for entry in parked:
-                    heapq.heappush(heap, entry)
-                parked.clear()
+            # Locks may have cleared; parked ops compete again.
+            for entry in parked:
+                heapq.heappush(heap, entry)
+            parked.clear()
 
         while ready or inflight:
-            finalize()
-            refill()
+            if finished:
+                finalize()
+            for op_id in newcomers:
+                candidate = self._earliest_start(dag.operation(op_id), state)
+                heapq.heappush(heap, (candidate, op_id))
+            newcomers.clear()
             best_id = None
-            best_start = None
             while heap:
                 candidate, op_id = heapq.heappop(heap)
-                if op_id not in ready:
-                    queued.discard(op_id)
-                    continue  # committed via an earlier pop; stale entry
-                op = self.dag.operation(op_id)
-                current = self._earliest_start(op, state)
+                operation = dag.operation(op_id)
+                current = self._earliest_start(operation, state)
                 if current > candidate:
                     heapq.heappush(heap, (current, op_id))
                     continue
                 if (
-                    op.kind != OpKind.COMPUTE
-                    and self.network.is_scaleout(op)
-                    and any(rank in locked for rank in op.ranks)
+                    locked
+                    and operation.kind != OpKind.COMPUTE
+                    and network.is_scaleout(operation)
+                    and any(rank in locked for rank in operation.ranks)
                 ):
                     # NIC held by an in-flight collective; end unknown.  Set
                     # aside — candidates cannot shrink, so re-queueing the
@@ -347,10 +295,7 @@ class DAGExecutor:
                     network.advance()
                 continue
 
-            assert best_start is not None
             ready.discard(best_id)
-            queued.discard(best_id)
-            operation = self.dag.operation(best_id)
             if operation.kind == OpKind.COMPUTE:
                 end = self._execute_compute(operation, best_start, state.gpu_free, trace)
                 state.finish(best_id, end)
@@ -367,7 +312,6 @@ class DAGExecutor:
                 end = self._execute_comm(operation, best_start, state, trace)
                 state.finish(best_id, end)
                 completed += 1
-        finalize()
         return completed
 
     def run_training(self, num_iterations: int, start_time: float = 0.0) -> TrainingTrace:
@@ -415,7 +359,7 @@ class DAGExecutor:
         if self.config.compute_jitter > 0:
             factor = self._rng.lognormvariate(0.0, self.config.compute_jitter)
             duration *= factor
-        injector = getattr(self.network, "fault_injector", None)
+        injector = self.network.fault_injector
         if injector is not None:
             # Per-device slowdown faults (stragglers): the latest slowdown
             # event at or before the operation's start stretches its ranks.

@@ -200,9 +200,6 @@ class FlowNetworkModel(TopologyNetworkModel):
       decisions with network progress.
     """
 
-    #: Marks this model as driving the executor's flow-mode scheduling loop.
-    flow_mode = True
-
     #: Whether routes are handed to the simulator as deferred resolvers
     #: (circuit fabrics, where the route only exists once the switching event
     #: completes) or as concrete route-table entries (static packet fabrics).
@@ -270,9 +267,8 @@ class FlowNetworkModel(TopologyNetworkModel):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Schedule-identity cache: re-key on the anchored schedule objects,
-        # whose identity pickle/deepcopy preserve while their id() changes
-        # (see FlowSimulator.__setstate__ for the full rationale).
+        # Schedule-identity cache: re-key on the anchored schedule objects.
+        # Pickle and deepcopy keep object identity but change id().
         self._step_items = {
             id(cached[0]): cached for cached in self._step_items.values()
         }
@@ -550,14 +546,6 @@ class FlowNetworkModel(TopologyNetworkModel):
             self._step_items.clear()
         self._step_items[key] = (steps, items)
         return items
-
-    def pop_reconfig_records(self, op_id: int) -> Tuple[ReconfigRecord, ...]:
-        """Reconfigurations performed on behalf of collective ``op_id``.
-
-        Called by the executor when the collective completes; packet fabrics
-        never reconfigure, circuit fabrics override this.
-        """
-        return ()
 
     def _expanded_schedule(self, operation: Operation) -> Schedule:
         if operation.collective is None:

@@ -142,6 +142,22 @@ class NetworkModel(Snapshottable, ABC):
     def timing(self, operation: Operation, ready_time: float) -> CommTiming:
         """Return when ``operation`` starts and ends, given rank readiness."""
 
+    #: Time of the network's next event; analytic models have none.  Flow
+    #: models expose their simulator's clock here.
+    next_event_time: Optional[float] = None
+
+    def can_expand(self, operation: Operation) -> bool:
+        """Whether ``operation`` runs as flows (vs priced by :meth:`timing`)."""
+        return False
+
+    def pop_reconfig_records(self, op_id: int) -> Tuple[ReconfigRecord, ...]:
+        """Reconfigurations performed on behalf of expanded collective ``op_id``.
+
+        Called by the executor when the collective completes; only
+        circuit-switched flow models perform any.
+        """
+        return ()
+
     def on_comm_end(self, operation: Operation, end_time: float) -> None:
         """Hook invoked by the executor when a communication finishes."""
 

@@ -10,14 +10,15 @@ exercised only through the end-to-end system):
   (Objective 3);
 * switching events on one rail serialize through ``switch_free_at`` while
   rails stay independent;
-* the provisioned flag of the request lands on the reconfiguration record.
+* the provisioned flag of the request lands on the reconfiguration record;
+* requests of one communication group are admitted in issue order (FC-FS).
 """
 
 import pytest
 
 from repro.core.controller import OpusController
 from repro.core.scheduler import ReconfigurationRequest
-from repro.errors import CircuitError
+from repro.errors import CircuitError, SchedulingError
 from repro.topology.ocs import Circuit, CircuitConfiguration
 from repro.topology.photonic import build_photonic_rail_fabric
 from repro.topology.devices import perlmutter_testbed
@@ -137,3 +138,20 @@ def test_reset_clears_circuits_and_timing_state(controller):
     assert state.switch_free_at == 0.0
     assert controller.total_reconfigurations() == 0
     assert not controller.fabric.rail(0).ocs.installed.circuits
+
+
+def test_out_of_order_request_for_the_same_group_is_rejected(controller):
+    controller.ensure(0, _config((0, 1)), _request(issue_time=2.0))
+    with pytest.raises(SchedulingError, match="FC-FS"):
+        controller.ensure(0, _config((2, 3)), _request(issue_time=1.0))
+    # Rejected before any switching: only the first request reconfigured.
+    assert controller.total_reconfigurations() == 1
+    # Issue order is per group: the same request for another group is served.
+    ready, record = controller.ensure(
+        0, _config((2, 3)), _request(issue_time=1.0, group=frozenset({2, 3}))
+    )
+    assert record is not None
+    assert ready >= 1.0 + DELAY
+    # A new job starts a fresh order.
+    controller.reset()
+    controller.ensure(0, _config((0, 1)), _request(issue_time=1.0))

@@ -179,7 +179,7 @@ def test_network_mode_knob_selects_the_flow_model(tiny_workload, tiny_cluster):
     for backend in ("electrical", "fattree", "railopt"):
         analytic = create_network(backend, tiny_cluster, mesh)
         flow = create_network(backend, tiny_cluster, mesh, network_mode="flow")
-        assert not getattr(analytic, "flow_mode", False)
+        assert not isinstance(analytic, FlowNetworkModel)
         assert isinstance(flow, FlowNetworkModel)
 
 

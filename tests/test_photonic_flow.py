@@ -28,7 +28,7 @@ from repro.experiments.contention import (
 )
 from repro.parallelism.config import ParallelismConfig
 from repro.parallelism.mesh import DeviceMesh
-from repro.simulator.flow_network import PhotonicFlowNetworkModel
+from repro.simulator.flow_network import FlowNetworkModel, PhotonicFlowNetworkModel
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.topology.devices import perlmutter_testbed
@@ -108,7 +108,7 @@ def test_network_mode_knob_selects_the_photonic_flow_model(tiny_workload, tiny_c
     for backend in ("photonic", "ocs"):
         analytic = create_network(backend, tiny_cluster, mesh)
         flow = create_network(backend, tiny_cluster, mesh, network_mode="flow")
-        assert not getattr(analytic, "flow_mode", False)
+        assert not isinstance(analytic, FlowNetworkModel)
         assert isinstance(flow, PhotonicFlowNetworkModel)
 
 

@@ -633,9 +633,17 @@ def _rescan_executor_class():
     from repro.simulator.executor import DAGExecutor
 
     class RescanExecutor(DAGExecutor):
-        """The O(|ready|) rescan per commit, kept as an oracle for the heap."""
+        """The O(|ready|) rescan per commit, kept as an oracle for the heap.
 
-        def _schedule_analytic(self, state, trace):
+        Valid against analytic models only: they expand no collective, so
+        every commit finalizes at once.  ``rescans`` counts the passes that
+        took this loop, so a test can tell the oracle actually ran.
+        """
+
+        rescans = 0
+
+        def _schedule(self, state, trace):
+            RescanExecutor.rescans += 1
             completed = 0
             while state.ready:
                 best_start, best_id = min(
@@ -690,7 +698,12 @@ def test_analytic_heap_schedule_equals_the_full_rescan(seed):
     def _run(executor_class, backend, knobs):
         dag = build_iteration_dag(workload, cluster)
         network = create_network(backend, cluster, dag.mesh, **knobs)
-        return executor_class(dag, cluster, network, config=config).run_training(2)
+        rescans = rescan_class.rescans
+        training = executor_class(dag, cluster, network, config=config).run_training(2)
+        # The override must be the loop the oracle's passes go through.
+        ran = rescan_class.rescans - rescans
+        assert ran == (2 if executor_class is rescan_class else 0)
+        return training
 
     for backend, knobs in _ANALYTIC_MODELS:
         heap = _run(DAGExecutor, backend, knobs)
