@@ -16,11 +16,17 @@ beside the per-flow link ids of its :class:`Routes`; a :class:`Flow` is a
 handle onto one row.  Flows that start together on links nobody else uses —
 every step on provisioned circuits — claim those links with one dict update,
 run at their path bottleneck and retire as a batch.  Otherwise the simulator
-keeps per-link user sets and re-rates only the connected component of flows
-that (transitively) share links with an arrival or completion: max–min fair
-allocation decomposes exactly over such components.  :func:`max_min_fair_rates`
-water-fills with numpy for large flow sets and with incremental pure Python
-for small ones, where numpy's per-call cost dominates.
+keeps per-link user sets and re-rates only the flows that (transitively)
+share links with an arrival or completion.  Max–min fair allocation
+decomposes exactly over link-sharing components, so the walk that finds
+those flows also splits them into components and fills each one on its
+own: a flow's unshared links fold into one private capacity, and
+progressive filling scans only the shared links (see
+:func:`~repro.simulator.waterfill._fill_component`).  The components of
+``_VECTORIZE_MIN_FLOWS`` flows or more share one numpy fill per event.
+:func:`max_min_fair_rates`, for any flow set, water-fills with numpy for
+large sets and with incremental pure Python for small ones, where numpy's
+per-call cost dominates.
 
 The rates of a start event whose flows share links only among themselves are
 memoized per (topology version, routes).  When the same routes start again
@@ -60,6 +66,7 @@ from ..topology.base import Link, Topology
 from .engine import SimulationEngine
 from .snapshot import Snapshottable, register_continuation
 from .waterfill import (
+    _fill_component,
     _max_min_fair_rates_numpy,
     _max_min_fair_rates_python,
     _sharing_components,
@@ -73,9 +80,11 @@ _BYTES_EPSILON = 1e-6
 _DECOMPOSE_MIN_FLOWS = 16
 
 #: Component size at which the numpy water-filling pays for its setup cost.
-#: Below it the pure-Python fill wins: on the faulted 128-GPU fat tree
-#: (about 12 flows, 60 links and 73 incidences per solve) the numpy
-#: incidence fill alone costs about 180 µs a call, the Python fill 100–130 µs.
+#: Below it the per-component Python fill wins by far: on the faulted 128-GPU
+#: fat tree most re-rated components are 2–4 flows on 2 shared links (of
+#: 41,009 multi-flow fills a pass, 15.5k are 2 flows on 2 shared links and
+#: 14.9k are 3 flows on 2), which the Python fill settles in 5–10 µs and
+#: the numpy fill in about 200 µs.
 _VECTORIZE_MIN_FLOWS = 32
 
 #: Smallest start event whose drain the shape memo replays.
@@ -107,6 +116,12 @@ def _check_size(size_bytes: float) -> None:
 
 class AllocatorStats:
     """Counters over the simulator's allocation machinery.
+
+    ``allocator_invocations`` and ``rerated_components`` both count re-rate
+    calls — one per event that re-rates anything, or per memo miss of a
+    self-contained start — not link-sharing components, so the two are
+    always equal; ``rerated_flows`` sums the flows those calls re-rated.
+    Both stay while pinned result digests hash all three counters.
 
     One instance can be shared across simulator rebuilds — the flow network
     models keep a single object for a whole training run — so the solver
@@ -1311,59 +1326,60 @@ class FlowSimulator(Snapshottable):
         """Recompute rates for the component(s) touched by a flow change.
 
         ``dirty_flows`` are newly-started flows, ``dirty_links`` the links of
-        flows that just completed.  The affected set is the transitive
-        closure of link sharing from those seeds; every other flow keeps its
-        rate and estimate.  A flow sharing no link runs at its bottleneck.
+        flows that just completed.  One walk per seed collects the link-sharing
+        component it reaches: its flows and its shared links (those whose
+        user entry is a set).  Every other flow keeps its rate and estimate.
+        Max–min fair allocation decomposes exactly over components, so each
+        one is filled on its own (:func:`_fill_component`), except that the
+        components at or above ``_VECTORIZE_MIN_FLOWS`` share one numpy fill.
+        A started flow sharing no link runs at its bottleneck and is not
+        counted as a re-rate.
         """
         users = self._users
-        affected: Set[Flow] = set()
-        seen_links: Set[int] = set(dirty_links)
-        stack: List[int] = list(seen_links)
-        for flow in dirty_flows:
-            batch, index = flow._batch, flow._index
-            solo_rate = math.inf
-            for link in batch.paths[index]:
-                if type(users[link.link_id]) is set:
-                    solo_rate = None
-                    break
-                solo_rate = min(solo_rate, link.bandwidth)
-            if solo_rate is not None:
-                if solo_rate != batch.rate[index]:
-                    self._rerate(flow, solo_rate, now)
-                continue
-            affected.add(flow)
-            for link_id in batch.links[index]:
-                if link_id not in seen_links:
-                    seen_links.add(link_id)
-                    stack.append(link_id)
-        while stack:
-            riders = users.get(stack.pop())
-            if riders is None:
-                continue
-            for rider in riders if type(riders) is set else (riders,):
-                if rider in affected:
+        placed: Set[Flow] = set()
+        large: List[Flow] = []
+        rerated = 0
+        for seed in chain(dirty_flows, dirty_links):
+            if type(seed) is int:
+                riders = users.get(seed)
+                if riders is None:
                     continue
-                affected.add(rider)
-                for link_id in rider._batch.links[rider._index]:
-                    if link_id not in seen_links:
-                        seen_links.add(link_id)
-                        stack.append(link_id)
-        if affected:
-            flows = sorted(affected, key=_flow_id_of)
+                # One component holds all riders of a link, or none of them.
+                flows = list(riders) if type(riders) is set else [riders]
+                if flows[0] in placed:
+                    continue
+            elif seed in placed:
+                continue
+            else:
+                flows = [seed]
+            placed.update(flows)
+            private, crossing, capacity = _walk_component(flows, users, placed)
+            if type(seed) is int or capacity:
+                rerated += len(flows)
+            else:
+                # A lone started flow; a dirty link may still reach it.
+                placed.discard(seed)
+            if not capacity:
+                rates = private  # no shared link: each flow at its bottleneck
+            elif len(flows) < _VECTORIZE_MIN_FLOWS:
+                rates = _fill_component(private, crossing, capacity)
+            else:
+                large.extend(flows)
+                continue
+            for flow, rate in zip(flows, rates):
+                if rate != flow._batch.rate[flow._index]:
+                    self._rerate(flow, rate, now)
+        if large:
+            rates = _max_min_fair_rates_numpy(large)
+            for flow in large:
+                rate = rates[flow.flow_id]
+                if rate != flow._batch.rate[flow._index]:
+                    self._rerate(flow, rate, now)
+        if rerated:
             stats = self.stats
             stats.allocator_invocations += 1
             stats.rerated_components += 1
-            stats.rerated_flows += len(flows)
-            # The closure above already isolated the sharing component(s), so
-            # dispatch straight to a solver instead of re-decomposing.
-            if len(flows) >= _VECTORIZE_MIN_FLOWS:
-                rates = _max_min_fair_rates_numpy(flows)
-            else:
-                rates = _max_min_fair_rates_python(flows)
-            for flow in flows:
-                new_rate = rates[flow.flow_id]
-                if new_rate != flow._batch.rate[flow._index]:
-                    self._rerate(flow, new_rate, now)
+            stats.rerated_flows += rerated
         self._sync_completion_event(now)
 
     def _rerate(self, flow: Flow, rate: float, now: float) -> None:
@@ -1456,6 +1472,48 @@ class FlowSimulator(Snapshottable):
                 f"torn-down link {link.src}->{link.dst} (id {link.link_id}); "
                 "the circuit was reconfigured away before the flow started"
             )
+
+
+def _walk_component(
+    flows: List[Flow], users: Dict[int, object], placed: Set[Flow]
+) -> Tuple[List[float], List[List[int]], List[float]]:
+    """Grow ``flows`` in place to the link-sharing component they reach.
+
+    ``users`` maps a link id to its lone user or its set of users, as the
+    simulator's registry does; the walk crosses every set, adding the riders
+    not yet in ``placed`` to both.  Returns the :func:`_fill_component`
+    input of the component, by position in ``flows``: each flow's private
+    capacity (its smallest unshared link bandwidth) and shared link
+    positions, and each shared link's capacity.
+    """
+    inf = math.inf
+    private: List[float] = []
+    crossing: List[List[int]] = []
+    capacity: List[float] = []
+    position: Dict[int, int] = {}
+    for flow in flows:  # grows as the walk reaches new riders
+        bottleneck = inf
+        links: List[int] = []
+        for link in flow._batch.paths[flow._index]:
+            link_id = link.link_id
+            riders = users[link_id]
+            if type(riders) is not set:
+                bandwidth = link.bandwidth
+                if bandwidth < bottleneck:
+                    bottleneck = bandwidth
+                continue
+            pos = position.get(link_id)
+            if pos is None:
+                position[link_id] = pos = len(capacity)
+                capacity.append(link.bandwidth)
+                for rider in riders:
+                    if rider not in placed:
+                        placed.add(rider)
+                        flows.append(rider)
+            links.append(pos)
+        private.append(float(bottleneck))
+        crossing.append(links)
+    return private, crossing, capacity
 
 
 #: The flows of one batch inside a completion-heap group entry; the batch's

@@ -1,17 +1,20 @@
 """Max–min fair water-filling over one flow set.
 
-Two exact implementations of progressive filling, dispatched by flow-set
-size from :func:`repro.simulator.flows.max_min_fair_rates` (and called
-directly by the flow simulator's component-local re-rates):
+Two exact implementations of progressive filling over any flow set,
+dispatched by flow-set size from
+:func:`repro.simulator.flows.max_min_fair_rates`:
 
 * :func:`_max_min_fair_rates_python` — incremental pure Python with per-link
-  user sets, fastest on the small components most re-rates touch;
+  user sets, one bottleneck per round; also the reference the property
+  tests hold the other fills to;
 * :func:`_max_min_fair_rates_numpy` — segmented water-filling over a flat
   link×flow incidence structure, every sharing component filled at once.
 
-Both produce bit-identical allocations.  They take any flow objects with a
-``flow_id`` and a ``path`` of links; flows with an empty path get infinite
-rate.
+Both take any flow objects with a ``flow_id`` and a ``path`` of links; flows
+with an empty path get infinite rate.  The flow simulator's re-rates know
+their link-sharing components already: each small one goes to
+:func:`_fill_component`, the large ones of an event together to the numpy
+fill.  All three produce bit-identical allocations on one component.
 """
 
 from __future__ import annotations
@@ -133,6 +136,59 @@ def _max_min_fair_rates_python(
                 if not users:
                     del link_flows[key]
         num_unallocated -= len(frozen)
+    return rates
+
+
+def _fill_component(
+    private: Sequence[float],
+    crossing: Sequence[Sequence[int]],
+    capacity: Sequence[float],
+) -> List[float]:
+    """Progressive filling of one link-sharing component; rates by position.
+
+    Int-keyed: flow ``i`` crosses the shared links at positions
+    ``crossing[i]``, shared link ``j`` has ``capacity[j]``, and
+    ``private[i]`` is the smallest bandwidth of the links only flow ``i``
+    crosses (``inf`` if none).  A one-user link's fair share is its capacity
+    and it retires with its user, so folding those links into one private
+    capacity per flow is exact.  Each round scans the shared links and the
+    unallocated flows' private capacities only, with the float operations
+    of :func:`_max_min_fair_rates_python`.
+    """
+    inf = math.inf
+    remaining = list(capacity)
+    members: List[List[int]] = [[] for _ in remaining]
+    for flow, links in enumerate(crossing):
+        for pos in links:
+            members[pos].append(flow)
+    users = [len(flows) for flows in members]  # still-unallocated flows
+    rates: List[Optional[float]] = [None] * len(private)
+    unallocated = len(private)
+    while unallocated:
+        best = inf
+        for pos, count in enumerate(users):
+            if count and remaining[pos] / count < best:
+                best = remaining[pos] / count
+        for flow, rate in enumerate(rates):
+            if rate is None and private[flow] < best:
+                best = private[flow]
+        bound = best * (1 + 1e-12)
+        frozen: List[int] = []
+        for pos, count in enumerate(users):
+            if count and remaining[pos] / count <= bound:
+                for flow in members[pos]:
+                    if rates[flow] is None:
+                        rates[flow] = best
+                        frozen.append(flow)
+        for flow, rate in enumerate(rates):
+            if rate is None and private[flow] <= bound:
+                rates[flow] = best
+                frozen.append(flow)
+        for flow in frozen:
+            for pos in crossing[flow]:
+                remaining[pos] = max(0.0, remaining[pos] - best)
+                users[pos] -= 1
+        unallocated -= len(frozen)
     return rates
 
 

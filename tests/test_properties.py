@@ -15,7 +15,8 @@ routed over it, then asserts invariants that must hold for *any* such input:
   *decreases* the makespan of the same flow mix;
 * **allocator agreement** — the numpy water-filling and the pure-Python
   progressive filling agree bit-for-bit, including on faulted (links removed)
-  and degraded (capacities scaled) variants of the sharing graph;
+  and degraded (capacities scaled) variants of the sharing graph, and so
+  does the simulator's per-component fill on every sharing component;
 * **solver independence** — a whole simulation gives bit-identical finish
   times whether shared components go through the numpy or the pure-Python
   water-filling.
@@ -37,8 +38,10 @@ from repro.simulator.flows import (
     FlowSimulator,
     _max_min_fair_rates_numpy,
     _max_min_fair_rates_python,
+    _walk_component,
     max_min_fair_rates,
 )
+from repro.simulator.waterfill import _fill_component, _sharing_components
 from repro.topology.base import LinkKind, NodeKind, Topology
 
 SEEDS = range(25)
@@ -213,21 +216,120 @@ def test_allocators_agree_on_faulted_and_degraded_link_sets(seed):
         assert dispatched[flow_id] == pytest.approx(expected, rel=1e-9)
 
 
+def _fill_cases(seed):
+    """The sharing components of one random, degraded flow set.
+
+    Repeated transfers make all-shared components.  A few links drop to zero
+    capacity, which ``Topology.degrade_link`` cannot express, so their
+    bandwidth is overridden on the link itself.  A gadget adds a near tie:
+    three flows cross one link of capacity ``c`` (fair share ``c / 3``), and
+    one of them also a link of capacity ``c * (1 / 3)``, an ulp below it.
+    """
+    rng = random.Random(seed)
+    topology, names = _random_topology(rng)
+    transfers = _random_transfers(rng, topology, names)
+    transfers += [rng.choice(transfers) for _ in range(rng.randint(0, 3))]
+    for link in topology.links():
+        draw = rng.random()
+        if draw < 0.3:
+            topology.degrade_link(link.link_id, rng.choice([0.1, 0.5, 0.9]))
+        elif draw < 0.4:
+            link.bandwidth = 0.0
+    capacity = rng.choice(_CAPACITIES)
+    for name in ("tie_a", "tie_b"):
+        topology.add_node(name, NodeKind.GPU)
+    shared = topology.add_link("tie_a", "tie_b", capacity, 0.0, LinkKind.ELECTRICAL)
+    private = topology.add_link("tie_b", names[0], capacity, 0.0, LinkKind.ELECTRICAL)
+    topology.degrade_link(private.link_id, 1 / 3)
+    transfers += [((shared,), 1e3), ((shared,), 1e3), ((shared, private), 1e3)]
+    flows = [
+        Flow(flow_id=i, path=path, size_bytes=size, start_time=0.0)
+        for i, (path, size) in enumerate(transfers)
+    ]
+    return _sharing_components(flows)
+
+
+def _registry(flows):
+    """Link id -> lone user or set of users, as ``FlowSimulator`` keeps it."""
+    users = {}
+    for flow in flows:
+        for link in flow.path:
+            riders = users.get(link.link_id)
+            if riders is None:
+                users[link.link_id] = flow
+            elif type(riders) is set:
+                riders.add(flow)
+            else:
+                users[link.link_id] = {riders, flow}
+    return users
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_component_fill_is_bit_identical_to_the_reference_fill(seed):
+    # The simulator's re-rates walk each component off the link registry,
+    # fold unshared links into private capacities and fill the rest.
+    for component in _fill_cases(seed):
+        reference = _max_min_fair_rates_python(component)
+        walked = [component[-1]]
+        private, crossing, capacity = _walk_component(
+            walked, _registry(component), set(walked)
+        )
+        assert sorted(walked, key=id) == sorted(component, key=id)
+        rates = _fill_component(private, crossing, capacity) if capacity else private
+        assert rates == [reference[flow.flow_id] for flow in walked]
+
+
+def test_component_fill_cases_cover_every_kind_of_component():
+    kinds = set()
+    for seed in SEEDS:
+        for component in _fill_cases(seed):
+            walked = [component[0]]
+            private, _, capacity = _walk_component(
+                walked, _registry(component), set(walked)
+            )
+            if not capacity:
+                kinds.add("no shared link")
+            elif all(math.isinf(bottleneck) for bottleneck in private):
+                kinds.add("all shared")
+            else:
+                kinds.add("mixed")
+    assert kinds == {"no shared link", "all shared", "mixed"}
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_parallel_water_filling_is_bit_identical_to_serial(seed, monkeypatch):
-    # The simulator picks its solver by component size: the numpy fill
-    # (every sharing component at once, one bottleneck per component per
-    # round) or the pure-Python fill (one bottleneck per round).  Forcing
-    # each in turn must not move a single finish time.
+    # The simulator fills each re-rated component with the per-component
+    # Python fill, or — at or above _VECTORIZE_MIN_FLOWS flows — with the
+    # numpy fill (every such component of an event at once, one bottleneck
+    # per component per round).  Forcing each in turn must not move a
+    # single finish time, and each run must really take its solver.
     import repro.simulator.flows as flows_module
 
+    filled = {"numpy": 0, "python": 0}  # components with a shared link
+    numpy_fill = flows_module._max_min_fair_rates_numpy
+    component_fill = flows_module._fill_component
+
+    def counted_numpy(flows, capacities=None):
+        filled["numpy"] += len(_sharing_components(flows))
+        return numpy_fill(flows, capacities)
+
+    def counted_component(private, crossing, capacity):
+        filled["python"] += 1
+        return component_fill(private, crossing, capacity)
+
+    monkeypatch.setattr(flows_module, "_max_min_fair_rates_numpy", counted_numpy)
+    monkeypatch.setattr(flows_module, "_fill_component", counted_component)
     rng = random.Random(seed)
     topology, names = _random_topology(rng)
     transfers = _random_transfers(rng, topology, names)
     monkeypatch.setattr(flows_module, "_VECTORIZE_MIN_FLOWS", 1)
     parallel = _run_flow(transfers)
+    assert filled["python"] == 0
+    vectorized, filled["numpy"] = filled["numpy"], 0
     monkeypatch.setattr(flows_module, "_VECTORIZE_MIN_FLOWS", 10**9)
     serial = _run_flow(transfers)
+    assert filled["numpy"] == 0
+    assert vectorized == filled["python"]
     assert parallel == serial  # bitwise, not approx
 
 
