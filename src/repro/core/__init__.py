@@ -14,15 +14,15 @@ Components (mirroring Fig. 6 of the paper):
   switching events, reconfiguration timing.
 * :mod:`repro.core.shim` — the shim runtime tying interception, profiling,
   provisioning, and the controller together.
-* :mod:`repro.core.network` — the simulator-facing network model for photonic
-  rails under Opus.
+* :mod:`repro.core.network` — the simulator-facing network models for photonic
+  rails under Opus (analytic and flow-level), on one shared Opus wiring.
 * :mod:`repro.core.system` — a high-level facade plus the Fig. 8 sweep.
 """
 
 from .circuits import CircuitPlanner, RailConfiguration
 from .controller import OpusController, RailCircuitState
 from .intents import CommIntent, DemandMatrix, demand_matrix_from_intents, intent_from_collective
-from .network import PhotonicRailNetworkModel
+from .network import PhotonicFlowNetworkModel, PhotonicRailNetworkModel
 from .profiles import PhaseRecord, PhaseTracker, RailProfile, TrafficProfiler
 from .scheduler import FCFSScheduler, ReconfigurationRequest
 from .shim import CircuitGrant, OpusShim, ShimOptions
@@ -43,6 +43,7 @@ __all__ = [
     "OpusShim",
     "PhaseRecord",
     "PhaseTracker",
+    "PhotonicFlowNetworkModel",
     "PhotonicRailNetworkModel",
     "PhotonicRailSystem",
     "RailCircuitState",

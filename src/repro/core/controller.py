@@ -486,7 +486,7 @@ class OpusController:
         A reconfiguration that would tear one of these circuits cannot start
         before the traffic drains (Objective 3).  The analytic network models
         feed the alpha–beta transfer end here; the flow-level photonic model
-        (:class:`~repro.simulator.flow_network.PhotonicFlowNetworkModel`)
+        (:class:`~repro.core.network.PhotonicFlowNetworkModel`)
         feeds the *actual* drain time of the collective's flows, so drains
         under contention push subsequent reconfigurations later exactly as
         they would on hardware.

@@ -130,10 +130,6 @@ class DemandMatrix:
             for pair in pairs:
                 rail_demand[pair] = rail_demand.get(pair, 0.0) + share
 
-    def pairs_for_rail(self, rail: int) -> Dict[Tuple[int, int], float]:
-        """Return the (src_domain, dst_domain) → bytes map for one rail."""
-        return dict(self.demand.get(rail, {}))
-
     def total_bytes(self) -> float:
         """Total demand across all rails."""
         return sum(sum(rail.values()) for rail in self.demand.values())

@@ -1,15 +1,12 @@
 """Traffic profiling: learning the per-iteration communication pattern.
 
 During the first training iteration the Opus shim only observes: it records
-every intercepted collective as a :class:`~repro.core.intents.CommIntent` and
-assembles, per rail, the ordered sequence of *parallelism phases* — maximal
-runs of consecutive scale-out collectives belonging to the same parallelism
-axis.  Because ML training repeats the same execution graph every iteration,
+the executed window of every intercepted collective (as a
+:class:`~repro.core.intents.CommIntent`) and assembles, per rail, the ordered
+sequence of *parallelism phases* — maximal runs of consecutive scale-out
+collectives belonging to the same parallelism axis.  Because ML training repeats the same execution graph every iteration,
 this profile predicts the traffic of all later iterations, which is what makes
 speculative provisioning safe (paper §4.1).
-
-The profiler also exposes per-phase demand matrices so the controller only
-reconfigures "if the demand matrix of the parallelism changes".
 """
 
 from __future__ import annotations
@@ -19,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProfileError
 from ..parallelism.mesh import DeviceMesh
-from .intents import CommIntent, DemandMatrix
+from .intents import CommIntent
 
 
 @dataclass
@@ -51,19 +48,12 @@ class RailProfile:
         """The axis of each phase, in order."""
         return tuple(phase.axis for phase in self.phases)
 
-    def next_axis_after(self, phase_index: int) -> Optional[str]:
-        """Axis of the phase after ``phase_index`` (None at the end)."""
-        if phase_index + 1 < len(self.phases):
-            return self.phases[phase_index + 1].axis
-        return None
-
 
 class TrafficProfiler:
     """Learns the per-rail phase sequence from the profiling iteration."""
 
     def __init__(self, mesh: DeviceMesh) -> None:
         self.mesh = mesh
-        self._intents: List[CommIntent] = []
         self._completions: List[Tuple[CommIntent, float, float]] = []
         self._profiles: Dict[int, RailProfile] = {}
         self._frozen = False
@@ -76,12 +66,6 @@ class TrafficProfiler:
     def frozen(self) -> bool:
         """Whether the profile has been finalized."""
         return self._frozen
-
-    def record_intent(self, intent: CommIntent) -> None:
-        """Record one intercepted collective call."""
-        if self._frozen:
-            return
-        self._intents.append(intent)
 
     def record_completion(self, intent: CommIntent, start: float, end: float) -> None:
         """Record the observed execution window of one collective."""
@@ -146,18 +130,6 @@ class TrafficProfiler:
         """Return the phase (axis) sequence of one rail."""
         return self.profile(rail).axis_sequence
 
-    def num_phase_transitions(self, rail: int) -> int:
-        """Number of parallelism shifts on one rail per iteration."""
-        sequence = self.phase_sequence(rail)
-        return max(0, len(sequence) - 1)
-
-    def demand_matrix(self) -> DemandMatrix:
-        """Aggregate demand matrix over the whole profiling iteration."""
-        matrix = DemandMatrix()
-        for intent in self._intents:
-            matrix.add_intent(intent, self.mesh)
-        return matrix
-
     def _require_frozen(self) -> None:
         if not self._frozen:
             raise ProfileError(
@@ -211,14 +183,6 @@ class PhaseTracker:
             # Unknown axis (never profiled on this rail): leave the pointer.
         self._positions[rail] = position
         self._collectives_seen[rail] = seen
-
-    def current_axis(self, rail: int) -> Optional[str]:
-        """Axis of the phase the rail is currently in."""
-        phases = self.profiler.profile(rail).phases
-        if not phases:
-            return None
-        position = min(self._positions.get(rail, 0), len(phases) - 1)
-        return phases[position].axis
 
     def predicted_next_axis(self, rail: int) -> Optional[str]:
         """Axis of the next phase on ``rail``.

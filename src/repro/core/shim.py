@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..collectives.primitives import CollectiveOp
-from ..errors import ControlPlaneError
+from ..errors import ConfigurationError, ControlPlaneError
 from ..parallelism.groups import GroupRegistry
 from ..parallelism.mesh import DeviceMesh
 from ..parallelism.trace import ReconfigRecord
@@ -60,6 +60,38 @@ class ShimOptions:
     #: paired with ``provisioning=False`` and ``profile_first_iteration=False``
     #: — the whole point is needing no profiling iteration.
     reactive: bool = False
+
+
+def shim_options_for_provisioning(provisioning: object) -> ShimOptions:
+    """Map the ``provisioning`` knob onto shim options.
+
+    Booleans keep their historical meaning (``True`` = profile-driven
+    speculative provisioning, ``False`` = profile but reconfigure on
+    demand); the string values spell the full mode space out:
+
+    * ``"profile"`` — profile the first iteration, then provision from it;
+    * ``"none"`` — profile but never provision (every phase change pays its
+      switching delay on demand);
+    * ``"reactive"`` — no profiling iteration at all: phase structure is
+      learned online and speculation is driven by telemetry (blocking +
+      hotspot evidence).
+    """
+    if not isinstance(provisioning, str):
+        return ShimOptions(provisioning=bool(provisioning))
+    if provisioning == "profile":
+        return ShimOptions(provisioning=True)
+    if provisioning == "none":
+        return ShimOptions(provisioning=False)
+    if provisioning == "reactive":
+        return ShimOptions(
+            provisioning=False,
+            profile_first_iteration=False,
+            reactive=True,
+        )
+    raise ConfigurationError(
+        f"unknown provisioning mode {provisioning!r}; expected a boolean or "
+        "one of 'profile', 'none', 'reactive'"
+    )
 
 
 @dataclass
@@ -168,9 +200,6 @@ class OpusShim:
         records from provisioning decisions taken earlier).
         """
         intent = intent_from_collective(op, self.mesh, issued_at=ready_time)
-        if self.profiling:
-            self.profiler.record_intent(intent)
-
         target = self.target_for(op)
         records: List[ReconfigRecord] = []
         ready = ready_time

@@ -39,7 +39,7 @@ makes topology change a time-domain event: collectives gate on the Opus
 controller's switching events, routes resolve over whatever circuits are
 installed when the flows start, and real flow drains feed the controller's
 busy-circuit bookkeeping
-(:class:`~repro.simulator.flow_network.PhotonicFlowNetworkModel`).
+(:class:`~repro.core.network.PhotonicFlowNetworkModel`).
 
 The packet-routed backends (``electrical``, ``fattree``, ``railopt``)
 additionally accept a ``routing_policy`` knob in flow mode — ``"single"``
@@ -80,12 +80,9 @@ from ..simulator.fabric_network import (
     RailOptimizedNetworkModel,
 )
 from ..simulator.flow_network import (
-    bare_ocs_flow_network,
     electrical_flow_network,
     fat_tree_flow_network,
-    photonic_flow_network,
     rail_optimized_flow_network,
-    shim_options_for_provisioning,
 )
 from ..simulator.routing import ROUTING_POLICIES
 from ..simulator.network import (
@@ -94,6 +91,7 @@ from ..simulator.network import (
     NetworkModel,
 )
 from ..topology.devices import ClusterSpec, OCSTechnology
+from ..topology.photonic import build_photonic_rail_fabric
 
 #: A backend factory builds a network model for one (cluster, mesh) pair.
 BackendFactory = Callable[..., NetworkModel]
@@ -307,51 +305,32 @@ def _photonic_backend(
     network_mode: Optional[str] = None,
     faults: object = None,
 ) -> NetworkModel:
+    # Imported lazily: repro.core imports this module back through
+    # repro.core.system, so a module-level import would be circular.
+    from ..core.network import PhotonicFlowNetworkModel, PhotonicRailNetworkModel
+    from ..core.shim import shim_options_for_provisioning
+
     mode = _check_network_mode(network_mode)
     # Validate the provisioning knob (bool, or "profile"/"none"/"reactive")
     # up front so both modes reject bad values with the same error.
     shim_options = shim_options_for_provisioning(provisioning)
-    if mode == "flow":
-        return _install_faults(
-            photonic_flow_network(
-                cluster,
-                mesh,
-                reconfiguration_delay=reconfiguration_delay,
-                provisioning=provisioning,
-                technology=technology,
-                registry=registry,
-            ),
-            faults,
-            _CIRCUIT_FLOW_FAULTS,
-            "photonic",
-            "flow",
-        )
-    if shim_options.reactive:
+    flow = mode == "flow"
+    if shim_options.reactive and not flow:
         raise ConfigurationError(
             "provisioning='reactive' needs the telemetry loop of "
             "network_mode='flow'; the analytic photonic model has no "
             "link-load counters to sample"
         )
-    # Imported lazily: repro.core imports this module back through
-    # repro.core.system, so a module-level import would be circular.
-    from ..core.network import PhotonicRailNetworkModel
-    from ..topology.photonic import build_photonic_rail_fabric
-
-    fabric = build_photonic_rail_fabric(cluster, technology=technology)
-    return _install_faults(
-        PhotonicRailNetworkModel(
-            cluster=cluster,
-            mesh=mesh,
-            fabric=fabric,
-            reconfiguration_delay=reconfiguration_delay,
-            shim_options=shim_options,
-            registry=registry,
-        ),
-        faults,
-        _CIRCUIT_ANALYTIC_FAULTS,
-        "photonic",
-        "analytic",
+    model = (PhotonicFlowNetworkModel if flow else PhotonicRailNetworkModel)(
+        cluster,
+        mesh,
+        fabric=build_photonic_rail_fabric(cluster, technology=technology),
+        reconfiguration_delay=reconfiguration_delay,
+        shim_options=shim_options,
+        registry=registry,
     )
+    supported = _CIRCUIT_FLOW_FAULTS if flow else _CIRCUIT_ANALYTIC_FAULTS
+    return _install_faults(model, faults, supported, "photonic", mode)
 
 
 @backend(
@@ -483,19 +462,23 @@ def _ocs_backend(
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
     if mode == "flow":
-        return _install_faults(
-            bare_ocs_flow_network(
-                cluster,
-                mesh,
-                reconfiguration_delay=reconfiguration_delay,
-                technology=technology,
-                registry=registry,
+        # The photonic flow model without profiling, provisioning or axis
+        # coalescing: every communication group pays its own switching event
+        # whenever its circuits are missing (lazy import: see above).
+        from ..core.network import PhotonicFlowNetworkModel
+        from ..core.shim import ShimOptions
+
+        model = PhotonicFlowNetworkModel(
+            cluster,
+            mesh,
+            fabric=build_photonic_rail_fabric(cluster, technology=technology),
+            reconfiguration_delay=reconfiguration_delay,
+            shim_options=ShimOptions(
+                provisioning=False, profile_first_iteration=False, coalesce_axis=False
             ),
-            faults,
-            _CIRCUIT_FLOW_FAULTS,
-            "ocs",
-            "flow",
+            registry=registry,
         )
+        return _install_faults(model, faults, _CIRCUIT_FLOW_FAULTS, "ocs", "flow")
     return _install_faults(
         OCSReconfigurableNetworkModel(
             cluster,

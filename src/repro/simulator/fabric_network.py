@@ -260,10 +260,6 @@ class OCSReconfigurableNetworkModel(NetworkModel):
             # collective reinstalls (routing around the failed port).
             self._installed_domains.pop(event.rail, None)
 
-    def installed_domains(self, rail: int) -> Tuple[int, ...]:
-        """Domains of the schedule currently installed on ``rail`` (may be empty)."""
-        return self._installed_domains.get(rail, ())
-
     def _install(self, rail: int, domains: Tuple[int, ...]) -> int:
         """Reconfigure ``rail`` to a ring over ``domains``; return circuits changed."""
         photonic_rail = self._rails[rail]

@@ -19,15 +19,9 @@ model through the ``begin_comm`` / ``next_event_time`` / ``advance`` interface
 analytic fallback used for scale-up collectives and for collective types
 without a point-to-point expansion.
 
-:class:`PhotonicFlowNetworkModel` extends the machinery to circuit-switched
-fabrics: topology change becomes a first-class, time-domain event.  Every
-collective's launch is gated on :meth:`~repro.core.controller.OpusController.ensure`
-— the OCS switching delay separates the request from the flow start, routes
-are resolved only when the flows actually start (the circuits exist by then),
-the per-pair path cache invalidates on topology version bumps, and the real
-drain times of completed flows feed the controller's busy bookkeeping instead
-of analytic estimates.  The same model with profiling/provisioning/coalescing
-disabled is the flow-level twin of the bare-OCS backend.
+Circuit-switched fabrics subclass this model in :mod:`repro.core.network`,
+where the Opus control plane gates every launch; this module knows nothing of
+that control plane.
 
 On contention-free workloads the flow and analytic modes agree: a lone ring
 collective's per-step flows each get the bottleneck bandwidth the analytic
@@ -37,35 +31,21 @@ alpha term.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..collectives.primitives import CollectiveType
 from ..collectives.schedule import Schedule, expand_cached
-from ..errors import SimulationError, TopologyError
+from ..errors import ConfigurationError, SimulationError, TopologyError
 from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
-from ..parallelism.trace import ReconfigRecord
 from ..topology.base import Link, Topology, gpu_node_name
 from ..topology.devices import ClusterSpec
 from ..topology.electrical import build_fully_connected_rail_topology
 from ..topology.fattree import build_fat_tree_fabric
-from ..topology.ocs import Circuit
-from ..topology.photonic import PhotonicRailFabric, build_photonic_rail_fabric
 from ..topology.railopt import build_rail_optimized_fabric
 from .fabric_network import TopologyNetworkModel
 from .flows import AllocatorStats, FlowSimulator, Routes, StepItems
-from .network import CommTiming
 from .routing import ROUTING_POLICIES, PolicyRouter
-from .telemetry import HotspotDetector, LinkTelemetry
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from ..core.circuits import RailConfiguration
-    from ..core.controller import OpusController
-    from ..core.shim import OpusShim, ShimOptions
-    from ..parallelism.groups import GroupRegistry
-    from ..topology.devices import OCSTechnology
-    from ..topology.ocs import CircuitConfiguration
-    from ..topology.photonic import CircuitChangeEvent
 
 #: Called with the completion time when an expanded collective finishes.
 CompletionCallback = Callable[[float], None]
@@ -113,24 +93,6 @@ class _StepRoutes:
 
     def __setstate__(self, state):
         self.model, self.pairs = state
-
-
-class _DeferredLaunch:
-    """A collective launch waiting for conflicting circuits to drain."""
-
-    __slots__ = ("pending", "operation", "start", "on_complete")
-
-    def __init__(
-        self,
-        pending: Set[Tuple[int, Circuit]],
-        operation: Operation,
-        start: float,
-        on_complete: CompletionCallback,
-    ) -> None:
-        self.pending = pending
-        self.operation = operation
-        self.start = start
-        self.on_complete = on_complete
 
 
 class _InFlightCollective:
@@ -232,8 +194,6 @@ class FlowNetworkModel(TopologyNetworkModel):
         #: shortest-path table, bit-for-bit.
         policy = str(routing_policy)
         if policy not in ROUTING_POLICIES:
-            from ..errors import ConfigurationError
-
             raise ConfigurationError(
                 f"unknown routing_policy {policy!r}; expected one of "
                 f"{', '.join(ROUTING_POLICIES)}"
@@ -566,368 +526,6 @@ class FlowNetworkModel(TopologyNetworkModel):
         return self.simulator.engine.step()
 
 
-class PhotonicFlowNetworkModel(FlowNetworkModel):
-    """Flow-level photonic rails: circuit switching as time-domain events.
-
-    The analytic :class:`~repro.core.network.PhotonicRailNetworkModel` and
-    this model share the entire Opus control plane — the shim intercepts every
-    scale-out collective, the planner maps it to per-rail circuits, and
-    :meth:`~repro.core.controller.OpusController.ensure` performs the
-    switching-time arithmetic.  What changes at flow level is *when things
-    are known*:
-
-    * a collective's flows are scheduled at the circuit-ready time the
-      controller grants, so the switching delay manifests as simulator events
-      separating request from transfer;
-    * flow routes resolve at flow start (deferred), over whatever circuits
-      the crossbar holds at that instant, and torn circuits fail loudly;
-    * circuit busy times are fed back from *actual* flow drains — a
-      reconfiguration behind a contended collective waits for the real drain,
-      not an analytic estimate;
-    * speculative (provisioned) requests fire from the completion hook, i.e.
-      when the prior phase's flows have actually drained, and are skipped
-      entirely when they would tear a circuit that still carries flows.
-
-    With ``profile_first_iteration=False``, ``provisioning=False`` and
-    ``coalesce_axis=False`` the same model serves as the flow-level twin of
-    the bare-OCS backend: every group reconfigures on demand.
-    """
-
-    #: Routes resolve at flow start, over whatever circuits exist by then.
-    deferred_routes = True
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        mesh: DeviceMesh,
-        fabric: Optional[PhotonicRailFabric] = None,
-        reconfiguration_delay: Optional[float] = None,
-        shim_options: Optional["ShimOptions"] = None,
-        registry: Optional["GroupRegistry"] = None,
-    ) -> None:
-        # Imported lazily: repro.core pulls repro.experiments (through
-        # core.system) which imports this module back at its own module level.
-        from ..core.controller import OpusController
-        from ..errors import ConfigurationError
-
-        fabric = fabric or build_photonic_rail_fabric(cluster)
-        if fabric.cluster is not cluster:
-            raise ConfigurationError(
-                "the photonic fabric must be built from the same cluster "
-                "specification as the network model"
-            )
-        super().__init__(cluster, mesh, fabric.topology)
-        self.fabric = fabric
-        self._shim_options = shim_options
-        self._registry = registry
-        self.controller: "OpusController" = OpusController(
-            fabric, reconfiguration_delay=reconfiguration_delay
-        )
-        #: In-flight flow count per installed circuit, keyed by (rail, circuit).
-        self._circuit_load: Dict[Tuple[int, Circuit], int] = {}
-        #: Collectives whose launch waits for conflicting circuits to drain.
-        self._waiters: Dict[Tuple[int, Circuit], List[_DeferredLaunch]] = {}
-        #: Reconfiguration records awaiting pickup, keyed by DAG op id.
-        self._op_records: Dict[int, List[ReconfigRecord]] = {}
-        self.shim: "OpusShim" = self._build_shim()
-        #: Telemetry loop (reactive mode only): per-link utilization samples
-        #: feeding an EWMA hotspot detector, whose findings arm the
-        #: controller's reactive reconfigurator.
-        self._telemetry: Optional[LinkTelemetry] = None
-        self._hotspots: Optional[HotspotDetector] = None
-        if shim_options is not None and shim_options.reactive:
-            self._attach_reactive()
-        fabric.add_circuit_listener(self._on_circuit_change)
-
-    def _attach_reactive(self) -> None:
-        """Build the telemetry loop and hand the controller its reactive state."""
-        from ..core.controller import ReactiveReconfigurator
-
-        self.controller.reactive = ReactiveReconfigurator()
-        self._telemetry = LinkTelemetry(self.simulator)
-        self._hotspots = HotspotDetector(self._telemetry)
-
-    def _observe_telemetry(self, now: float) -> None:
-        """Sample link telemetry and feed hotspot evidence to the controller.
-
-        Driven from collective completions — deterministic, replayable
-        instants when the allocator has just settled — never from periodic
-        wall-clock events.
-        """
-        if self._telemetry is None:
-            return
-        self._telemetry.sample(now)
-        assert self._hotspots is not None
-        hot = self._hotspots.hotspots()
-        if hot and self.controller.reactive is not None:
-            self.controller.reactive.note_hotspots(hot)
-
-    def _on_circuit_change(self, event: "CircuitChangeEvent") -> None:
-        """React to a circuit install or tear on the fabric.
-
-        Installs and tears drop the route cache eagerly (the topology
-        version check would catch them too; this keeps the cache from
-        holding torn Link objects between version probes).  A tear
-        additionally confronts the flows *riding* the torn links: the
-        circuit-hold bookkeeping prevents a collective's own circuits from
-        being torn under it, but a flow detoured over another rail's
-        circuits (e.g. around a failed link) is invisible to that
-        accounting — previously it silently kept charging capacity that no
-        longer existed.  Such flows now re-route over the surviving fabric
-        or raise the typed :class:`~repro.errors.LinkFailedError`, per the
-        simulator's failure policy.
-        """
-        self._pair_paths.clear()
-        self._step_routes.clear()
-        if not event.installed:
-            self.simulator.fail_link_ids(event.link_ids)
-
-    def _build_shim(self) -> "OpusShim":
-        from ..core.shim import OpusShim
-
-        shim = OpusShim(
-            fabric=self.fabric,
-            mesh=self.mesh,
-            controller=self.controller,
-            registry=self._registry,
-            options=self._shim_options,
-        )
-        shim.circuit_guard = self._circuits_idle
-        return shim
-
-    # ------------------------------------------------------------------ #
-    # Flow-mode interface (circuit-gated)
-    # ------------------------------------------------------------------ #
-
-    def begin_comm(
-        self,
-        operation: Operation,
-        start_time: float,
-        on_complete: CompletionCallback,
-    ) -> None:
-        """Gate ``operation`` on its circuits, then inject its flows.
-
-        The circuit request is issued at ``start_time`` (the instant the
-        ranks' NICs are ready); the flows are scheduled at the ready time the
-        controller grants, so an exposed switching delay appears in the
-        simulation as a gap between the two.  If the request would tear a
-        circuit whose flows are still on the wire, the whole launch is
-        deferred until those flows drain — the drain event re-issues the
-        request at the drain time.
-        """
-        op = operation.collective
-        if op is None:
-            raise SimulationError(
-                f"operation {operation.op_id} has no collective to expand"
-            )
-        target = self.shim.target_for(op)
-        live = self._live_conflicts(target)
-        if live:
-            self._defer_launch(live, operation, start_time, on_complete)
-            return
-        grant = self.shim.request_circuits(op, start_time)
-        if grant.records:
-            self._op_records.setdefault(operation.op_id, []).extend(grant.records)
-        launch_at = max(start_time, grant.ready_time)
-        held = self._hold_circuits(target)
-
-        def _finished(end: float) -> None:
-            # Real drain feedback: the controller learns when the circuits
-            # actually emptied (notify_transfer marks them busy until then),
-            # and only afterwards may waiters / provisioning touch them.
-            self._observe_telemetry(end)
-            self.shim.notify_transfer(op, launch_at, end)
-            self._release_circuits(held, end)
-            on_complete(end)
-
-        steps = self._expanded_schedule(operation)
-        _InFlightCollective(self, self.step_items(steps), _finished).launch(launch_at)
-
-    def pop_reconfig_records(self, op_id: int) -> Tuple[ReconfigRecord, ...]:
-        records = self._op_records.pop(op_id, None)
-        return tuple(records) if records else ()
-
-    # ------------------------------------------------------------------ #
-    # Analytic fallback + lifecycle hooks
-    # ------------------------------------------------------------------ #
-
-    def _scaleout_duration(self, operation: Operation) -> float:
-        # Circuits give every cross-domain hop the full port line rate — the
-        # paper's equal-bandwidth assumption (§4.2) — so the analytic fallback
-        # prices at the plain scale-out link instead of routing through the
-        # mutable circuit graph, matching PhotonicRailNetworkModel exactly.
-        if operation.collective is None:
-            raise SimulationError(
-                f"operation {operation.op_id} has no collective to price"
-            )
-        return self._ring.collective_time(operation.collective, self._scaleout_link)
-
-    def timing(self, operation: Operation, ready_time: float) -> CommTiming:
-        op = operation.collective
-        if op is None:
-            raise SimulationError(
-                f"operation {operation.op_id} has no collective to price"
-            )
-        duration = self.transfer_duration(operation)
-        if not self.is_scaleout(operation):
-            return CommTiming(start=ready_time, end=ready_time + duration)
-        live = self._live_conflicts(self.shim.target_for(op))
-        if live:
-            # timing() must answer synchronously, so unlike begin_comm it
-            # cannot defer until the conflicting flows drain — and letting
-            # ensure() tear circuits that still carry flows would silently
-            # keep stale capacity allocated.  Fail loudly instead; no bundled
-            # workload emits non-expandable scale-out collectives.
-            conflicts = ", ".join(
-                f"rail {rail} circuit {circuit}" for rail, circuit in sorted(
-                    live, key=lambda item: (item[0], item[1].ports)
-                )
-            )
-            raise SimulationError(
-                f"analytically-priced collective {op} needs circuits that "
-                f"conflict with live flows ({conflicts}); only expanded "
-                "collectives can wait for in-flight circuits to drain"
-            )
-        grant = self.shim.request_circuits(op, ready_time)
-        start = max(ready_time, grant.ready_time)
-        end = start + duration
-        self.shim.notify_transfer(op, start, end)
-        return CommTiming(start=start, end=end, reconfigs=grant.records)
-
-    def on_comm_end(self, operation: Operation, end_time: float) -> None:
-        if operation.collective is not None and self.is_scaleout(operation):
-            self.shim.notify_completion(operation.collective, end_time)
-
-    def on_iteration_start(self, iteration: int, time: float) -> None:
-        rewound = time < self.simulator.engine.now
-        super().on_iteration_start(iteration, time)
-        if rewound:
-            self._reset_control_plane()
-        self.shim.start_iteration(iteration, time)
-
-    def on_iteration_end(self, iteration: int, time: float) -> None:
-        super().on_iteration_end(iteration, time)
-        self.shim.end_iteration(iteration, time)
-
-    def install_fault_plan(self, plan) -> None:
-        """Bind a fault plan; adds OCS port failures to the link machinery."""
-        super().install_fault_plan(plan)
-        self.fault_injector.on_port_failed = self._apply_port_failure
-
-    def _apply_port_failure(self, event, now: float) -> None:
-        """Kill one OCS port: tear its circuit, reroute riders, replan.
-
-        The controller marks the port permanently conflicting and tears the
-        circuit it carried through the fabric, whose circuit-change event
-        lands in :meth:`_on_circuit_change` — re-routing or failing any
-        flows on the wire.  Dropping the planner caches makes every future
-        configuration route around the failed port.
-        """
-        self.controller.fail_port(event.rail, event.port)
-        self.shim.planner.clear_cache()
-
-    def _reset_control_plane(self) -> None:
-        """Fresh control plane for a rewound clock (a second training run)."""
-        if self._circuit_load or self._waiters:
-            raise SimulationError(
-                "cannot rewind the photonic flow model while collectives hold "
-                "circuits"
-            )
-        self.controller.reset()
-        self._op_records.clear()
-        self.shim = self._build_shim()
-        if self._telemetry is not None:
-            # Rebind the telemetry loop to the (possibly rebuilt) simulator
-            # and start the reactive state from scratch — a rewound clock is
-            # a new job as far as learned phase structure is concerned.
-            self._attach_reactive()
-
-    # ------------------------------------------------------------------ #
-    # Live-circuit bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def _live_conflicts(
-        self, target: "RailConfiguration"
-    ) -> Set[Tuple[int, Circuit]]:
-        """Installed circuits that carry flows and conflict with ``target``."""
-        live: Set[Tuple[int, Circuit]] = set()
-        for rail in target.rails():
-            state = self.controller.rail_state(rail)
-            for circuit in target.configuration(rail).circuits:
-                if circuit in state.installed:
-                    continue
-                for existing in state.conflicts_with(circuit):
-                    if self._circuit_load.get((rail, existing), 0) > 0:
-                        live.add((rail, existing))
-        return live
-
-    def _circuits_idle(self, rail: int, configuration: "CircuitConfiguration") -> bool:
-        """Shim guard: may ``configuration`` be installed without tearing live circuits?"""
-        state = self.controller.rail_state(rail)
-        for circuit in configuration.circuits:
-            if circuit in state.installed:
-                continue
-            for existing in state.conflicts_with(circuit):
-                if self._circuit_load.get((rail, existing), 0) > 0:
-                    return False
-        return True
-
-    def _defer_launch(
-        self,
-        live: Set[Tuple[int, Circuit]],
-        operation: Operation,
-        start_time: float,
-        on_complete: CompletionCallback,
-    ) -> None:
-        waiter = _DeferredLaunch(set(live), operation, start_time, on_complete)
-        for key in live:
-            self._waiters.setdefault(key, []).append(waiter)
-
-    def _hold_circuits(
-        self, target: "RailConfiguration"
-    ) -> List[Tuple[int, Circuit]]:
-        held: List[Tuple[int, Circuit]] = []
-        for rail in target.rails():
-            for circuit in target.configuration(rail).circuits:
-                key = (rail, circuit)
-                self._circuit_load[key] = self._circuit_load.get(key, 0) + 1
-                held.append(key)
-        return held
-
-    def _release_circuits(
-        self, held: List[Tuple[int, Circuit]], end: float
-    ) -> None:
-        ready: List[_DeferredLaunch] = []
-        for key in held:
-            count = self._circuit_load.get(key, 0) - 1
-            if count > 0:
-                self._circuit_load[key] = count
-                continue
-            self._circuit_load.pop(key, None)
-            for waiter in self._waiters.pop(key, []):
-                waiter.pending.discard(key)
-                if not waiter.pending:
-                    ready.append(waiter)
-        for waiter in ready:
-            self.begin_comm(
-                waiter.operation, max(waiter.start, end), waiter.on_complete
-            )
-
-    # ------------------------------------------------------------------ #
-    # Reporting helpers
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total_reconfigurations(self) -> int:
-        """Total switching events performed across all rails so far."""
-        return self.controller.total_reconfigurations()
-
-    @property
-    def reconfiguration_delay(self) -> float:
-        """The (possibly overridden) per-event switching delay in seconds."""
-        return self.controller.reconfiguration_delay(next(iter(self.fabric.rails)))
-
-
 # --------------------------------------------------------------------------- #
 # Per-fabric constructors
 # --------------------------------------------------------------------------- #
@@ -976,91 +574,4 @@ def rail_optimized_flow_network(
         mesh,
         fabric.topology,
         routing_policy=routing_policy,
-    )
-
-
-def shim_options_for_provisioning(provisioning: object) -> "ShimOptions":
-    """Map the ``provisioning`` knob onto shim options.
-
-    Booleans keep their historical meaning (``True`` = profile-driven
-    speculative provisioning, ``False`` = profile but reconfigure on
-    demand); the string values spell the full mode space out:
-
-    * ``"profile"`` — profile the first iteration, then provision from it;
-    * ``"none"`` — profile but never provision (every phase change pays its
-      switching delay on demand);
-    * ``"reactive"`` — no profiling iteration at all: phase structure is
-      learned online and speculation is driven by telemetry (blocking +
-      hotspot evidence).
-    """
-    from ..core.shim import ShimOptions
-    from ..errors import ConfigurationError
-
-    if not isinstance(provisioning, str):
-        return ShimOptions(provisioning=bool(provisioning))
-    if provisioning == "profile":
-        return ShimOptions(provisioning=True)
-    if provisioning == "none":
-        return ShimOptions(provisioning=False)
-    if provisioning == "reactive":
-        return ShimOptions(
-            provisioning=False,
-            profile_first_iteration=False,
-            reactive=True,
-        )
-    raise ConfigurationError(
-        f"unknown provisioning mode {provisioning!r}; expected a boolean or "
-        "one of 'profile', 'none', 'reactive'"
-    )
-
-
-def photonic_flow_network(
-    cluster: ClusterSpec,
-    mesh: DeviceMesh,
-    reconfiguration_delay: Optional[float] = None,
-    provisioning: Union[bool, str] = True,
-    technology: Optional["OCSTechnology"] = None,
-    registry: Optional["GroupRegistry"] = None,
-) -> PhotonicFlowNetworkModel:
-    """Flow-level photonic rails under the full Opus control plane."""
-    fabric = build_photonic_rail_fabric(cluster, technology=technology)
-    return PhotonicFlowNetworkModel(
-        cluster,
-        mesh,
-        fabric=fabric,
-        reconfiguration_delay=reconfiguration_delay,
-        shim_options=shim_options_for_provisioning(provisioning),
-        registry=registry,
-    )
-
-
-def bare_ocs_flow_network(
-    cluster: ClusterSpec,
-    mesh: DeviceMesh,
-    reconfiguration_delay: Optional[float] = None,
-    technology: Optional["OCSTechnology"] = None,
-    registry: Optional["GroupRegistry"] = None,
-) -> PhotonicFlowNetworkModel:
-    """Flow-level bare OCS rails: on-demand per-group switching, no Opus.
-
-    Profiling, provisioning, and axis coalescing are disabled, so every
-    communication group pays its own switching event whenever its circuits
-    are missing — the flow-level counterpart of the analytic
-    :class:`~repro.simulator.fabric_network.OCSReconfigurableNetworkModel`
-    envelope.
-    """
-    from ..core.shim import ShimOptions
-
-    fabric = build_photonic_rail_fabric(cluster, technology=technology)
-    return PhotonicFlowNetworkModel(
-        cluster,
-        mesh,
-        fabric=fabric,
-        reconfiguration_delay=reconfiguration_delay,
-        shim_options=ShimOptions(
-            provisioning=False,
-            profile_first_iteration=False,
-            coalesce_axis=False,
-        ),
-        registry=registry,
     )

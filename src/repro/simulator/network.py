@@ -7,9 +7,11 @@ ranks are ready) and how long it takes.  Three implementations matter:
 * :class:`ElectricalRailNetworkModel` — the baseline: full rail connectivity,
   transfers start as soon as the ranks are ready (this is also the
   "reconfiguration latency 0" point of Fig. 8).
-* :class:`PhotonicRailNetworkModel` (defined in :mod:`repro.core.network`) —
-  transfers may additionally wait for the Opus controller to install the
-  required circuits; reconfigurations are recorded in the trace.
+* :class:`~repro.core.network.PhotonicRailNetworkModel` and its flow-level
+  twin :class:`~repro.core.network.PhotonicFlowNetworkModel` (both defined in
+  :mod:`repro.core.network`, on one shared Opus wiring) — transfers may
+  additionally wait for the Opus controller to install the required
+  circuits; reconfigurations are recorded in the trace.
 * :class:`IdealNetworkModel` — infinite bandwidth, for isolating compute time
   in tests.
 

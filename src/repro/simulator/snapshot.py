@@ -39,7 +39,9 @@ from typing import Any, Callable, Dict
 from ..errors import SnapshotError
 
 #: Bumped when the meaning of a pickled payload changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Version 2: the photonic flow model moved to ``repro.core.network``, so a
+#: version-1 payload names a class path that no longer exists.
+SNAPSHOT_FORMAT_VERSION = 2
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -341,26 +341,6 @@ class PhotonicRailFabric:
         """Tear down every circuit on ``rail``."""
         self.apply_configuration(rail, CircuitConfiguration(()))
 
-    def circuit_path_exists(self, src_gpu: int, dst_gpu: int) -> bool:
-        """Return whether the installed circuits give ``src_gpu`` a direct
-        rail path to ``dst_gpu`` (same rail and a circuit between them)."""
-        cluster = self.cluster
-        if cluster.rail_of(src_gpu) != cluster.rail_of(dst_gpu):
-            return False
-        rail = cluster.rail_of(src_gpu)
-        photonic_rail = self.rail(rail)
-        src_domain = cluster.domain_of(src_gpu)
-        dst_domain = cluster.domain_of(dst_gpu)
-        installed = photonic_rail.ocs.installed
-        for nic_port in range(photonic_rail.ports_per_gpu):
-            src_port = photonic_rail.ocs_port(RailEndpoint(src_domain, nic_port))
-            peer = installed.peer_of(src_port)
-            if peer is None:
-                continue
-            if photonic_rail.endpoint_of(peer).domain == dst_domain:
-                return True
-        return False
-
     # ------------------------------------------------------------------ #
     # Internal topology maintenance
     # ------------------------------------------------------------------ #

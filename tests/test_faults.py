@@ -10,12 +10,14 @@ Covers the fault subsystem layer by layer:
 * the Opus control plane — failed OCS ports are permanently conflicting and
   circuits route around them;
 * end-to-end — the ``faults=`` backend knob, capability validation, the
-  fault-free-plan bitwise-equivalence guarantee, compute slowdowns, trace
+  fault-free-plan bitwise-equivalence guarantee, OCS port failures through
+  the photonic backend in both network modes, compute slowdowns, trace
   records, and the degraded-fabric scenario family's severity ordering
   (healthy < degraded < failed on all three fabrics).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -582,7 +584,9 @@ def test_backend_capability_validation():
     [
         ("electrical", {"network_mode": "analytic"}),
         ("fattree", {"network_mode": "flow"}),
+        ("photonic", {"network_mode": "analytic"}),
         ("photonic", {"network_mode": "flow"}),
+        ("ocs", {"network_mode": "flow"}),
     ],
 )
 def test_fault_free_plan_is_bit_for_bit_identical(backend, knobs):
@@ -592,6 +596,31 @@ def test_fault_free_plan_is_bit_for_bit_identical(backend, knobs):
     )
     assert empty.iteration_times == baseline.iteration_times
     assert empty.metrics == baseline.metrics
+
+
+@pytest.mark.parametrize("mode", ["analytic", "flow"])
+def test_ocs_port_failure_runs_end_to_end_through_the_photonic_backend(mode):
+    # A port dies mid-run on rail 0: with a spare NIC port per GPU the
+    # planner re-routes the rail's circuits through it, which costs one
+    # extra switching event; with a single port per GPU the domain is cut
+    # off and the run stops with the typed control-plane error.
+    port_fault = as_fault_plan(
+        [{"time": 1e-3, "kind": "ocs_port_fail", "rail": 0, "port": 0}]
+    )
+
+    def scenario(cluster, faults):
+        knobs = {"network_mode": mode, **faults}
+        return replace(_tiny_scenario("photonic", knobs), cluster=cluster)
+
+    two_ports = replace(perlmutter_testbed(num_nodes=2), nic_ports_per_gpu=2)
+    healthy = run_scenario(scenario(two_ports, {}))
+    faulted = run_scenario(scenario(two_ports, {"faults": port_fault}))
+    assert len(faulted.iteration_times) == 2
+    assert sum(faulted.reconfigurations) > sum(healthy.reconfigurations)
+
+    single_port = perlmutter_testbed(num_nodes=2)
+    with pytest.raises(ControlPlaneError, match="no healthy NIC port"):
+        run_scenario(scenario(single_port, {"faults": port_fault}))
 
 
 def test_compute_slowdown_stretches_iterations_and_lands_in_trace():

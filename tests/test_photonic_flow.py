@@ -18,6 +18,7 @@ import json
 
 import pytest
 
+from repro.core.network import PhotonicFlowNetworkModel
 from repro.errors import SimulationError
 from repro.experiments.backends import create_network
 from repro.experiments.cli import main
@@ -28,7 +29,7 @@ from repro.experiments.contention import (
 )
 from repro.parallelism.config import ParallelismConfig
 from repro.parallelism.mesh import DeviceMesh
-from repro.simulator.flow_network import FlowNetworkModel, PhotonicFlowNetworkModel
+from repro.simulator.flow_network import FlowNetworkModel
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.topology.devices import perlmutter_testbed

@@ -95,13 +95,14 @@ def test_snapshot_kind_and_version_are_checked():
     state = engine.snapshot()
     with pytest.raises(SnapshotError, match="cannot restore"):
         Topology(name="t").restore(state)
-    stale = SimState(
-        kind=state.kind,
-        payload=state.payload,
-        format_version=SNAPSHOT_FORMAT_VERSION + 1,
-    )
-    with pytest.raises(SnapshotError, match="format version"):
-        SimulationEngine().restore(stale)
+    for version in (SNAPSHOT_FORMAT_VERSION - 1, SNAPSHOT_FORMAT_VERSION + 1):
+        stale = SimState(
+            kind=state.kind,
+            payload=state.payload,
+            format_version=version,
+        )
+        with pytest.raises(SnapshotError, match="format version"):
+            SimulationEngine().restore(stale)
 
 
 # --------------------------------------------------------------------------- #
