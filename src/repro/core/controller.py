@@ -20,10 +20,12 @@ provisioning hides the switching delay inside the inter-phase window (Fig. 5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import CircuitError, ControlPlaneError, FaultError
+from ..errors import CircuitError, ConfigurationError, ControlPlaneError, FaultError
 from ..parallelism.trace import ReconfigRecord
 from ..topology.ocs import Circuit, CircuitConfiguration
 from ..topology.photonic import PhotonicRailFabric
@@ -308,9 +310,20 @@ class OpusController:
         reconfiguration_delay:
             Override of the OCS switching time in seconds; defaults to the
             fabric's OCS technology value.  The Fig. 8 benchmark sweeps this.
+            Must be a finite, non-negative number (not a bool).
         scheduler:
             FC-FS request scheduler (a fresh one is created by default).
         """
+        delay = reconfiguration_delay
+        if delay is not None:
+            if not isinstance(delay, Real) or isinstance(delay, bool):
+                raise ConfigurationError(
+                    f"reconfiguration_delay must be a number in seconds, got {delay!r}"
+                )
+            if not (math.isfinite(delay) and delay >= 0):
+                raise ConfigurationError(
+                    f"reconfiguration_delay must be non-negative and finite, got {delay!r}"
+                )
         self.fabric = fabric
         self.scheduler = scheduler or FCFSScheduler()
         self._delay_override = reconfiguration_delay

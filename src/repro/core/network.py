@@ -27,8 +27,11 @@ collective's launch is gated on :meth:`~repro.core.controller.OpusController.ens
 are resolved only when the flows actually start (the circuits exist by then),
 the per-pair path cache invalidates on topology version bumps, and the real
 drain times of completed flows feed the controller's busy bookkeeping instead
-of analytic estimates.  The same model with profiling/provisioning/coalescing
-disabled is the flow-level twin of the bare-OCS backend.
+of analytic estimates.
+
+With profiling, provisioning and axis coalescing disabled, either model is the
+bare-OCS baseline of the ``ocs`` backend: every missing circuit blocks for the
+full switching delay, and both modes perform the same reconfigurations.
 
 Every reconfiguration performed on behalf of (or speculatively ahead of) a
 collective is returned to the executor and lands in the iteration trace, so
@@ -219,8 +222,9 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
       entirely when they would tear a circuit that still carries flows.
 
     With ``profile_first_iteration=False``, ``provisioning=False`` and
-    ``coalesce_axis=False`` the same model serves as the flow-level twin of
-    the bare-OCS backend: every group reconfigures on demand.
+    ``coalesce_axis=False`` this model and :class:`PhotonicRailNetworkModel`
+    are the two modes of the bare-OCS backend: every group reconfigures on
+    demand.
     """
 
     #: Routes resolve at flow start, over whatever circuits exist by then.

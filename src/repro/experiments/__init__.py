@@ -4,7 +4,8 @@ This package turns the end-to-end simulator into an experiment platform:
 
 * :mod:`repro.experiments.backends` — the :class:`FabricBackend` registry
   adapting every topology (photonic, electrical, ideal, fat-tree,
-  rail-optimized, bare OCS) to the
+  rail-optimized, bare OCS — the photonic models without Opus's
+  provisioning) to the
   :class:`~repro.simulator.network.NetworkModel` interface.
 * :mod:`repro.experiments.runner` — declarative :class:`Scenario` specs, the
   memoized parallel :class:`ExperimentRunner`, and grid expansion.

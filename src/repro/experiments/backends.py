@@ -22,8 +22,9 @@ name.  The registry ships with six backends:
 ``railopt``    transfers routed through the leaf/spine rail-optimized graph
                (knobs: ``always_spine``, ``network_mode``,
                ``routing_policy``, ``faults``)
-``ocs``        bare OCS rails without Opus: every circuit-schedule change
-               blocks for the switching delay (knobs:
+``ocs``        bare OCS rails: the photonic models with profiling,
+               provisioning and axis coalescing off, so every missing
+               circuit blocks for the switching delay (knobs:
                ``reconfiguration_delay``, ``technology``, ``network_mode``,
                ``faults``)
 ========== ==================================================================
@@ -74,11 +75,7 @@ from ..simulator.faults import (
     FaultKind,
     as_fault_plan,
 )
-from ..simulator.fabric_network import (
-    FatTreeNetworkModel,
-    OCSReconfigurableNetworkModel,
-    RailOptimizedNetworkModel,
-)
+from ..simulator.fabric_network import FatTreeNetworkModel, RailOptimizedNetworkModel
 from ..simulator.flow_network import (
     electrical_flow_network,
     fat_tree_flow_network,
@@ -250,25 +247,24 @@ def fault_support(
 ) -> Optional[frozenset]:
     """Fault kinds backend ``backend_name`` supports in ``network_mode``.
 
-    Mirrors the ``supported`` sets the built-in factories pass to their
-    ``faults``-knob validation, so callers extending a *live* model's fault
-    plan (fork-sweeps; see :meth:`repro.experiments.session.SimulationSession.
-    extend_faults`) can reject unsupported event kinds with the same error as
-    an up-front ``faults=`` knob would.  Returns ``None`` for third-party
-    backends the table does not know, leaving validation to the model itself.
+    The built-in factories validate their ``faults`` knob against this
+    table, so callers extending a *live* model's fault plan (fork-sweeps;
+    see :meth:`repro.experiments.session.SimulationSession.extend_faults`)
+    can reject unsupported event kinds with the same error as an up-front
+    ``faults=`` knob would.  Returns ``None`` for third-party backends the
+    table does not know, leaving validation to the model itself.
     """
     mode = "analytic" if network_mode is None else str(network_mode)
     return _FAULT_SUPPORT.get((str(backend_name), mode))
 
 
 def _install_faults(
-    model: NetworkModel,
-    faults: object,
-    supported: frozenset,
-    backend: str,
-    mode: str,
+    model: NetworkModel, faults: object, backend: str, mode: str
 ) -> NetworkModel:
-    """Validate and bind a ``faults=`` knob value onto a fresh model."""
+    """Validate and bind a ``faults=`` knob value onto a fresh model.
+
+    The plan's event kinds must be in ``_FAULT_SUPPORT[(backend, mode)]``.
+    """
     if faults is None:
         return model
     plan = as_fault_plan(faults)
@@ -278,7 +274,8 @@ def _install_faults(
         # guard) and break the documented bit-for-bit equivalence.
         return model
     plan.require_supported(
-        supported, context=f"backend {backend!r} in {mode} network mode"
+        _FAULT_SUPPORT[(backend, mode)],
+        context=f"backend {backend!r} in {mode} network mode",
     )
     model.install_fault_plan(plan)
     return model
@@ -329,8 +326,7 @@ def _photonic_backend(
         shim_options=shim_options,
         registry=registry,
     )
-    supported = _CIRCUIT_FLOW_FAULTS if flow else _CIRCUIT_ANALYTIC_FAULTS
-    return _install_faults(model, faults, supported, "photonic", mode)
+    return _install_faults(model, faults, "photonic", mode)
 
 
 @backend(
@@ -355,22 +351,14 @@ def _electrical_backend(
                 "network_mode='flow' expands ring algorithms only; "
                 "use_tree_collectives is not supported in flow mode"
             )
-        return _install_faults(
-            electrical_flow_network(cluster, mesh, routing_policy=policy),
-            faults,
-            _LINK_FAULTS,
-            "electrical",
-            "flow",
+        model: NetworkModel = electrical_flow_network(
+            cluster, mesh, routing_policy=policy
         )
-    return _install_faults(
-        ElectricalRailNetworkModel(
+    else:
+        model = ElectricalRailNetworkModel(
             cluster, mesh, use_tree_collectives=bool(use_tree_collectives)
-        ),
-        faults,
-        _COMPUTE_FAULTS,
-        "electrical",
-        "analytic",
-    )
+        )
+    return _install_faults(model, faults, "electrical", mode)
 
 
 @backend(
@@ -384,9 +372,7 @@ def _ideal_backend(
     registry: Optional[GroupRegistry] = None,
     faults: object = None,
 ) -> NetworkModel:
-    return _install_faults(
-        IdealNetworkModel(cluster, mesh), faults, _COMPUTE_FAULTS, "ideal", "analytic"
-    )
+    return _install_faults(IdealNetworkModel(cluster, mesh), faults, "ideal", "analytic")
 
 
 @backend(
@@ -413,9 +399,9 @@ def _fattree_backend(
             oversubscription=oversubscription,
             routing_policy=policy,
         )
-        return _install_faults(model, faults, _LINK_FAULTS, "fattree", "flow")
-    model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
-    return _install_faults(model, faults, _LINK_FAULTS, "fattree", "analytic")
+    else:
+        model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
+    return _install_faults(model, faults, "fattree", mode)
 
 
 @backend(
@@ -441,14 +427,14 @@ def _railopt_backend(
             always_spine=bool(always_spine),
             routing_policy=policy,
         )
-        return _install_faults(model, faults, _LINK_FAULTS, "railopt", "flow")
-    model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
-    return _install_faults(model, faults, _LINK_FAULTS, "railopt", "analytic")
+    else:
+        model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
+    return _install_faults(model, faults, "railopt", mode)
 
 
 @backend(
     "ocs",
-    "Bare OCS rails without Opus: schedule changes block for the switch time",
+    "Bare OCS rails without provisioning: missing circuits block for the switch time",
     knobs=("reconfiguration_delay", "technology", "network_mode", "faults"),
 )
 def _ocs_backend(
@@ -460,34 +446,23 @@ def _ocs_backend(
     network_mode: Optional[str] = None,
     faults: object = None,
 ) -> NetworkModel:
-    mode = _check_network_mode(network_mode)
-    if mode == "flow":
-        # The photonic flow model without profiling, provisioning or axis
-        # coalescing: every communication group pays its own switching event
-        # whenever its circuits are missing (lazy import: see above).
-        from ..core.network import PhotonicFlowNetworkModel
-        from ..core.shim import ShimOptions
+    # Imported lazily: see _photonic_backend.
+    from ..core.network import PhotonicFlowNetworkModel, PhotonicRailNetworkModel
+    from ..core.shim import ShimOptions
 
-        model = PhotonicFlowNetworkModel(
-            cluster,
-            mesh,
-            fabric=build_photonic_rail_fabric(cluster, technology=technology),
-            reconfiguration_delay=reconfiguration_delay,
-            shim_options=ShimOptions(
-                provisioning=False, profile_first_iteration=False, coalesce_axis=False
-            ),
-            registry=registry,
-        )
-        return _install_faults(model, faults, _CIRCUIT_FLOW_FAULTS, "ocs", "flow")
-    return _install_faults(
-        OCSReconfigurableNetworkModel(
-            cluster,
-            mesh,
-            reconfiguration_delay=reconfiguration_delay,
-            technology=technology,
+    mode = _check_network_mode(network_mode)
+    # The photonic models without profiling, provisioning or axis
+    # coalescing: every communication group pays its own switching event
+    # whenever its circuits are missing.
+    flow = mode == "flow"
+    model = (PhotonicFlowNetworkModel if flow else PhotonicRailNetworkModel)(
+        cluster,
+        mesh,
+        fabric=build_photonic_rail_fabric(cluster, technology=technology),
+        reconfiguration_delay=reconfiguration_delay,
+        shim_options=ShimOptions(
+            provisioning=False, profile_first_iteration=False, coalesce_axis=False
         ),
-        faults,
-        _CIRCUIT_ANALYTIC_FAULTS,
-        "ocs",
-        "analytic",
+        registry=registry,
     )
+    return _install_faults(model, faults, "ocs", mode)

@@ -2,9 +2,10 @@
 
 * :mod:`repro.simulator.compute` — compute-duration model.
 * :mod:`repro.simulator.network` — network timing models (electrical baseline,
-  ideal network; the photonic model lives in :mod:`repro.core.network`).
+  ideal network; the photonic and bare-OCS models live in
+  :mod:`repro.core.network`).
 * :mod:`repro.simulator.fabric_network` — topology-backed models (fat-tree,
-  rail-optimized, bare OCS) with path resolution and oversubscription.
+  rail-optimized) with path resolution and oversubscription.
 * :mod:`repro.simulator.flow_network` — the flow-level network mode:
   collectives expanded into point-to-point transfers that contend for links.
 * :mod:`repro.simulator.executor` — list-scheduling DAG executor (analytic
@@ -25,7 +26,6 @@ from .executor import DAGExecutor, SimulationConfig
 from .faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
 from .fabric_network import (
     FatTreeNetworkModel,
-    OCSReconfigurableNetworkModel,
     RailOptimizedNetworkModel,
     TopologyNetworkModel,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "IdealNetworkModel",
     "IterationMetrics",
     "NetworkModel",
-    "OCSReconfigurableNetworkModel",
     "RailOptimizedNetworkModel",
     "SimulationConfig",
     "SimulationEngine",

@@ -1,4 +1,4 @@
-"""Topology-backed network models: packet fabrics and bare OCS rails.
+"""Topology-backed network models for packet fabrics.
 
 The models in :mod:`repro.simulator.network` price every scale-out collective
 at the NIC port line rate, which is exact for fully-provisioned rails but
@@ -16,10 +16,6 @@ ignores the internal structure of multi-tier packet fabrics.  This module adds
   full-bisection fat tree of :mod:`repro.topology.fattree`.
 * :class:`RailOptimizedNetworkModel` — transfers routed through the
   leaf/spine rail-optimized fabric of :mod:`repro.topology.railopt`.
-* :class:`OCSReconfigurableNetworkModel` — bare OCS rails *without* the Opus
-  control plane: each rail serves one circuit schedule at a time and every
-  schedule change charges the full technology switching delay on the critical
-  path (the "reconfigure on demand" envelope of Fig. 8).
 """
 
 from __future__ import annotations
@@ -30,11 +26,9 @@ from ..collectives.cost_model import LinkParameters
 from ..errors import ConfigurationError
 from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
-from ..parallelism.trace import ReconfigRecord
 from ..topology.base import Link, Topology, gpu_node_name
-from ..topology.devices import ClusterSpec, OCSTechnology
+from ..topology.devices import ClusterSpec
 from ..topology.fattree import FatTreeFabric, build_fat_tree_fabric
-from ..topology.photonic import PhotonicRail
 from ..topology.railopt import RailOptimizedFabric, build_rail_optimized_fabric
 from .network import CommTiming, NetworkModel
 
@@ -196,111 +190,3 @@ class RailOptimizedNetworkModel(TopologyNetworkModel):
         self.fabric = fabric
         super().__init__(cluster, mesh, fabric.topology)
 
-
-class OCSReconfigurableNetworkModel(NetworkModel):
-    """Bare OCS rails: every circuit-schedule change blocks for the switch time.
-
-    This is the photonic data plane *without* Opus: no profiling, no
-    provisioning, no phase coalescing.  Each rail's crossbar holds the circuits
-    of exactly one communication schedule (the ring over the domains of the
-    group it last served); whenever a scale-out collective arrives whose
-    domain set differs from what a rail has installed, the model tears the old
-    circuits down, sets the new ring up, and charges the full reconfiguration
-    delay before the transfer may start.  Groups whose schedule is already
-    installed start immediately, so a single-group workload pays the delay
-    once and an alternating multi-group workload pays it on every switch —
-    the behaviour the paper's Fig. 8 "no provisioning" curve upper-bounds.
-    """
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        mesh: DeviceMesh,
-        reconfiguration_delay: Optional[float] = None,
-        technology: Optional[OCSTechnology] = None,
-    ) -> None:
-        super().__init__(cluster, mesh)
-        technology = technology or cluster.ocs
-        if reconfiguration_delay is None:
-            reconfiguration_delay = technology.reconfiguration_time
-        if not isinstance(reconfiguration_delay, (int, float)):
-            raise ConfigurationError(
-                f"reconfiguration_delay must be a number in seconds, got "
-                f"{reconfiguration_delay!r}"
-            )
-        if reconfiguration_delay < 0:
-            raise ConfigurationError("reconfiguration_delay must be non-negative")
-        self.reconfiguration_delay = reconfiguration_delay
-        self._rails: Dict[int, PhotonicRail] = {
-            rail: PhotonicRail(rail, cluster, technology=technology)
-            for rail in range(cluster.num_rails)
-        }
-        self._installed_domains: Dict[int, Tuple[int, ...]] = {}
-        self.total_reconfigurations = 0
-
-    def rail(self, rail: int) -> PhotonicRail:
-        """Return the :class:`PhotonicRail` backing rail index ``rail``."""
-        if rail not in self._rails:
-            raise ConfigurationError(f"rail {rail} does not exist")
-        return self._rails[rail]
-
-    def install_fault_plan(self, plan) -> None:
-        """Bind a fault plan (inline); supports OCS port failures."""
-        from .faults import FaultInjector
-
-        injector = FaultInjector(plan)
-        injector.on_port_failed = self._apply_port_failure
-        self.fault_injector = injector
-
-    def _apply_port_failure(self, event, now: float) -> None:
-        photonic_rail = self.rail(event.rail)
-        victim = photonic_rail.fail_port(event.port)
-        if victim is not None:
-            # The installed schedule lost a circuit; forget it so the next
-            # collective reinstalls (routing around the failed port).
-            self._installed_domains.pop(event.rail, None)
-
-    def _install(self, rail: int, domains: Tuple[int, ...]) -> int:
-        """Reconfigure ``rail`` to a ring over ``domains``; return circuits changed."""
-        photonic_rail = self._rails[rail]
-        self._installed_domains[rail] = domains
-        if len(domains) >= 3 and photonic_rail.ports_per_gpu < 2:
-            # A 3+-member ring needs two ports per GPU (constraint C1/C3);
-            # with one port the rail time-shares pairwise circuits instead, so
-            # the whole crossbar state is replaced.
-            photonic_rail.ocs.clear()
-            return len(domains)
-        nic_ports = tuple(range(min(2, photonic_rail.ports_per_gpu)))
-        configuration = photonic_rail.ring_configuration(domains, nic_ports=nic_ports)
-        torn_down, set_up = photonic_rail.ocs.apply(configuration)
-        return torn_down + set_up
-
-    def timing(self, operation: Operation, ready_time: float) -> CommTiming:
-        assert operation.collective is not None
-        if self.fault_injector is not None and self.fault_injector.inline:
-            self.fault_injector.advance_to(ready_time)
-        duration = self.transfer_duration(operation)
-        if not self.is_scaleout(operation):
-            return CommTiming(start=ready_time, end=ready_time + duration)
-        group = operation.collective.group
-        domains = self.mesh.domains_of_group(group)
-        records: List[ReconfigRecord] = []
-        for rail in self.mesh.rails_of_group(group):
-            if self._installed_domains.get(rail) == domains:
-                continue
-            changed = self._install(rail, domains)
-            self.total_reconfigurations += 1
-            records.append(
-                ReconfigRecord(
-                    rail=rail,
-                    start=ready_time,
-                    end=ready_time + self.reconfiguration_delay,
-                    provisioned=False,
-                    blocking=self.reconfiguration_delay,
-                    group_name=operation.collective.parallelism or "",
-                    num_circuits_changed=changed,
-                )
-            )
-        # Rails switch in parallel, so one delay covers all of them.
-        start = ready_time + (self.reconfiguration_delay if records else 0.0)
-        return CommTiming(start=start, end=start + duration, reconfigs=tuple(records))

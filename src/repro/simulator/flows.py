@@ -650,12 +650,13 @@ class FlowSimulator(Snapshottable):
             return len(users.live_on(key[2]))
         return len(users) if type(users) is set else 1
 
-    def link_loads(self) -> Iterable[Tuple[LinkKey, float, int]]:
-        """Yield ``(key, allocated_rate, active_flows)`` per in-use link.
+    def link_loads(self) -> Iterable[Tuple[int, float, int]]:
+        """Yield ``(link_id, allocated_rate, active_flows)`` per in-use link.
 
         The telemetry collector's sampling primitive: one pass over the user
         registry (infinite rates count as 0, keeping the sums finite).
         """
+        isinf = math.isinf
         for link_id, users in self._users.items():
             if type(users) is _Unit:
                 flows = users.live_on(link_id)
@@ -663,9 +664,10 @@ class FlowSimulator(Snapshottable):
                 flows = users if type(users) is set else (users,)
             rate = 0.0
             for flow in flows:
-                if not math.isinf(flow.rate):
-                    rate += flow.rate
-            yield _link_key(users, link_id), rate, len(flows)
+                flow_rate = flow._batch.rate[flow._index]
+                if not isinf(flow_rate):
+                    rate += flow_rate
+            yield link_id, rate, len(flows)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until all flows complete (or ``until``); returns the stop time.
@@ -722,15 +724,33 @@ class FlowSimulator(Snapshottable):
         survivors they now share links with are re-rated; returns the
         affected flows.
         """
+        return self._fail_link_ids({key[2] for key in keys}, now)
+
+    def fail_link_ids(
+        self, link_ids: Iterable[int], now: Optional[float] = None
+    ) -> List[Flow]:
+        """Like :meth:`fail_links`, addressed by topology link id.
+
+        Circuit tear-downs only know the link ids they removed.  A no-op (no
+        memo invalidation, no allocation work) when no flow rides the torn
+        links — the overwhelmingly common case on a healthy circuit fabric.
+        """
+        users = self._users
+        failed_ids = {link for link in link_ids if link in users}
+        if not failed_ids:
+            return []
+        return self._fail_link_ids(failed_ids, now)
+
+    def _fail_link_ids(self, failed_ids: Set[int], now: Optional[float]) -> List[Flow]:
+        """:meth:`fail_links` over the ids of the links that left the fabric."""
         if now is None:
             now = self.engine.now
         self._invalidate_memos()
         users = self._users
-        failed_keys = set(keys)
         casualties: List[Flow] = []
         seen: Set[Flow] = set()
-        for key in sorted(failed_keys):
-            riders = users.pop(key[2], None)
+        for link_id in failed_ids:
+            riders = users.pop(link_id, None)
             for flow in riders if type(riders) is set else (riders,):
                 if flow is not None and flow not in seen:
                     seen.add(flow)
@@ -740,7 +760,7 @@ class FlowSimulator(Snapshottable):
         casualties.sort(key=_flow_id_of)
         victims: List[Tuple[Flow, Link]] = []
         for flow in casualties:
-            dead = next(link for link in flow.path if link.key in failed_keys)
+            dead = next(link for link in flow.path if link.link_id in failed_ids)
             if self.link_failure_policy != "reroute":
                 raise LinkFailedError(
                     f"flow {flow.flow_id} was on the wire over link "
@@ -750,7 +770,6 @@ class FlowSimulator(Snapshottable):
                     link_key=dead.key,
                 )
             victims.append((flow, dead))
-        failed_ids = {key[2] for key in failed_keys}
         dirty_links: List[int] = []
         for flow, dead in victims:
             batch, index = flow._batch, flow._index
@@ -763,21 +782,6 @@ class FlowSimulator(Snapshottable):
             self._register(flow)
         self._reallocate(casualties, dirty_links, now)
         return casualties
-
-    def fail_link_ids(
-        self, link_ids: Iterable[int], now: Optional[float] = None
-    ) -> List[Flow]:
-        """Like :meth:`fail_links`, addressed by topology link id.
-
-        Circuit tear-downs only know the link ids they removed.  A no-op (no
-        memo invalidation, no allocation work) when no flow rides the torn
-        links — the overwhelmingly common case on a healthy circuit fabric.
-        """
-        users = self._users
-        keys = [_link_key(users[link], link) for link in link_ids if link in users]
-        if not keys:
-            return []
-        return self.fail_links(keys, now)
 
     def _invalidate_memos(self) -> None:
         """Drop the shape memo and unseal every replayed start event: the
@@ -1545,14 +1549,3 @@ def _set_path(batch: _Batch, index: int, path: Tuple[Link, ...]) -> None:
     batch.links[index] = tuple([link.link_id for link in path])
     batch.latencies[index] = sum(link.latency for link in path)
 
-
-def _link_key(riders: object, link_id: int) -> LinkKey:
-    """The full key of link ``link_id``, read off the path of one of its riders."""
-    if type(riders) is _Unit:
-        paths: Iterable[Tuple[Link, ...]] = chain.from_iterable(
-            batch.paths for batch in riders.batches
-        )
-    else:
-        flows = riders if type(riders) is set else (riders,)
-        paths = (flow.path for flow in flows)
-    return next(link.key for path in paths for link in path if link.link_id == link_id)

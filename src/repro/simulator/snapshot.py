@@ -41,7 +41,10 @@ from ..errors import SnapshotError
 #: Bumped when the meaning of a pickled payload changes incompatibly.
 #: Version 2: the photonic flow model moved to ``repro.core.network``, so a
 #: version-1 payload names a class path that no longer exists.
-SNAPSHOT_FORMAT_VERSION = 2
+#: Version 3: the analytic ``ocs`` backend runs on ``PhotonicRailNetworkModel``;
+#: a version-2 payload of an analytic ``ocs`` session pickles the deleted
+#: ``OCSReconfigurableNetworkModel``.
+SNAPSHOT_FORMAT_VERSION = 3
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

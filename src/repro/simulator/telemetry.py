@@ -36,6 +36,30 @@ DEFAULT_ALPHA = 0.25
 DEFAULT_WINDOW = 32
 
 
+class LinkStats:
+    """One link's telemetry: EWMA utilization and pressure, rolling window."""
+
+    __slots__ = ("key", "utilization", "pressure", "window", "samples", "epoch")
+
+    def __init__(
+        self, key: LinkKey, utilization: float, flows: int, window: int, now: float
+    ) -> None:
+        self.key = key
+        #: Smoothed utilization (allocated rate / capacity).
+        self.utilization = utilization
+        #: Smoothed active-flow count.
+        self.pressure = float(flows)
+        #: Rolling (time, utilization, flows) window.
+        self.window: Deque[Tuple[float, float, int]] = deque(
+            ((now, utilization, flows),), maxlen=window
+        )
+        #: Samples taken of this link, busy or idle.  How many of them sat
+        #: at-or-above a threshold is the observer's business.
+        self.samples = 1
+        #: The collector sample that last saw the link busy.
+        self.epoch = 0
+
+
 class LinkTelemetry:
     """Rolling per-link utilization / queue-pressure collector.
 
@@ -57,16 +81,8 @@ class LinkTelemetry:
         self.simulator = simulator
         self.alpha = float(alpha)
         self.window = int(window)
-        #: Smoothed utilization (allocated rate / capacity) per link.
-        self.utilization: Dict[LinkKey, float] = {}
-        #: Smoothed active-flow count per link.
-        self.pressure: Dict[LinkKey, float] = {}
-        #: Rolling (time, utilization, flows) windows per link.
-        self.windows: Dict[LinkKey, Deque[Tuple[float, float, int]]] = {}
-        #: Consecutive samples each link has spent at-or-above any observer's
-        #: threshold is the observer's business; the collector only counts
-        #: how many samples it has ever taken per link.
-        self.sample_counts: Dict[LinkKey, int] = {}
+        #: Statistics of every link ever sampled busy, keyed by link id.
+        self.links: Dict[int, LinkStats] = {}
         #: Total samples taken.
         self.samples = 0
 
@@ -75,35 +91,34 @@ class LinkTelemetry:
         alpha = self.alpha
         decay = 1.0 - alpha
         topology = self.simulator.topology
-        seen: List[LinkKey] = []
-        for key, rate, flows in self.simulator.link_loads():
-            link_id = key[2]
+        links = self.links
+        self.samples += 1
+        epoch = self.samples
+        for link_id, rate, flows in self.simulator.link_loads():
             if topology is None or not topology.has_link(link_id):
                 continue  # torn/failed links carry no capacity to utilize
-            capacity = topology.link(link_id).bandwidth
-            utilization = rate / capacity if capacity > 0.0 else 0.0
-            seen.append(key)
-            previous = self.utilization.get(key)
-            if previous is None:
-                self.utilization[key] = utilization
-                self.pressure[key] = float(flows)
-                self.windows[key] = deque(maxlen=self.window)
-            else:
-                self.utilization[key] = previous * decay + utilization * alpha
-                self.pressure[key] = (
-                    self.pressure[key] * decay + float(flows) * alpha
+            link = topology.link(link_id)
+            capacity = link.bandwidth
+            load = rate / capacity if capacity > 0.0 else 0.0
+            stats = links.get(link_id)
+            if stats is None:
+                stats = links[link_id] = LinkStats(
+                    link.key, load, flows, self.window, now
                 )
-            self.windows[key].append((now, utilization, flows))
-            self.sample_counts[key] = self.sample_counts.get(key, 0) + 1
+            else:
+                stats.utilization = stats.utilization * decay + load * alpha
+                stats.pressure = stats.pressure * decay + float(flows) * alpha
+                stats.window.append((now, load, flows))
+                stats.samples += 1
+            stats.epoch = epoch
         # Idle links decay: a link absent from the registry has zero load.
-        seen_set = set(seen)
-        for key in self.utilization:
-            if key not in seen_set:
-                self.utilization[key] *= decay
-                self.pressure[key] *= decay
-                self.windows[key].append((now, 0.0, 0))
-                self.sample_counts[key] = self.sample_counts.get(key, 0) + 1
-        self.samples += 1
+        idle = (now, 0.0, 0)
+        for stats in links.values():
+            if stats.epoch != epoch:
+                stats.utilization *= decay
+                stats.pressure *= decay
+                stats.window.append(idle)
+                stats.samples += 1
 
 
 class HotspotDetector:
@@ -130,9 +145,9 @@ class HotspotDetector:
 
     def hotspots(self) -> List[LinkKey]:
         """Every current hotspot link, in sorted (deterministic) order."""
-        counts = self.telemetry.sample_counts
         return sorted(
-            key
-            for key, value in self.telemetry.utilization.items()
-            if value >= self.threshold and counts.get(key, 0) >= self.min_samples
+            stats.key
+            for stats in self.telemetry.links.values()
+            if stats.utilization >= self.threshold
+            and stats.samples >= self.min_samples
         )

@@ -14,8 +14,8 @@ The fabric exposes:
 * a :class:`~repro.topology.base.Topology` view in which installed circuits
   appear as ``OPTICAL_CIRCUIT`` links between NIC-port nodes, so the flow-level
   simulator routes over circuits exactly the way it routes over packet links;
-* helpers to build ring configurations for communication groups, which is what
-  the Opus controller installs for ring-based collectives;
+* port-health and circuit helpers from which the Opus circuit planner builds
+  the ring and pairwise configurations the controller installs;
 * a :class:`~repro.topology.railopt.FabricInventory` for the Fig. 7 cost/power
   models (OCS ports plus host-side transceivers only — the OCS is transparent).
 """
@@ -23,7 +23,7 @@ The fabric exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import CircuitError, ConfigurationError, TopologyError
 from .base import (
@@ -155,7 +155,7 @@ class PhotonicRail:
         """Take one OCS port out of service; returns the circuit it carried.
 
         Failed ports are treated as permanently conflicting: the
-        configuration builders below (and the circuit planner on top of
+        healthy-port helpers below (and the circuit planner on top of
         them) route rings and pairs through each domain's surviving NIC
         ports instead, and installs that would touch the port raise.
         """
@@ -196,59 +196,6 @@ class PhotonicRail:
             f"rail {self.rail}: domain {domain} needs two healthy NIC ports "
             f"for a ring but has {len(healthy)} (fault injection)"
         )
-
-    def ring_configuration(
-        self,
-        domains: Sequence[int],
-        nic_ports: Tuple[int, ...] = (0,),
-    ) -> CircuitConfiguration:
-        """Build a ring over ``domains`` on this rail.
-
-        With a single NIC port per GPU the ring uses that port for both the
-        upstream and downstream neighbor only when the group has exactly two
-        members (the circuit is duplex); larger groups need two ports per GPU
-        (``nic_ports=(0, 1)``), one toward each ring neighbor — this is
-        exactly the paper's degree constraint C1/C3.
-
-        Parameters
-        ----------
-        domains:
-            Scale-up domain indices of the group members, in ring order.
-        nic_ports:
-            The NIC port(s) each member dedicates to this ring.
-        """
-        members = list(domains)
-        if len(members) < 2:
-            return CircuitConfiguration(())
-        if len(set(members)) != len(members):
-            raise ConfigurationError("ring members must be distinct domains")
-        if len(members) == 2:
-            a, b = members
-            circuit = self.circuit_between(
-                RailEndpoint(a, self.healthy_port(a, nic_ports[0])),
-                RailEndpoint(b, self.healthy_port(b, nic_ports[0])),
-            )
-            return CircuitConfiguration((circuit,))
-        if len(nic_ports) < 2:
-            raise ConfigurationError(
-                f"a ring over {len(members)} domains needs two NIC ports per GPU "
-                "(one per neighbor); got only one (constraint C1/C3)"
-            )
-        preferred = (nic_ports[0], nic_ports[1])
-        ports = {
-            domain: self.healthy_port_pair(domain, preferred)
-            for domain in members
-        }
-        circuits = []
-        for index, domain in enumerate(members):
-            next_domain = members[(index + 1) % len(members)]
-            circuits.append(
-                self.circuit_between(
-                    RailEndpoint(domain, ports[domain][1]),
-                    RailEndpoint(next_domain, ports[next_domain][0]),
-                )
-            )
-        return CircuitConfiguration(circuits)
 
     def pairwise_configuration(
         self, pairs: Iterable[Tuple[int, int]], nic_port: int = 0

@@ -1,7 +1,10 @@
 """Backend registry tests: lookup, knob validation, model construction."""
 
+import math
+
 import pytest
 
+from repro.core.network import PhotonicRailNetworkModel
 from repro.errors import ConfigurationError
 from repro.experiments.backends import (
     FabricBackend,
@@ -13,7 +16,6 @@ from repro.experiments.backends import (
 from repro.parallelism.mesh import DeviceMesh
 from repro.simulator.fabric_network import (
     FatTreeNetworkModel,
-    OCSReconfigurableNetworkModel,
     RailOptimizedNetworkModel,
 )
 from repro.simulator.network import NetworkModel
@@ -58,8 +60,24 @@ def test_backend_knobs_reach_the_model(tiny_cluster, tiny_mesh):
     network = create_network(
         "ocs", tiny_cluster, tiny_mesh, reconfiguration_delay=0.123
     )
-    assert isinstance(network, OCSReconfigurableNetworkModel)
+    assert isinstance(network, PhotonicRailNetworkModel)
     assert network.reconfiguration_delay == pytest.approx(0.123)
+
+
+@pytest.mark.parametrize("delay", ["fast", True, -1e-3, math.nan, math.inf])
+@pytest.mark.parametrize("mode", ["analytic", "flow"])
+@pytest.mark.parametrize("name", ["photonic", "ocs"])
+def test_bad_reconfiguration_delay_is_rejected(
+    name, mode, delay, tiny_cluster, tiny_mesh
+):
+    with pytest.raises(ConfigurationError, match="reconfiguration_delay must be"):
+        create_network(
+            name,
+            tiny_cluster,
+            tiny_mesh,
+            reconfiguration_delay=delay,
+            network_mode=mode,
+        )
 
 
 def test_fattree_model_bottleneck_never_exceeds_port_bandwidth(

@@ -460,7 +460,7 @@ def test_photonic_rail_routes_pairs_around_failed_ports():
     assert rail2.healthy_nic_ports(0) == (1,)
     # A ring needs two healthy ports per member: domain 0 has only one left.
     with pytest.raises(CircuitError, match="two healthy NIC ports"):
-        rail2.ring_configuration([0, 1, 2, 3], nic_ports=(0, 1))
+        rail2.healthy_port_pair(0, (0, 1))
 
 
 def test_controller_fail_port_tears_topology_links_and_guards_ensure():
@@ -586,6 +586,7 @@ def test_backend_capability_validation():
         ("fattree", {"network_mode": "flow"}),
         ("photonic", {"network_mode": "analytic"}),
         ("photonic", {"network_mode": "flow"}),
+        ("ocs", {"network_mode": "analytic"}),
         ("ocs", {"network_mode": "flow"}),
     ],
 )
@@ -618,9 +619,16 @@ def test_ocs_port_failure_runs_end_to_end_through_the_photonic_backend(mode):
     assert len(faulted.iteration_times) == 2
     assert sum(faulted.reconfigurations) > sum(healthy.reconfigurations)
 
+    # The bare-OCS backend runs on the same control plane, so it stops with
+    # the same typed error in both modes.
     single_port = perlmutter_testbed(num_nodes=2)
-    with pytest.raises(ControlPlaneError, match="no healthy NIC port"):
-        run_scenario(scenario(single_port, {"faults": port_fault}))
+    for backend in ("photonic", "ocs"):
+        with pytest.raises(ControlPlaneError, match="no healthy NIC port"):
+            run_scenario(
+                replace(
+                    scenario(single_port, {"faults": port_fault}), backend=backend
+                )
+            )
 
 
 def test_compute_slowdown_stretches_iterations_and_lands_in_trace():

@@ -23,12 +23,16 @@ from repro.errors import SimulationError
 from repro.experiments.backends import create_network
 from repro.experiments.cli import main
 from repro.experiments.contention import (
+    circuit_thrash_cluster,
     circuit_thrash_scenario,
     compare_network_modes,
     provisioned_photonic_scenario,
+    tiny_moe_workload,
 )
+from repro.experiments.runner import Scenario, run_scenario
 from repro.parallelism.config import ParallelismConfig
 from repro.parallelism.mesh import DeviceMesh
+from repro.parallelism.workloads import paper_trace_cluster, paper_trace_workload
 from repro.simulator.flow_network import FlowNetworkModel
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
@@ -102,6 +106,36 @@ def test_bare_ocs_flow_backend_reconfigures_on_demand(tiny_workload, tiny_cluste
     # No profiling iteration on bare OCS: the cold-start switching events
     # land in iteration 0 and the same circuits serve iteration 1.
     assert result.reconfigurations[0] > 0
+
+
+@pytest.mark.parametrize("delay", [1e-3, 15e-3])
+@pytest.mark.parametrize(
+    "workload,cluster",
+    [
+        (paper_trace_workload, paper_trace_cluster),
+        (tiny_moe_workload, circuit_thrash_cluster),
+    ],
+    ids=["paper-trace", "tiny-moe"],
+)
+def test_bare_ocs_modes_perform_the_same_reconfigurations(workload, cluster, delay):
+    # Both modes run the same control plane with provisioning off, so they
+    # switch the same circuits; flow mode only adds contention on top.
+    results = {
+        mode: run_scenario(
+            Scenario(
+                workload=workload(),
+                cluster=cluster(),
+                backend="ocs",
+                knobs={"reconfiguration_delay": delay, "network_mode": mode},
+                num_iterations=3,
+            )
+        )
+        for mode in ("analytic", "flow")
+    }
+    analytic, flow = results["analytic"], results["flow"]
+    assert flow.reconfigurations == analytic.reconfigurations
+    assert all(count > 0 for count in analytic.reconfigurations)
+    assert flow.iteration_times[-1] >= analytic.iteration_times[-1]
 
 
 def test_network_mode_knob_selects_the_photonic_flow_model(tiny_workload, tiny_cluster):
