@@ -21,8 +21,7 @@ builds and caches these configurations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..collectives.primitives import CollectiveOp, CollectiveType
 from ..errors import CircuitConflictError, CircuitError, ControlPlaneError
@@ -30,25 +29,6 @@ from ..parallelism.groups import GroupRegistry
 from ..parallelism.mesh import DeviceMesh
 from ..topology.ocs import Circuit, CircuitConfiguration
 from ..topology.photonic import PhotonicRailFabric, RailEndpoint
-
-
-@dataclass(frozen=True)
-class RailConfiguration:
-    """The circuits one logical demand needs on every rail it touches."""
-
-    per_rail: Mapping[int, CircuitConfiguration]
-
-    def rails(self) -> Tuple[int, ...]:
-        """Rails with at least one circuit."""
-        return tuple(sorted(self.per_rail))
-
-    def configuration(self, rail: int) -> CircuitConfiguration:
-        """The circuits needed on ``rail`` (empty if the rail is untouched)."""
-        return self.per_rail.get(rail, CircuitConfiguration(()))
-
-    def num_circuits(self) -> int:
-        """Total circuits across all rails."""
-        return sum(len(cfg) for cfg in self.per_rail.values())
 
 
 class CircuitPlanner:
@@ -64,9 +44,11 @@ class CircuitPlanner:
         self.mesh = mesh
         self.registry = registry or GroupRegistry(mesh)
         self.ports_per_gpu = fabric.cluster.nic_port_config.num_ports
-        self._group_cache: Dict[FrozenSet[int], RailConfiguration] = {}
+        self._group_cache: Dict[FrozenSet[int], Dict[int, CircuitConfiguration]] = {}
         self._axis_cache: Dict[str, Optional[Dict[int, CircuitConfiguration]]] = {}
-        self._target_cache: Dict[Tuple[str, Tuple[int, ...]], RailConfiguration] = {}
+        self._target_cache: Dict[
+            Tuple[str, Tuple[int, ...]], Dict[int, CircuitConfiguration]
+        ] = {}
 
     # ------------------------------------------------------------------ #
     # Per-group configurations
@@ -74,8 +56,11 @@ class CircuitPlanner:
 
     def configuration_for_group(
         self, ranks: Sequence[int], chain: bool = False
-    ) -> RailConfiguration:
-        """Circuits needed by one communication group.
+    ) -> Dict[int, CircuitConfiguration]:
+        """Circuits needed by one communication group, per rail it touches.
+
+        The result maps each rail to its circuits, keyed in ascending rail
+        order; an intra-domain group touches no rail.
 
         Parameters
         ----------
@@ -98,11 +83,10 @@ class CircuitPlanner:
                 members = [r for r in ranks if self.mesh.rail_of(r) == rail]
                 domains = [self.mesh.domain_of(r) for r in members]
                 per_rail[rail] = self._rail_circuits(rail, domains, chain=chain)
-        configuration = RailConfiguration(per_rail=per_rail)
-        self._group_cache[cache_key] = configuration
-        return configuration
+        self._group_cache[cache_key] = per_rail
+        return per_rail
 
-    def configuration_for_op(self, op: CollectiveOp) -> RailConfiguration:
+    def configuration_for_op(self, op: CollectiveOp) -> Dict[int, CircuitConfiguration]:
         """Circuits needed to serve one collective operation."""
         chain = op.collective == CollectiveType.SEND_RECV
         return self.configuration_for_group(op.group, chain=chain)
@@ -120,21 +104,13 @@ class CircuitPlanner:
             return CircuitConfiguration(())
         if len(unique) == 2:
             try:
-                circuit = photonic_rail.circuit_between(
-                    RailEndpoint(
-                        unique[0], photonic_rail.healthy_port(unique[0], 0)
-                    ),
-                    RailEndpoint(
-                        unique[1], photonic_rail.healthy_port(unique[1], 0)
-                    ),
-                )
+                return photonic_rail.pairwise_configuration([(unique[0], unique[1])])
             except CircuitError as exc:
                 raise ControlPlaneError(
                     f"rail {rail}: cannot route a circuit between domains "
                     f"{unique[0]} and {unique[1]} around failed OCS ports: "
                     f"{exc}"
                 ) from exc
-            return CircuitConfiguration((circuit,))
         if self.ports_per_gpu < 2:
             raise ControlPlaneError(
                 f"a group spanning {len(unique)} domains needs two NIC ports per "
@@ -184,19 +160,15 @@ class CircuitPlanner:
             for group in groups:
                 chain = axis == "pp"
                 group_config = self.configuration_for_group(group.ranks, chain=chain)
-                for rail in group_config.rails():
+                for rail, configuration in group_config.items():
                     existing = per_rail.get(rail, CircuitConfiguration(()))
-                    per_rail[rail] = existing.union(group_config.configuration(rail))
+                    per_rail[rail] = existing.union(configuration)
         except (CircuitConflictError, ControlPlaneError):
             result = None
         self._axis_cache[axis] = result
         return result
 
-    def coalescable(self, axis: str) -> bool:
-        """Whether all groups of ``axis`` can share one installed configuration."""
-        return self.axis_configuration(axis) is not None
-
-    def target_for_op(self, op: CollectiveOp) -> RailConfiguration:
+    def target_for_op(self, op: CollectiveOp) -> Dict[int, CircuitConfiguration]:
         """The configuration the controller should install to serve ``op``.
 
         Prefers the coalesced per-axis configuration (fewer reconfigurations,
@@ -214,13 +186,11 @@ class CircuitPlanner:
             axis_config = self.axis_configuration(axis)
             if axis_config is not None:
                 _, rails, scaleout = self.mesh.group_placement(op.group)
-                target = RailConfiguration(
-                    per_rail={
-                        rail: axis_config[rail]
-                        for rail in (rails if scaleout else ())
-                        if rail in axis_config
-                    }
-                )
+                target = {
+                    rail: axis_config[rail]
+                    for rail in (rails if scaleout else ())
+                    if rail in axis_config
+                }
                 self._target_cache[key] = target
                 return target
         return self.configuration_for_op(op)

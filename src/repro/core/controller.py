@@ -23,13 +23,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..errors import CircuitError, ConfigurationError, ControlPlaneError, FaultError
+from ..errors import (
+    CircuitError,
+    ConfigurationError,
+    ControlPlaneError,
+    FaultError,
+    SchedulingError,
+)
 from ..parallelism.trace import ReconfigRecord
 from ..topology.ocs import Circuit, CircuitConfiguration
 from ..topology.photonic import PhotonicRailFabric
-from .scheduler import FCFSScheduler, ReconfigurationRequest
 
 
 @dataclass
@@ -299,7 +304,6 @@ class OpusController:
         self,
         fabric: PhotonicRailFabric,
         reconfiguration_delay: Optional[float] = None,
-        scheduler: Optional[FCFSScheduler] = None,
     ) -> None:
         """Create a controller.
 
@@ -311,8 +315,6 @@ class OpusController:
             Override of the OCS switching time in seconds; defaults to the
             fabric's OCS technology value.  The Fig. 8 benchmark sweeps this.
             Must be a finite, non-negative number (not a bool).
-        scheduler:
-            FC-FS request scheduler (a fresh one is created by default).
         """
         delay = reconfiguration_delay
         if delay is not None:
@@ -325,7 +327,10 @@ class OpusController:
                     f"reconfiguration_delay must be non-negative and finite, got {delay!r}"
                 )
         self.fabric = fabric
-        self.scheduler = scheduler or FCFSScheduler()
+        #: FC-FS admission: issue time of the last request per communication
+        #: group (its member set).  The paper's Objective 3 relies on each
+        #: group's requests being served in the order the job issued them.
+        self._last_issue: Dict[FrozenSet[int], float] = {}
         self._delay_override = reconfiguration_delay
         self._rails: Dict[int, RailCircuitState] = {
             rail: RailCircuitState(rail=rail) for rail in fabric.rails
@@ -366,10 +371,6 @@ class OpusController:
             raise ControlPlaneError(f"rail {rail} is not managed by this controller")
         return self._rails[rail]
 
-    def installed_configuration(self, rail: int) -> CircuitConfiguration:
-        """The circuits currently installed on ``rail`` (controller's view)."""
-        return CircuitConfiguration(tuple(self.rail_state(rail).installed))
-
     def total_reconfigurations(self) -> int:
         """Total switching events across all rails since construction."""
         return sum(state.reconfigurations for state in self._rails.values())
@@ -382,9 +383,18 @@ class OpusController:
         self,
         rail: int,
         target: CircuitConfiguration,
-        request: ReconfigurationRequest,
+        issue_time: float,
+        group: FrozenSet[int],
+        axis: str,
+        provisioned: bool = False,
     ) -> Tuple[float, Optional[ReconfigRecord]]:
         """Make sure ``target``'s circuits exist on ``rail``.
+
+        The request was issued at ``issue_time`` on behalf of communication
+        group ``group`` (its member set) and parallelism ``axis``;
+        ``provisioned`` marks a speculative request.  Requests of one group
+        must arrive in issue order (first-come first-serve), else
+        :class:`~repro.errors.SchedulingError` is raised before any switching.
 
         Returns ``(ready_time, reconfig_record)`` where ``ready_time`` is when
         every requested circuit is usable, and ``reconfig_record`` describes
@@ -392,7 +402,14 @@ class OpusController:
         were already installed).
         """
         state = self.rail_state(rail)
-        self.scheduler.submit(request)
+        last = self._last_issue.get(group)
+        if last is not None and issue_time < last:
+            raise SchedulingError(
+                f"request for group {sorted(group)} was issued at "
+                f"{issue_time:.6f}, before the previously admitted request at "
+                f"{last:.6f} (FC-FS violation)"
+            )
+        self._last_issue[group] = issue_time
 
         cache_key = (rail, id(target))
         cached = self._ensure_cache.get(cache_key)
@@ -403,7 +420,7 @@ class OpusController:
         ):
             # This exact configuration was fully installed when last checked
             # and no switching event has happened on the rail since.
-            return max(request.issue_time, cached[2]), None
+            return max(issue_time, cached[2]), None
 
         missing = [c for c in target.circuits if c not in state.installed]
         if state.failed_ports:
@@ -421,12 +438,12 @@ class OpusController:
                         )
         if not missing:
             if not target.circuits:
-                return request.issue_time, None
+                return issue_time, None
             ready = max(state.installed[c] for c in target.circuits)
             if len(self._ensure_cache) >= 4096:
                 self._ensure_cache.clear()
             self._ensure_cache[cache_key] = (target, state.reconfigurations, ready)
-            return max(request.issue_time, ready), None
+            return max(issue_time, ready), None
 
         # Circuits that must be torn down because they share ports with the
         # circuits we need to add.
@@ -436,7 +453,7 @@ class OpusController:
             for conflicting in state.conflicts_with(circuit)
         }
         drain_time = state.drain_time(to_tear)
-        start = max(request.issue_time, drain_time, state.switch_free_at)
+        start = max(issue_time, drain_time, state.switch_free_at)
         delay = self.reconfiguration_delay(rail)
         end = start + delay
 
@@ -456,9 +473,9 @@ class OpusController:
             rail=rail,
             start=start,
             end=end,
-            provisioned=request.provisioned,
+            provisioned=provisioned,
             blocking=0.0,
-            group_name=request.axis,
+            group_name=axis,
             num_circuits_changed=len(missing) + len(to_tear),
         )
         ready = max(end, max(state.installed[c] for c in target.circuits))
@@ -523,7 +540,7 @@ class OpusController:
             state.reconfigurations = 0
             self.fabric.clear_rail(rail)
         self._ensure_cache.clear()
-        self.scheduler.reset()
+        self._last_issue.clear()
         if self.reactive is not None:
             self.reactive.reset()
 

@@ -29,9 +29,10 @@ the per-pair path cache invalidates on topology version bumps, and the real
 drain times of completed flows feed the controller's busy bookkeeping instead
 of analytic estimates.
 
-With profiling, provisioning and axis coalescing disabled, either model is the
-bare-OCS baseline of the ``ocs`` backend: every missing circuit blocks for the
-full switching delay, and both modes perform the same reconfigurations.
+With the shim in its ``"bare"`` mode (no profiling, provisioning or axis
+coalescing), either model is the bare-OCS baseline of the ``ocs`` backend:
+every missing circuit blocks for the full switching delay, and both modes
+perform the same reconfigurations.
 
 Every reconfiguration performed on behalf of (or speculatively ahead of) a
 collective is returned to the executor and lands in the iteration trace, so
@@ -58,9 +59,8 @@ from ..topology.photonic import (
     PhotonicRailFabric,
     build_photonic_rail_fabric,
 )
-from .circuits import RailConfiguration
 from .controller import OpusController, ReactiveReconfigurator
-from .shim import OpusShim, ShimOptions
+from .shim import OpusShim
 
 
 class OpusNetworkModel(NetworkModel):
@@ -78,7 +78,7 @@ class OpusNetworkModel(NetworkModel):
         mesh: DeviceMesh,
         fabric: Optional[PhotonicRailFabric] = None,
         reconfiguration_delay: Optional[float] = None,
-        shim_options: Optional[ShimOptions] = None,
+        shim_mode: str = "profile",
         registry: Optional[GroupRegistry] = None,
     ) -> None:
         fabric = fabric or build_photonic_rail_fabric(cluster)
@@ -89,7 +89,7 @@ class OpusNetworkModel(NetworkModel):
             )
         self._init_network(cluster, mesh, fabric)
         self.fabric = fabric
-        self._shim_options = shim_options
+        self._shim_mode = shim_mode
         self._registry = registry
         self.controller = OpusController(
             fabric, reconfiguration_delay=reconfiguration_delay
@@ -108,7 +108,7 @@ class OpusNetworkModel(NetworkModel):
             mesh=self.mesh,
             controller=self.controller,
             registry=self._registry,
-            options=self._shim_options,
+            mode=self._shim_mode,
         )
 
     # ------------------------------------------------------------------ #
@@ -221,8 +221,7 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
       when the prior phase's flows have actually drained, and are skipped
       entirely when they would tear a circuit that still carries flows.
 
-    With ``profile_first_iteration=False``, ``provisioning=False`` and
-    ``coalesce_axis=False`` this model and :class:`PhotonicRailNetworkModel`
+    With ``shim_mode="bare"`` this model and :class:`PhotonicRailNetworkModel`
     are the two modes of the bare-OCS backend: every group reconfigures on
     demand.
     """
@@ -241,11 +240,11 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         mesh: DeviceMesh,
         fabric: Optional[PhotonicRailFabric] = None,
         reconfiguration_delay: Optional[float] = None,
-        shim_options: Optional[ShimOptions] = None,
+        shim_mode: str = "profile",
         registry: Optional[GroupRegistry] = None,
     ) -> None:
         super().__init__(
-            cluster, mesh, fabric, reconfiguration_delay, shim_options, registry
+            cluster, mesh, fabric, reconfiguration_delay, shim_mode, registry
         )
         #: In-flight flow count per installed circuit, keyed by (rail, circuit).
         self._circuit_load: Dict[Tuple[int, Circuit], int] = {}
@@ -263,7 +262,7 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
     def _build_shim(self) -> OpusShim:
         shim = super()._build_shim()
         shim.circuit_guard = self._circuits_idle
-        if shim.options.reactive:
+        if shim.mode == "reactive":
             # A new shim is a new job as far as learned phase structure is
             # concerned: the reactive state starts from scratch, and the
             # telemetry loop binds to the current (possibly rebuilt) simulator.
@@ -417,12 +416,14 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
                 if self._circuit_load.get((rail, existing), 0) > 0:
                     yield existing
 
-    def _live_conflicts(self, target: RailConfiguration) -> Set[Tuple[int, Circuit]]:
+    def _live_conflicts(
+        self, target: Dict[int, CircuitConfiguration]
+    ) -> Set[Tuple[int, Circuit]]:
         """Installed circuits that carry flows and conflict with ``target``."""
         return {
             (rail, existing)
-            for rail in target.rails()
-            for existing in self._rail_conflicts(rail, target.configuration(rail))
+            for rail, configuration in target.items()
+            for existing in self._rail_conflicts(rail, configuration)
         }
 
     def _circuits_idle(self, rail: int, configuration: CircuitConfiguration) -> bool:
@@ -440,10 +441,12 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         for key in live:
             self._waiters.setdefault(key, []).append(waiter)
 
-    def _hold_circuits(self, target: RailConfiguration) -> List[Tuple[int, Circuit]]:
+    def _hold_circuits(
+        self, target: Dict[int, CircuitConfiguration]
+    ) -> List[Tuple[int, Circuit]]:
         held: List[Tuple[int, Circuit]] = []
-        for rail in target.rails():
-            for circuit in target.configuration(rail).circuits:
+        for rail, configuration in target.items():
+            for circuit in configuration.circuits:
                 key = (rail, circuit)
                 self._circuit_load[key] = self._circuit_load.get(key, 0) + 1
                 held.append(key)

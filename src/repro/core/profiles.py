@@ -1,22 +1,21 @@
 """Traffic profiling: learning the per-iteration communication pattern.
 
 During the first training iteration the Opus shim only observes: it records
-the executed window of every intercepted collective (as a
-:class:`~repro.core.intents.CommIntent`) and assembles, per rail, the ordered
-sequence of *parallelism phases* — maximal runs of consecutive scale-out
-collectives belonging to the same parallelism axis.  Because ML training repeats the same execution graph every iteration,
-this profile predicts the traffic of all later iterations, which is what makes
-speculative provisioning safe (paper §4.1).
+the start time, parallelism axis and rails of every intercepted scale-out
+collective and assembles, per rail, the ordered sequence of *parallelism
+phases* — maximal runs of consecutive collectives belonging to the same
+parallelism axis.  Because ML training repeats the same execution graph every
+iteration, this profile predicts the traffic of all later iterations, which
+is what makes speculative provisioning safe (paper §4.1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ProfileError
-from ..parallelism.mesh import DeviceMesh
-from .intents import CommIntent
 
 
 @dataclass
@@ -24,16 +23,7 @@ class PhaseRecord:
     """One parallelism phase on one rail: a run of same-axis collectives."""
 
     axis: str
-    rail: int
-    first_start: float
-    last_end: float
     num_collectives: int = 0
-    total_bytes: float = 0.0
-
-    @property
-    def duration(self) -> float:
-        """Span of the phase in seconds."""
-        return self.last_end - self.first_start
 
 
 @dataclass
@@ -43,18 +33,13 @@ class RailProfile:
     rail: int
     phases: List[PhaseRecord] = field(default_factory=list)
 
-    @property
-    def axis_sequence(self) -> Tuple[str, ...]:
-        """The axis of each phase, in order."""
-        return tuple(phase.axis for phase in self.phases)
-
 
 class TrafficProfiler:
     """Learns the per-rail phase sequence from the profiling iteration."""
 
-    def __init__(self, mesh: DeviceMesh) -> None:
-        self.mesh = mesh
-        self._completions: List[Tuple[CommIntent, float, float]] = []
+    def __init__(self) -> None:
+        #: ``(start, axis, rails)`` of every recorded scale-out collective.
+        self._completions: List[Tuple[float, str, Tuple[int, ...]]] = []
         self._profiles: Dict[int, RailProfile] = {}
         self._frozen = False
 
@@ -67,11 +52,11 @@ class TrafficProfiler:
         """Whether the profile has been finalized."""
         return self._frozen
 
-    def record_completion(self, intent: CommIntent, start: float, end: float) -> None:
-        """Record the observed execution window of one collective."""
+    def record_completion(self, start: float, axis: str, rails: Tuple[int, ...]) -> None:
+        """Record one scale-out collective that started at ``start`` on ``rails``."""
         if self._frozen:
             return
-        self._completions.append((intent, start, end))
+        self._completions.append((start, axis, rails))
 
     def finalize(self) -> None:
         """Freeze the profile and build the per-rail phase sequences."""
@@ -81,43 +66,22 @@ class TrafficProfiler:
         self._frozen = True
 
     def _build_profiles(self) -> None:
-        per_rail: Dict[int, List[Tuple[CommIntent, float, float]]] = {}
-        for intent, start, end in self._completions:
-            if not intent.is_scaleout:
-                continue
-            for rail in intent.rails:
-                per_rail.setdefault(rail, []).append((intent, start, end))
-        for rail, records in per_rail.items():
-            records.sort(key=lambda item: (item[1], item[0].intent_id))
-            profile = RailProfile(rail=rail)
-            for intent, start, end in records:
+        # A stable sort on the start time: collectives starting together keep
+        # the order they were recorded in.
+        for _, axis, rails in sorted(self._completions, key=itemgetter(0)):
+            for rail in rails:
+                profile = self._profiles.get(rail)
+                if profile is None:
+                    profile = self._profiles[rail] = RailProfile(rail=rail)
                 phases = profile.phases
-                if phases and phases[-1].axis == intent.parallelism:
-                    current = phases[-1]
-                    current.last_end = max(current.last_end, end)
-                    current.num_collectives += 1
-                    current.total_bytes += intent.size_bytes
+                if phases and phases[-1].axis == axis:
+                    phases[-1].num_collectives += 1
                 else:
-                    phases.append(
-                        PhaseRecord(
-                            axis=intent.parallelism,
-                            rail=rail,
-                            first_start=start,
-                            last_end=end,
-                            num_collectives=1,
-                            total_bytes=intent.size_bytes,
-                        )
-                    )
-            self._profiles[rail] = profile
+                    phases.append(PhaseRecord(axis=axis, num_collectives=1))
 
     # ------------------------------------------------------------------ #
     # Queries (later iterations)
     # ------------------------------------------------------------------ #
-
-    def rails(self) -> Tuple[int, ...]:
-        """Rails for which a profile was learned."""
-        self._require_frozen()
-        return tuple(sorted(self._profiles))
 
     def profile(self, rail: int) -> RailProfile:
         """Return the learned profile of one rail."""
@@ -125,10 +89,6 @@ class TrafficProfiler:
         if rail not in self._profiles:
             raise ProfileError(f"no traffic profile learned for rail {rail}")
         return self._profiles[rail]
-
-    def phase_sequence(self, rail: int) -> Tuple[str, ...]:
-        """Return the phase (axis) sequence of one rail."""
-        return self.profile(rail).axis_sequence
 
     def _require_frozen(self) -> None:
         if not self._frozen:

@@ -4,19 +4,30 @@ The shim is the per-job runtime of Fig. 6.  It sits between the application
 (the workload DAG being executed) and the collective communication library
 (the simulator's transfer model) and:
 
-1. **intercepts** every collective call, turning it into a
-   :class:`~repro.core.intents.CommIntent`;
+1. **intercepts** every scale-out collective call and asks the
+   :class:`~repro.core.controller.OpusController` for the circuits it needs;
 2. during the first iteration, **profiles** the traffic pattern
    (:class:`~repro.core.profiles.TrafficProfiler`);
 3. translates the demand into circuit configurations via the
-   :class:`~repro.core.circuits.CircuitPlanner` and asks the
-   :class:`~repro.core.controller.OpusController` to install them —
-   on the critical path during profiling, or **speculatively (provisioning)**
-   in later iterations, as soon as the previous parallelism phase's traffic
-   finishes (Fig. 5b);
+   :class:`~repro.core.circuits.CircuitPlanner` and asks the controller to
+   install them — on the critical path during profiling, or
+   **speculatively (provisioning)** in later iterations, as soon as the
+   previous parallelism phase's traffic finishes (Fig. 5b);
 4. keeps the reconfiguration frequency low by requesting the coalesced
    per-axis configuration and only when the upcoming phase's parallelism
    differs from the one currently installed (Objective 2).
+
+One *mode* fixes the shim's behaviour (the Fig. 8 ablation axes):
+
+* ``"profile"`` — profile the first iteration, then provision from it;
+* ``"none"`` — profile but never provision (every phase change pays its
+  switching delay on demand);
+* ``"reactive"`` — no profiling iteration: phase structure is learned online
+  and speculation is driven by telemetry (see
+  :class:`~repro.core.controller.ReactiveReconfigurator`);
+* ``"bare"`` — the bare-OCS baseline: no profiling, no provisioning, and every
+  communication group reconfigures for its own circuits instead of its
+  axis's coalesced configuration.
 """
 
 from __future__ import annotations
@@ -31,63 +42,26 @@ from ..parallelism.mesh import DeviceMesh
 from ..parallelism.trace import ReconfigRecord
 from ..topology.ocs import CircuitConfiguration
 from ..topology.photonic import PhotonicRailFabric
-from .circuits import CircuitPlanner, RailConfiguration
+from .circuits import CircuitPlanner
 from .controller import OpusController
-from .intents import intent_from_collective
 from .profiles import PhaseTracker, TrafficProfiler
-from .scheduler import ReconfigurationRequest
+
+#: Every shim mode (see the module docstring).
+SHIM_MODES = ("profile", "none", "reactive", "bare")
 
 
-@dataclass
-class ShimOptions:
-    """Behavioural switches of the shim (the Fig. 8 ablation axes)."""
+def shim_mode_for_provisioning(provisioning: object) -> str:
+    """Validate the ``provisioning`` knob and return the shim mode it selects.
 
-    #: Enable speculative provisioning after the profiling iteration.
-    provisioning: bool = True
-    #: Treat iteration 0 as the profiling iteration (reconfigure on demand,
-    #: learn the phase sequence).  When False the shim never profiles and
-    #: always reconfigures on demand.
-    profile_first_iteration: bool = True
-    #: Reconfigure at per-axis granularity (coalesced) when possible.  When
-    #: False every communication group gets its own reconfiguration — the
-    #: "reconfigure per collective group" ablation.
-    coalesce_axis: bool = True
-    #: Drive speculative reconfiguration from live telemetry instead of an
-    #: a-priori profile: phase structure is learned online from the
-    #: completion stream, and speculation only starts once blocking or
-    #: hotspot evidence has accumulated (see
-    #: :class:`~repro.core.controller.ReactiveReconfigurator`).  Usually
-    #: paired with ``provisioning=False`` and ``profile_first_iteration=False``
-    #: — the whole point is needing no profiling iteration.
-    reactive: bool = False
-
-
-def shim_options_for_provisioning(provisioning: object) -> ShimOptions:
-    """Map the ``provisioning`` knob onto shim options.
-
-    Booleans keep their historical meaning (``True`` = profile-driven
-    speculative provisioning, ``False`` = profile but reconfigure on
-    demand); the string values spell the full mode space out:
-
-    * ``"profile"`` — profile the first iteration, then provision from it;
-    * ``"none"`` — profile but never provision (every phase change pays its
-      switching delay on demand);
-    * ``"reactive"`` — no profiling iteration at all: phase structure is
-      learned online and speculation is driven by telemetry (blocking +
-      hotspot evidence).
+    Booleans keep their historical meaning (``True`` = ``"profile"``,
+    ``False`` = ``"none"``); the strings ``"profile"``, ``"none"`` and
+    ``"reactive"`` name their mode.  The internal ``"bare"`` mode is not a
+    provisioning choice and is rejected like any other unknown value.
     """
     if not isinstance(provisioning, str):
-        return ShimOptions(provisioning=bool(provisioning))
-    if provisioning == "profile":
-        return ShimOptions(provisioning=True)
-    if provisioning == "none":
-        return ShimOptions(provisioning=False)
-    if provisioning == "reactive":
-        return ShimOptions(
-            provisioning=False,
-            profile_first_iteration=False,
-            reactive=True,
-        )
+        return "profile" if provisioning else "none"
+    if provisioning in ("profile", "none", "reactive"):
+        return provisioning
     raise ConfigurationError(
         f"unknown provisioning mode {provisioning!r}; expected a boolean or "
         "one of 'profile', 'none', 'reactive'"
@@ -112,15 +86,23 @@ class OpusShim:
         controller: Optional[OpusController] = None,
         planner: Optional[CircuitPlanner] = None,
         registry: Optional[GroupRegistry] = None,
-        options: Optional[ShimOptions] = None,
+        mode: str = "profile",
     ) -> None:
+        if mode not in SHIM_MODES:
+            raise ConfigurationError(
+                f"unknown shim mode {mode!r}; expected one of {SHIM_MODES}"
+            )
         self.fabric = fabric
         self.mesh = mesh
         self.registry = registry or GroupRegistry(mesh)
         self.controller = controller or OpusController(fabric)
         self.planner = planner or CircuitPlanner(fabric, mesh, self.registry)
-        self.options = options or ShimOptions()
-        self.profiler = TrafficProfiler(mesh)
+        self.mode = mode
+        self._profiles = mode in ("profile", "none")
+        self._coalesce_axis = mode != "bare"
+        self._provisioning = mode == "profile"
+        self._reactive = mode == "reactive"
+        self.profiler = TrafficProfiler()
         self.tracker = PhaseTracker(self.profiler)
         #: Optional veto on speculative installs: ``guard(rail, config)``
         #: returns False when installing ``config`` on ``rail`` would tear a
@@ -130,10 +112,7 @@ class OpusShim:
         #: while their flows are still on the wire, so it skips provisioning
         #: against them rather than tearing live circuits.
         self.circuit_guard: Optional[Callable[[int, CircuitConfiguration], bool]] = None
-        self._iteration = 0
         self._provisioned_records: List[ReconfigRecord] = []
-        #: Number of provisioning requests issued (for reporting/tests).
-        self.provision_requests = 0
         #: Provisioning budget bookkeeping: speculative reconfigurations issued
         #: per rail in the current iteration.  Capped at the number of phases
         #: the profile learned, so a transient misprediction (caused by large
@@ -143,7 +122,7 @@ class OpusShim:
         #: Latest provisioned issue time per rail.  Completion notifications
         #: arrive in simulator event order, whose *logical* end times (event
         #: time + path latency) need not be monotone across collectives, while
-        #: the FC-FS scheduler requires per-group issue order — so speculative
+        #: the controller's FC-FS check requires per-group issue order — so speculative
         #: requests are clamped to never move backwards on a rail.
         self._last_provision_issue: Dict[int, float] = {}
 
@@ -152,28 +131,22 @@ class OpusShim:
     # ------------------------------------------------------------------ #
 
     @property
-    def iteration(self) -> int:
-        """Index of the iteration currently executing."""
-        return self._iteration
-
-    @property
     def profiling(self) -> bool:
         """Whether the shim is still in its profiling iteration."""
-        return self.options.profile_first_iteration and not self.profiler.frozen
+        return self._profiles and not self.profiler.frozen
 
     def start_iteration(self, iteration: int, time: float) -> None:
         """Notify the shim that a new iteration starts."""
-        self._iteration = iteration
         self._provisions_this_iteration.clear()
         if self.profiler.frozen:
             self.tracker.reset()
 
     def end_iteration(self, iteration: int, time: float) -> None:
         """Notify the shim that an iteration finished."""
-        if self.options.profile_first_iteration and not self.profiler.frozen:
+        if self.profiling:
             self.profiler.finalize()
             self.tracker.reset()
-        if self.options.reactive and self.controller.reactive is not None:
+        if self._reactive and self.controller.reactive is not None:
             # Close the reactive loop's per-iteration books: speculation is
             # judged by the blocking it left versus the on-demand baseline.
             self.controller.reactive.end_iteration()
@@ -182,13 +155,14 @@ class OpusShim:
     # Collective interception
     # ------------------------------------------------------------------ #
 
-    def target_for(self, op: CollectiveOp) -> RailConfiguration:
-        """The circuit configuration the controller would install to serve ``op``.
+    def target_for(self, op: CollectiveOp) -> Dict[int, CircuitConfiguration]:
+        """The circuits per rail the controller would install to serve ``op``.
 
-        Exposed so the flow-level model can inspect (and guard against live
-        conflicts with) the target before committing to a request.
+        Keyed in ascending rail order.  Exposed so the flow-level model can
+        inspect (and guard against live conflicts with) the target before
+        committing to a request.
         """
-        if self.options.coalesce_axis:
+        if self._coalesce_axis:
             return self.planner.target_for_op(op)
         return self.planner.configuration_for_op(op)
 
@@ -199,25 +173,18 @@ class OpusShim:
         reconfiguration record produced on its behalf (including buffered
         records from provisioning decisions taken earlier).
         """
-        intent = intent_from_collective(op, self.mesh, issued_at=ready_time)
-        target = self.target_for(op)
+        group = frozenset(op.group)
         records: List[ReconfigRecord] = []
         ready = ready_time
-        for rail in target.rails():
-            configuration = target.configuration(rail)
-            request = ReconfigurationRequest.create(
-                group_key=intent.group_key,
-                axis=op.parallelism,
-                rails=(rail,),
-                issue_time=ready_time,
-                provisioned=False,
+        for rail, configuration in self.target_for(op).items():
+            rail_ready, record = self.controller.ensure(
+                rail, configuration, ready_time, group, op.parallelism
             )
-            rail_ready, record = self.controller.ensure(rail, configuration, request)
             ready = max(ready, rail_ready)
             if record is not None:
                 exposed = max(0.0, record.end - ready_time)
                 records.append(replace(record, blocking=exposed))
-                if self.options.reactive and self.controller.reactive is not None:
+                if self._reactive and self.controller.reactive is not None:
                     # Blocking on the critical path is the reactive loop's
                     # primary arming signal: switching demonstrably hurts
                     # this rail, so hiding it is worth speculating for.
@@ -230,13 +197,14 @@ class OpusShim:
     def notify_transfer(self, op: CollectiveOp, start: float, end: float) -> None:
         """Record the executed window of a collective and mark circuits busy."""
         if self.profiling:
-            intent = intent_from_collective(op, self.mesh, issued_at=start)
-            self.profiler.record_completion(intent, start, end)
-        target = self.target_for(op)
-        for rail in target.rails():
-            circuits = target.configuration(rail).circuits
-            installed = self.controller.installed_configuration(rail).circuits
-            self.controller.notify_traffic(rail, circuits & installed, end)
+            _, rails, scaleout = self.mesh.group_placement(op.group)
+            if scaleout:
+                self.profiler.record_completion(start, op.parallelism, rails)
+        for rail, configuration in self.target_for(op).items():
+            installed = self.controller.rail_state(rail).installed
+            self.controller.notify_traffic(
+                rail, installed.keys() & configuration.circuits, end
+            )
 
     def notify_completion(self, op: CollectiveOp, end_time: float) -> None:
         """Provisioning hook: called when a scale-out collective finishes.
@@ -257,7 +225,7 @@ class OpusShim:
         _, rails, scaleout = self.mesh.group_placement(op.group)
         if not scaleout:
             return
-        if self.options.reactive and self.controller.reactive is not None:
+        if self._reactive and self.controller.reactive is not None:
             reactive = self.controller.reactive
             for rail in rails:
                 predicted = reactive.observe_completion(rail, axis, end_time)
@@ -281,7 +249,7 @@ class OpusShim:
                 if self._speculate(rail, predicted, end_time):
                     reactive.note_speculation(rail, predicted)
             return
-        if not self.options.provisioning or not self.profiler.frozen:
+        if not self._provisioning or not self.profiler.frozen:
             return
         for rail in rails:
             try:
@@ -327,15 +295,14 @@ class OpusShim:
             return False
         issue_time = max(end_time, self._last_provision_issue.get(rail, 0.0))
         self._last_provision_issue[rail] = issue_time
-        request = ReconfigurationRequest.create(
-            group_key=frozenset({-(rail + 1)}),
-            axis=predicted,
-            rails=(rail,),
-            issue_time=issue_time,
+        _, record = self.controller.ensure(
+            rail,
+            axis_config[rail],
+            issue_time,
+            frozenset({-(rail + 1)}),
+            predicted,
             provisioned=True,
         )
-        _, record = self.controller.ensure(rail, axis_config[rail], request)
-        self.provision_requests += 1
         self._provisions_this_iteration[rail] = (
             self._provisions_this_iteration.get(rail, 0) + 1
         )

@@ -35,10 +35,10 @@ class CircuitConflictError(CircuitError):
 
 
 class SchedulingError(ReproError):
-    """The control-plane scheduler was asked to violate its invariants.
+    """The Opus controller was asked to violate its scheduling invariants.
 
-    Examples: serving requests out of FIFO order within a communication-group
-    domain, or reconfiguring a circuit that still carries an active flow.
+    Example: :meth:`~repro.core.controller.OpusController.ensure` receiving a
+    communication group's requests out of FC-FS issue order.
     """
 
 

@@ -305,14 +305,14 @@ def _photonic_backend(
     # Imported lazily: repro.core imports this module back through
     # repro.core.system, so a module-level import would be circular.
     from ..core.network import PhotonicFlowNetworkModel, PhotonicRailNetworkModel
-    from ..core.shim import shim_options_for_provisioning
+    from ..core.shim import shim_mode_for_provisioning
 
     mode = _check_network_mode(network_mode)
     # Validate the provisioning knob (bool, or "profile"/"none"/"reactive")
     # up front so both modes reject bad values with the same error.
-    shim_options = shim_options_for_provisioning(provisioning)
+    shim_mode = shim_mode_for_provisioning(provisioning)
     flow = mode == "flow"
-    if shim_options.reactive and not flow:
+    if shim_mode == "reactive" and not flow:
         raise ConfigurationError(
             "provisioning='reactive' needs the telemetry loop of "
             "network_mode='flow'; the analytic photonic model has no "
@@ -323,7 +323,7 @@ def _photonic_backend(
         mesh,
         fabric=build_photonic_rail_fabric(cluster, technology=technology),
         reconfiguration_delay=reconfiguration_delay,
-        shim_options=shim_options,
+        shim_mode=shim_mode,
         registry=registry,
     )
     return _install_faults(model, faults, "photonic", mode)
@@ -448,21 +448,18 @@ def _ocs_backend(
 ) -> NetworkModel:
     # Imported lazily: see _photonic_backend.
     from ..core.network import PhotonicFlowNetworkModel, PhotonicRailNetworkModel
-    from ..core.shim import ShimOptions
 
     mode = _check_network_mode(network_mode)
-    # The photonic models without profiling, provisioning or axis
-    # coalescing: every communication group pays its own switching event
-    # whenever its circuits are missing.
+    # The photonic models with the shim in its bare mode (no profiling,
+    # provisioning or axis coalescing): every communication group pays its
+    # own switching event whenever its circuits are missing.
     flow = mode == "flow"
     model = (PhotonicFlowNetworkModel if flow else PhotonicRailNetworkModel)(
         cluster,
         mesh,
         fabric=build_photonic_rail_fabric(cluster, technology=technology),
         reconfiguration_delay=reconfiguration_delay,
-        shim_options=ShimOptions(
-            provisioning=False, profile_first_iteration=False, coalesce_axis=False
-        ),
+        shim_mode="bare",
         registry=registry,
     )
     return _install_faults(model, faults, "ocs", mode)

@@ -44,7 +44,10 @@ from ..errors import SnapshotError
 #: Version 3: the analytic ``ocs`` backend runs on ``PhotonicRailNetworkModel``;
 #: a version-2 payload of an analytic ``ocs`` session pickles the deleted
 #: ``OCSReconfigurableNetworkModel``.
-SNAPSHOT_FORMAT_VERSION = 3
+#: Version 4: the Opus shim takes one mode string and the controller checks
+#: FC-FS order itself; a version-3 payload pickles the deleted
+#: ``ShimOptions`` and ``FCFSScheduler``.
+SNAPSHOT_FORMAT_VERSION = 4
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -17,7 +17,6 @@ exercised only through the end-to-end system):
 import pytest
 
 from repro.core.controller import OpusController
-from repro.core.scheduler import ReconfigurationRequest
 from repro.errors import CircuitError, SchedulingError
 from repro.topology.ocs import Circuit, CircuitConfiguration
 from repro.topology.photonic import build_photonic_rail_fabric
@@ -33,14 +32,8 @@ def controller():
     return OpusController(fabric, reconfiguration_delay=DELAY)
 
 
-def _request(issue_time, provisioned=False, group=frozenset({0, 1}), rail=0):
-    return ReconfigurationRequest.create(
-        group_key=group,
-        axis="dp",
-        rails=(rail,),
-        issue_time=issue_time,
-        provisioned=provisioned,
-    )
+#: The communication group most requests below are issued for.
+GROUP = frozenset({0, 1})
 
 
 def _config(*port_pairs):
@@ -48,7 +41,7 @@ def _config(*port_pairs):
 
 
 def test_ensure_installs_missing_circuits_and_charges_the_delay(controller):
-    ready, record = controller.ensure(0, _config((0, 1)), _request(issue_time=2.0))
+    ready, record = controller.ensure(0, _config((0, 1)), 2.0, GROUP, "dp")
     assert ready == pytest.approx(2.0 + DELAY)
     assert record is not None
     assert record.start == pytest.approx(2.0)
@@ -62,8 +55,8 @@ def test_ensure_installs_missing_circuits_and_charges_the_delay(controller):
 
 
 def test_ensure_grants_installed_circuits_without_a_switching_event(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=0.0))
-    ready, record = controller.ensure(0, _config((0, 1)), _request(issue_time=5.0))
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
+    ready, record = controller.ensure(0, _config((0, 1)), 5.0, GROUP, "dp")
     assert record is None
     assert ready == pytest.approx(5.0)
     assert controller.rail_state(0).reconfigurations == 1
@@ -72,23 +65,19 @@ def test_ensure_grants_installed_circuits_without_a_switching_event(controller):
 def test_ensure_waits_for_an_installed_circuit_to_become_usable(controller):
     # Second request arrives while the switching event is still in progress:
     # the circuits exist but only become usable when the event finishes.
-    controller.ensure(0, _config((0, 1)), _request(issue_time=1.0))
-    ready, record = controller.ensure(
-        0, _config((0, 1)), _request(issue_time=1.001)
-    )
+    controller.ensure(0, _config((0, 1)), 1.0, GROUP, "dp")
+    ready, record = controller.ensure(0, _config((0, 1)), 1.001, GROUP, "dp")
     assert record is None
     assert ready == pytest.approx(1.0 + DELAY)
 
 
 def test_reconfiguration_waits_for_busy_circuits_to_drain(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=0.0))
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
     controller.notify_traffic(0, [Circuit(0, 1)], busy_until=5.0)
     assert controller.rail_state(0).drain_time([Circuit(0, 1)]) == pytest.approx(5.0)
     # (0, 2) conflicts with the busy (0, 1) on port 0: the switching event
     # cannot start before the traffic drains at t=5 (Objective 3).
-    ready, record = controller.ensure(
-        0, _config((0, 2)), _request(issue_time=1.0, group=frozenset({0, 2}))
-    )
+    ready, record = controller.ensure(0, _config((0, 2)), 1.0, frozenset({0, 2}), "dp")
     assert record is not None
     assert record.start == pytest.approx(5.0)
     assert ready == pytest.approx(5.0 + DELAY)
@@ -96,28 +85,24 @@ def test_reconfiguration_waits_for_busy_circuits_to_drain(controller):
 
 
 def test_switching_events_serialize_per_rail(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=0.0))
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
     # (2, 3) conflicts with nothing, but the rail's OCS is still switching
     # until t=DELAY, so the second event starts only then.
-    ready, record = controller.ensure(
-        0, _config((2, 3)), _request(issue_time=0.0, group=frozenset({2, 3}))
-    )
+    ready, record = controller.ensure(0, _config((2, 3)), 0.0, frozenset({2, 3}), "dp")
     assert record is not None
     assert record.start == pytest.approx(DELAY)
     assert ready == pytest.approx(2 * DELAY)
 
 
 def test_rails_switch_independently(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=0.0))
-    ready, _record = controller.ensure(
-        1, _config((0, 1)), _request(issue_time=0.0, rail=1)
-    )
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
+    ready, _record = controller.ensure(1, _config((0, 1)), 0.0, GROUP, "dp")
     assert ready == pytest.approx(DELAY)
 
 
 def test_provisioned_requests_are_flagged_on_the_record(controller):
     _, record = controller.ensure(
-        0, _config((0, 1)), _request(issue_time=0.0, provisioned=True)
+        0, _config((0, 1)), 0.0, GROUP, "dp", provisioned=True
     )
     assert record is not None
     assert record.provisioned
@@ -129,7 +114,7 @@ def test_notify_traffic_rejects_unknown_circuits(controller):
 
 
 def test_reset_clears_circuits_and_timing_state(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=0.0))
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
     controller.notify_traffic(0, [Circuit(0, 1)], busy_until=9.0)
     controller.reset()
     state = controller.rail_state(0)
@@ -141,17 +126,15 @@ def test_reset_clears_circuits_and_timing_state(controller):
 
 
 def test_out_of_order_request_for_the_same_group_is_rejected(controller):
-    controller.ensure(0, _config((0, 1)), _request(issue_time=2.0))
+    controller.ensure(0, _config((0, 1)), 2.0, GROUP, "dp")
     with pytest.raises(SchedulingError, match="FC-FS"):
-        controller.ensure(0, _config((2, 3)), _request(issue_time=1.0))
+        controller.ensure(0, _config((2, 3)), 1.0, GROUP, "dp")
     # Rejected before any switching: only the first request reconfigured.
     assert controller.total_reconfigurations() == 1
     # Issue order is per group: the same request for another group is served.
-    ready, record = controller.ensure(
-        0, _config((2, 3)), _request(issue_time=1.0, group=frozenset({2, 3}))
-    )
+    ready, record = controller.ensure(0, _config((2, 3)), 1.0, frozenset({2, 3}), "dp")
     assert record is not None
     assert ready >= 1.0 + DELAY
     # A new job starts a fresh order.
     controller.reset()
-    controller.ensure(0, _config((0, 1)), _request(issue_time=1.0))
+    controller.ensure(0, _config((0, 1)), 1.0, GROUP, "dp")

@@ -465,24 +465,15 @@ def test_photonic_rail_routes_pairs_around_failed_ports():
 
 def test_controller_fail_port_tears_topology_links_and_guards_ensure():
     from repro.core.controller import OpusController
-    from repro.core.scheduler import ReconfigurationRequest
 
     cluster = perlmutter_testbed(num_nodes=2)
     fabric = build_photonic_rail_fabric(cluster)
     controller = OpusController(fabric, reconfiguration_delay=1e-3)
     rail = fabric.rail(0)
     target = rail.pairwise_configuration([(0, 1)])
+    group = frozenset({0})
 
-    def request(issue_time):
-        return ReconfigurationRequest.create(
-            group_key=frozenset({0}),
-            axis="dp",
-            rails=(0,),
-            issue_time=issue_time,
-            provisioned=False,
-        )
-
-    ready, record = controller.ensure(0, target, request(0.0))
+    ready, record = controller.ensure(0, target, 0.0, group, "dp")
     assert record is not None
     (circuit,) = target.circuits
     link_ids = fabric.circuit_links(0, circuit)
@@ -494,7 +485,7 @@ def test_controller_fail_port_tears_topology_links_and_guards_ensure():
     assert all(not fabric.topology.has_link(link_id) for link_id in link_ids)
     # Re-ensuring the stale configuration hits the failed port loudly.
     with pytest.raises(FaultError, match="has failed"):
-        controller.ensure(0, target, request(1.0))
+        controller.ensure(0, target, 1.0, group, "dp")
 
 
 def test_planner_routes_around_failed_ports():
@@ -508,12 +499,12 @@ def test_planner_routes_around_failed_ports():
     fabric = build_photonic_rail_fabric(cluster)
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), cluster)
     planner = CircuitPlanner(fabric, mesh)
-    healthy = planner.configuration_for_group((0, 4)).configuration(0)
+    healthy = planner.configuration_for_group((0, 4))[0]
     assert healthy.circuits == frozenset({Circuit(0, 2)})
 
     fabric.rail(0).fail_port(0)
     planner.clear_cache()
-    rerouted = planner.configuration_for_group((0, 4)).configuration(0)
+    rerouted = planner.configuration_for_group((0, 4))[0]
     assert rerouted.circuits == frozenset({Circuit(1, 2)})
 
     fabric.rail(0).fail_port(1)
@@ -543,13 +534,13 @@ def test_planner_target_memo_drops_on_clear_cache_after_a_port_failure():
     )
     target = planner.target_for_op(op)
     assert planner.target_for_op(op) is target
-    assert target.configuration(0).circuits == frozenset({Circuit(0, 2)})
+    assert target[0].circuits == frozenset({Circuit(0, 2)})
 
     fabric.rail(0).fail_port(0)
     planner.clear_cache()
     rerouted = planner.target_for_op(op)
     assert rerouted is not target
-    assert rerouted.configuration(0).circuits == frozenset({Circuit(1, 2)})
+    assert rerouted[0].circuits == frozenset({Circuit(1, 2)})
 
 
 # --------------------------------------------------------------------------- #

@@ -178,14 +178,16 @@ def test_reactive_provisioning_rejected_in_analytic_mode():
         )
 
 
-def test_unknown_provisioning_mode_rejected():
+# "bare" is the ocs backend's internal shim mode, never a provisioning choice.
+@pytest.mark.parametrize("provisioning", ["telepathy", "bare"])
+def test_unknown_provisioning_mode_rejected(provisioning):
     from repro.topology.devices import perlmutter_testbed
 
     cluster = perlmutter_testbed(num_nodes=2)
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), cluster)
     with pytest.raises(ConfigurationError, match="provisioning"):
         create_network(
-            "photonic", cluster, mesh, network_mode="flow", provisioning="telepathy"
+            "photonic", cluster, mesh, network_mode="flow", provisioning=provisioning
         )
 
 
