@@ -1,27 +1,23 @@
 """Collective communication primitives, algorithms, and cost models.
 
 * :mod:`repro.collectives.primitives` — collective types, per-op metadata, and
-  wire-traffic formulas (backs Table 2).
+  wire-traffic formulas.
 * :mod:`repro.collectives.cost_model` — alpha–beta ring and tree cost models.
 * :mod:`repro.collectives.schedule` — expansion of collectives into per-step
   point-to-point transfer schedules (ring, recursive doubling, direct
-  AllToAll), used by the flow-level simulator and the C1/C2 degree analyses.
+  AllToAll), used by the flow-level simulator.
 """
 
 from .cost_model import (
-    DEFAULT_COST_MODEL,
     LinkParameters,
     RingCostModel,
     TreeCostModel,
-    busbw,
-    collective_time,
 )
 from .primitives import (
     CollectiveOp,
     CollectiveType,
     bytes_on_wire_per_rank,
     num_ring_steps,
-    required_degree,
     total_traffic_bytes,
 )
 from .schedule import (
@@ -29,7 +25,6 @@ from .schedule import (
     Transfer,
     TransferStep,
     direct_alltoall_schedule,
-    distinct_neighbors,
     expand,
     ring_schedule,
     tree_schedule,
@@ -38,21 +33,16 @@ from .schedule import (
 __all__ = [
     "CollectiveOp",
     "CollectiveType",
-    "DEFAULT_COST_MODEL",
     "LinkParameters",
     "RingCostModel",
     "Schedule",
     "Transfer",
     "TransferStep",
     "TreeCostModel",
-    "busbw",
     "bytes_on_wire_per_rank",
-    "collective_time",
     "direct_alltoall_schedule",
-    "distinct_neighbors",
     "expand",
     "num_ring_steps",
-    "required_degree",
     "ring_schedule",
     "total_traffic_bytes",
     "tree_schedule",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from ..errors import ConfigurationError
 from .primitives import CollectiveOp, CollectiveType, bytes_on_wire_per_rank, num_ring_steps
@@ -117,31 +116,3 @@ class TreeCostModel:
         if op.collective == CollectiveType.BARRIER:
             return rounds * link.alpha
         raise ConfigurationError(f"unknown collective {op.collective!r}")
-
-
-#: Default cost model used by the simulator for scale-out (rail) collectives.
-DEFAULT_COST_MODEL = RingCostModel()
-
-
-def collective_time(
-    op: CollectiveOp,
-    bandwidth: float,
-    latency: float = 2e-6,
-    model: Optional[RingCostModel] = None,
-) -> float:
-    """Convenience wrapper: ring-model completion time at the given bandwidth."""
-    link = LinkParameters(bandwidth=bandwidth, latency=latency)
-    return (model or DEFAULT_COST_MODEL).collective_time(op, link)
-
-
-def busbw(op: CollectiveOp, elapsed: float) -> float:
-    """NCCL-style *bus bandwidth* achieved by a completed collective.
-
-    Bus bandwidth normalizes the achieved algorithm bandwidth by the
-    algorithm's traffic factor so that it is comparable across collectives and
-    directly comparable to the link's line rate.
-    """
-    if elapsed <= 0:
-        raise ConfigurationError("elapsed time must be positive")
-    wire_bytes = bytes_on_wire_per_rank(op.collective, op.size_bytes, op.group_size)
-    return wire_bytes / elapsed

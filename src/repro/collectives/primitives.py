@@ -20,9 +20,9 @@ for AllReduce, the local shard to be gathered for AllGather).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Tuple
+from typing import Dict, Tuple
 
 from ..errors import ConfigurationError
 
@@ -105,15 +105,6 @@ class CollectiveOp:
         """Number of participating ranks."""
         return len(self.group)
 
-    @property
-    def group_key(self) -> FrozenSet[int]:
-        """Order-insensitive identity of the communication group."""
-        return frozenset(self.group)
-
-    def with_size(self, size_bytes: float) -> "CollectiveOp":
-        """Return a copy of this op with a different payload size."""
-        return replace(self, size_bytes=size_bytes, op_id=next(_COUNTER))
-
     def __str__(self) -> str:
         return (
             f"{self.collective.short_name}[{self.parallelism or '?'}]"
@@ -182,20 +173,3 @@ def num_ring_steps(collective: CollectiveType, group_size: int) -> int:
     if collective == CollectiveType.BARRIER:
         return 1
     raise ConfigurationError(f"unknown collective {collective!r}")
-
-
-def required_degree(collective: CollectiveType, group_size: int) -> int:
-    """Node degree (simultaneous neighbors) a ring implementation needs.
-
-    This is the quantity behind the paper's constraints C1–C3: a ring needs
-    two neighbors per rank (one for a two-member group), AllToAll needs
-    ``group_size - 1`` for the direct algorithm (or 2 when run over a ring
-    with forwarding).
-    """
-    if group_size <= 1:
-        return 0
-    if group_size == 2:
-        return 1
-    if collective == CollectiveType.ALL_TO_ALL:
-        return group_size - 1
-    return 2

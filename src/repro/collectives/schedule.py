@@ -218,18 +218,3 @@ def expand_cached(op: CollectiveOp, prefer_tree: bool = False) -> Schedule:
 def expansion_cache_clear() -> None:
     """Drop all memoized expansions (test isolation helper)."""
     _EXPANSION_CACHE.clear()
-
-
-def distinct_neighbors(schedule: Schedule, rank: int) -> int:
-    """Number of distinct peers ``rank`` exchanges data with across a schedule.
-
-    This is the degree requirement the paper's C1/C2 constraints are about.
-    """
-    peers = set()
-    for step in schedule:
-        for transfer in step.transfers:
-            if transfer.src == rank:
-                peers.add(transfer.dst)
-            elif transfer.dst == rank:
-                peers.add(transfer.src)
-    return len(peers)

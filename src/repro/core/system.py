@@ -6,8 +6,7 @@ behind a small API.  Since the fabric-agnostic experiment layer landed
 (:mod:`repro.experiments`), the facade is a thin wrapper over the backend
 registry — :meth:`PhotonicRailSystem.run_backend` simulates the workload on
 *any* registered fabric, while :meth:`PhotonicRailSystem.run` /
-:meth:`PhotonicRailSystem.run_baseline` keep the original photonic/electrical
-API the examples and the Fig. 8 benchmark build on:
+:meth:`PhotonicRailSystem.run_baseline` keep the photonic/electrical API:
 
 * :meth:`PhotonicRailSystem.run` — simulate N iterations on the photonic rail;
 * :meth:`PhotonicRailSystem.run_baseline` — the same workload on electrical

@@ -75,12 +75,8 @@ from ..simulator.faults import (
     FaultKind,
     as_fault_plan,
 )
-from ..simulator.fabric_network import FatTreeNetworkModel, RailOptimizedNetworkModel
-from ..simulator.flow_network import (
-    electrical_flow_network,
-    fat_tree_flow_network,
-    rail_optimized_flow_network,
-)
+from ..simulator.fabric_network import TopologyNetworkModel
+from ..simulator.flow_network import FlowNetworkModel
 from ..simulator.routing import ROUTING_POLICIES
 from ..simulator.network import (
     ElectricalRailNetworkModel,
@@ -88,7 +84,10 @@ from ..simulator.network import (
     NetworkModel,
 )
 from ..topology.devices import ClusterSpec, OCSTechnology
+from ..topology.electrical import build_fully_connected_rail_topology
+from ..topology.fattree import build_fat_tree_fabric
 from ..topology.photonic import build_photonic_rail_fabric
+from ..topology.railopt import build_rail_optimized_fabric
 
 #: A backend factory builds a network model for one (cluster, mesh) pair.
 BackendFactory = Callable[..., NetworkModel]
@@ -351,8 +350,11 @@ def _electrical_backend(
                 "network_mode='flow' expands ring algorithms only; "
                 "use_tree_collectives is not supported in flow mode"
             )
-        model: NetworkModel = electrical_flow_network(
-            cluster, mesh, routing_policy=policy
+        model: NetworkModel = FlowNetworkModel(
+            cluster,
+            mesh,
+            build_fully_connected_rail_topology(cluster),
+            routing_policy=policy,
         )
     else:
         model = ElectricalRailNetworkModel(
@@ -392,15 +394,13 @@ def _fattree_backend(
     oversubscription = float(oversubscription)
     mode = _check_network_mode(network_mode)
     policy = _routing_policy_knob(mode, "fattree", routing_policy)
+    topology = build_fat_tree_fabric(cluster, oversubscription=oversubscription).topology
     if mode == "flow":
-        model: NetworkModel = fat_tree_flow_network(
-            cluster,
-            mesh,
-            oversubscription=oversubscription,
-            routing_policy=policy,
+        model: NetworkModel = FlowNetworkModel(
+            cluster, mesh, topology, routing_policy=policy
         )
     else:
-        model = FatTreeNetworkModel(cluster, mesh, oversubscription=oversubscription)
+        model = TopologyNetworkModel(cluster, mesh, topology)
     return _install_faults(model, faults, "fattree", mode)
 
 
@@ -420,15 +420,15 @@ def _railopt_backend(
 ) -> NetworkModel:
     mode = _check_network_mode(network_mode)
     policy = _routing_policy_knob(mode, "railopt", routing_policy)
+    topology = build_rail_optimized_fabric(
+        cluster, always_spine=bool(always_spine)
+    ).topology
     if mode == "flow":
-        model: NetworkModel = rail_optimized_flow_network(
-            cluster,
-            mesh,
-            always_spine=bool(always_spine),
-            routing_policy=policy,
+        model: NetworkModel = FlowNetworkModel(
+            cluster, mesh, topology, routing_policy=policy
         )
     else:
-        model = RailOptimizedNetworkModel(cluster, mesh, always_spine=bool(always_spine))
+        model = TopologyNetworkModel(cluster, mesh, topology)
     return _install_faults(model, faults, "railopt", mode)
 
 

@@ -322,22 +322,6 @@ def reactive_vs_profile_scenario(
     )
 
 
-def reactive_vs_profile_grid(
-    modes: Sequence[str] = REACTIVE_SCENARIO_MODES,
-    num_iterations: int = 6,
-    reconfiguration_delay: float = 1e-3,
-) -> List[Scenario]:
-    """All three provisioning modes, ready for ``ExperimentRunner.run_many``."""
-    return [
-        reactive_vs_profile_scenario(
-            mode=mode,
-            num_iterations=num_iterations,
-            reconfiguration_delay=reconfiguration_delay,
-        )
-        for mode in modes
-    ]
-
-
 # --------------------------------------------------------------------------- #
 # Large-scale scenario family (1k / 4k / 10k endpoints)
 # --------------------------------------------------------------------------- #

@@ -6,14 +6,6 @@ compute and communication operations that the simulator executes and that
 Opus reconfigures around.
 """
 
-from .characteristics import (
-    TABLE2_BY_NAME,
-    TABLE2_ROWS,
-    ParallelismCharacteristics,
-    characteristics_for,
-    per_iteration_volume_bytes,
-    table2_rows_for,
-)
 from .config import (
     DTYPE_BYTES,
     ModelConfig,
@@ -34,17 +26,7 @@ from .pipeline import (
     ActionKind,
     PipelineAction,
     PipelinePhase,
-    gpipe_schedule,
-    num_pipeline_bubbles,
     one_f_one_b_schedule,
-    schedule_for,
-)
-from .strategies import (
-    TABLE1_RULES,
-    StrategyRule,
-    propose_parallelism,
-    recommended_strategies,
-    strategy_table,
 )
 from .trace import (
     CommRecord,
@@ -61,7 +43,6 @@ from .workloads import (
     MIXTRAL_8X7B,
     MODEL_CATALOG,
     llama3_405b_workload,
-    model_by_name,
     moe_workload,
     paper_trace_cluster,
     paper_trace_workload,
@@ -90,33 +71,18 @@ __all__ = [
     "ModelConfig",
     "OpKind",
     "Operation",
-    "ParallelismCharacteristics",
     "ParallelismConfig",
     "PipelineAction",
     "PipelinePhase",
     "ReconfigRecord",
-    "StrategyRule",
-    "TABLE1_RULES",
-    "TABLE2_BY_NAME",
-    "TABLE2_ROWS",
     "TrainingConfig",
     "TrainingTrace",
     "WorkloadConfig",
     "build_iteration_dag",
-    "characteristics_for",
-    "gpipe_schedule",
     "llama3_405b_workload",
-    "model_by_name",
     "moe_workload",
-    "num_pipeline_bubbles",
     "one_f_one_b_schedule",
     "paper_trace_cluster",
     "paper_trace_workload",
-    "per_iteration_volume_bytes",
-    "propose_parallelism",
-    "recommended_strategies",
-    "schedule_for",
     "small_test_workload",
-    "strategy_table",
-    "table2_rows_for",
 ]

@@ -117,11 +117,6 @@ class ModelConfig:
         return 2 * self.vocab_size * self.hidden_size
 
     @property
-    def total_params(self) -> int:
-        """Total trainable parameters of the model."""
-        return self.num_layers * self.params_per_layer + self.embedding_params
-
-    @property
     def is_moe(self) -> bool:
         """Whether the model uses mixture-of-experts layers."""
         return self.num_experts > 0
@@ -142,9 +137,9 @@ class ParallelismConfig:
 
     Dimension sizes multiply to the world size.  ``dp`` is the data-parallel
     degree; ``use_fsdp`` selects fully-sharded data parallelism (per-layer
-    AllGather/ReduceScatter) instead of classic DP (post-backward AllReduce),
-    matching the paper's Table 2 rows.  ``sp`` (sequence parallelism) rides on
-    the TP groups and only changes the TP collective types.
+    AllGather/ReduceScatter) instead of classic DP (post-backward AllReduce).
+    ``use_sp`` (sequence parallelism) rides on the TP groups; it shards the
+    pipeline activations across TP and so shrinks each PP Send/Recv.
     """
 
     tp: int = 1
@@ -170,32 +165,6 @@ class ParallelismConfig:
     def world_size(self) -> int:
         """Number of GPUs the configuration occupies."""
         return self.tp * self.pp * self.dp * self.cp * self.ep
-
-    @property
-    def scaleout_dimensions(self) -> Dict[str, int]:
-        """The parallelism dimensions that generate scale-out (rail) traffic.
-
-        TP (and SP) are assumed to stay inside the scale-up domain, following
-        the paper's placement (frequent, latency-sensitive collectives on the
-        high-bandwidth interconnect).
-        """
-        dims: Dict[str, int] = {}
-        if self.dp > 1:
-            dims["dp"] = self.dp
-        if self.pp > 1:
-            dims["pp"] = self.pp
-        if self.cp > 1:
-            dims["cp"] = self.cp
-        if self.ep > 1:
-            dims["ep"] = self.ep
-        return dims
-
-    @property
-    def num_parallelism_dimensions(self) -> int:
-        """Number of parallelism dimensions with degree > 1."""
-        return sum(
-            1 for degree in (self.tp, self.pp, self.dp, self.cp, self.ep) if degree > 1
-        )
 
     def describe(self) -> str:
         """Short human-readable description, e.g. ``"TP=4 FSDP=2 PP=2"``."""
@@ -350,12 +319,6 @@ class WorkloadConfig:
         if self.parallelism.use_sp:
             hidden /= self.parallelism.tp
         return tokens * hidden * self.training.activation_bytes
-
-    def tp_allreduce_bytes(self) -> float:
-        """Per-rank input of one TP AllReduce (one operator's activations)."""
-        tokens = self.training.micro_batch_size * self.model.seq_length
-        tokens /= self.parallelism.cp
-        return tokens * self.model.hidden_size * self.training.activation_bytes
 
     def ep_alltoall_bytes(self) -> float:
         """Per-rank input of one expert-parallel AllToAll (token dispatch)."""

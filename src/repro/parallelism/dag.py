@@ -12,7 +12,8 @@ graph for one training iteration as a DAG of :class:`Operation` nodes
   backward;
 * pipeline ``Send/Recv`` of activations (forward) and gradients (backward)
   between adjacent stages, one per micro-batch per rail;
-* optional TP, CP and EP collectives;
+* CP and EP collectives whenever ``cp > 1`` / ``ep > 1`` (TP traffic stays
+  inside the scale-up domain and is not emitted);
 * small optimizer-step synchronization ``AllReduce`` calls along DP and PP.
 
 The DAG is purely logical: durations are assigned later by the simulator's
@@ -33,7 +34,7 @@ from ..errors import ConfigurationError, DeadlockError
 from ..topology.devices import ClusterSpec
 from .config import WorkloadConfig
 from .mesh import DeviceMesh, MeshCoordinate
-from .pipeline import ActionKind, PipelinePhase, schedule_for
+from .pipeline import ActionKind, PipelinePhase, one_f_one_b_schedule
 
 
 class OpKind(str, Enum):
@@ -207,31 +208,9 @@ class IterationDAG:
         """All operations, by id."""
         return [self._operations[op_id] for op_id in sorted(self._operations)]
 
-    def successors(self, op_id: int) -> List[Operation]:
-        """Operations that directly depend on ``op_id``."""
-        self.operation(op_id)
-        return [self._operations[s] for s in sorted(self._successors[op_id])]
-
     def comm_operations(self) -> List[Operation]:
         """All communication operations."""
         return [op for op in self.operations() if op.is_comm]
-
-    def compute_operations(self) -> List[Operation]:
-        """All compute operations."""
-        return [op for op in self.operations() if not op.is_comm]
-
-    def scaleout_comm_operations(self) -> List[Operation]:
-        """Communication operations that traverse the rails (span > 1 domain)."""
-        result = []
-        for op in self.comm_operations():
-            assert op.collective is not None
-            if self.mesh.cluster is None or self.mesh.is_scaleout_group(op.collective.group):
-                result.append(op)
-        return result
-
-    def operations_for_rank(self, rank: int) -> List[Operation]:
-        """Operations involving ``rank``, in id order."""
-        return [op for op in self.operations() if rank in op.ranks]
 
     def topological_order(self) -> List[Operation]:
         """Return a topological order; raises :class:`DeadlockError` on cycles."""
@@ -271,14 +250,6 @@ class IterationDAG:
 class DagBuildOptions:
     """Options controlling the level of detail of the generated DAG."""
 
-    #: Pipeline schedule name (``"1f1b"`` or ``"gpipe"``).
-    pipeline_schedule: str = "1f1b"
-    #: Include TP collectives (intra scale-up).  The paper's figures hide TP.
-    include_tp_comm: bool = False
-    #: Include CP collectives when ``cp > 1``.
-    include_cp_comm: bool = True
-    #: Include EP collectives when ``ep > 1``.
-    include_ep_comm: bool = True
     #: Emit FSDP AllGather/ReduceScatter per layer (True, paper behaviour) or
     #: aggregated per stage (False, coarse mode for very large models).
     per_layer_fsdp: bool = True
@@ -297,7 +268,7 @@ def build_iteration_dag(
         Model + parallelism + training configuration.
     cluster:
         Optional hardware description used to distinguish scale-up from
-        scale-out groups (required by the simulator and window analysis).
+        scale-out groups (required by the simulator).
     options:
         Level-of-detail knobs; defaults reproduce the paper's setting.
     """
@@ -437,10 +408,7 @@ class _DagBuilder:
     # One (stage, replica) group's 1F1B schedule: compute + PP Send/Recv.
     def _emit_pipeline_schedule(self, stage: int, replica: int) -> None:
         ranks = self._ranks_of(stage, replica)
-        schedule = schedule_for(
-            self.options.pipeline_schedule, self.par.pp, self.num_microbatches, stage
-        )
-        key = (stage, replica)
+        schedule = one_f_one_b_schedule(self.par.pp, self.num_microbatches, stage)
         for action in schedule:
             if action.kind == ActionKind.FORWARD:
                 self._emit_forward(stage, replica, ranks, action.microbatch, action.phase)
@@ -470,8 +438,8 @@ class _DagBuilder:
                 if first is not None:
                     deps.append(first)
 
-        # Optional TP / CP / EP collectives ahead of (modelled as part of) the
-        # forward compute of this micro-batch.
+        # CP / EP collectives ahead of (modelled as part of) the forward
+        # compute of this micro-batch.
         extra_deps = self._emit_inner_parallelism_comm(
             stage, replica, microbatch, direction="fwd", deps=deps, phase=phase
         )
@@ -580,47 +548,17 @@ class _DagBuilder:
         deps: Sequence[int],
         phase: PipelinePhase,
     ) -> List[int]:
-        """Emit TP / CP / EP collectives attached to one micro-batch's compute.
+        """Emit CP / EP collectives attached to one micro-batch's compute.
 
         Returns op ids the compute must additionally depend on.  These
         collectives are aggregated per stage per micro-batch (one op per axis
         per rail-replica) to keep DAG sizes manageable while preserving the
-        traffic volume and ordering the window analysis relies on.
+        traffic volume and ordering.
         """
         extra: List[int] = []
         base_deps = tuple(deps)
 
-        if self.options.include_tp_comm and self.par.tp > 1:
-            operators = 2 * self.layers_per_stage
-            size = self.workload.tp_allreduce_bytes() * operators
-            for cp in range(self.par.cp):
-                for ep in range(self.par.ep):
-                    group = tuple(
-                        self._rank_at(stage, replica, cp, ep, tp)
-                        for tp in range(self.par.tp)
-                    )
-                    collective = (
-                        CollectiveType.ALL_REDUCE
-                        if not self.par.use_sp
-                        else CollectiveType.REDUCE_SCATTER
-                    )
-                    op = self.dag.add_comm(
-                        CollectiveOp(
-                            collective=collective,
-                            group=group,
-                            size_bytes=size,
-                            parallelism="tp",
-                            tag=f"tp.{direction}.s{stage}.d{replica}.mb{microbatch}",
-                        ),
-                        deps=base_deps,
-                        phase=phase,
-                        stage=stage,
-                        replica=replica,
-                        microbatch=microbatch,
-                    )
-                    extra.append(op.op_id)
-
-        if self.options.include_cp_comm and self.par.cp > 1:
+        if self.par.cp > 1:
             collective = (
                 CollectiveType.ALL_GATHER if direction == "fwd" else CollectiveType.REDUCE_SCATTER
             )
@@ -647,7 +585,7 @@ class _DagBuilder:
                     )
                     extra.append(op.op_id)
 
-        if self.options.include_ep_comm and self.par.ep > 1:
+        if self.par.ep > 1:
             size = self.workload.ep_alltoall_bytes() * self.layers_per_stage
             for cp in range(self.par.cp):
                 for tp in range(self.par.tp):

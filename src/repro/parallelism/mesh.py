@@ -177,16 +177,6 @@ class DeviceMesh:
                 groups.append(group)
         return groups
 
-    def pipeline_stage(self, rank: int) -> int:
-        """Return the pipeline stage of ``rank``."""
-        return self.coordinate(rank).pp
-
-    def ranks_of_stage(self, stage: int) -> Tuple[int, ...]:
-        """Return every rank hosting pipeline stage ``stage``."""
-        return tuple(
-            rank for rank in self.ranks() if self.coordinate(rank).pp == stage
-        )
-
     # ------------------------------------------------------------------ #
     # Hardware placement
     # ------------------------------------------------------------------ #

@@ -1,12 +1,10 @@
-"""Pipeline-parallel schedules (1F1B and GPipe).
+"""The pipeline-parallel 1F1B schedule.
 
 The paper's trace study (§3.1) uses the 1-forward-1-backward (1F1B) schedule
 [61]: each pipeline stage runs a warm-up phase of forward micro-batches, a
 steady phase alternating one forward and one backward, and a cool-down phase
-draining the remaining backwards.  The phase a communication falls into is
-part of the paper's Fig. 3 presentation, and the number of phase transitions
-enters the window-count formula (Eq. 1), so the schedule generator annotates
-every action with its phase.
+draining the remaining backwards.  The schedule generator annotates every
+action with its phase, which the iteration DAG carries on each operation.
 """
 
 from __future__ import annotations
@@ -96,46 +94,6 @@ def one_f_one_b_schedule(
             )
         )
     return actions
-
-
-def gpipe_schedule(
-    num_stages: int, num_microbatches: int, stage: int
-) -> List[PipelineAction]:
-    """Return the GPipe (all-forward-then-all-backward) schedule of ``stage``."""
-    _validate(num_stages, num_microbatches, stage)
-    actions: List[PipelineAction] = []
-    for microbatch in range(num_microbatches):
-        phase = PipelinePhase.WARMUP if microbatch == 0 else PipelinePhase.STEADY
-        actions.append(PipelineAction(ActionKind.FORWARD, microbatch, stage, phase))
-    for microbatch in range(num_microbatches):
-        actions.append(
-            PipelineAction(ActionKind.BACKWARD, microbatch, stage, PipelinePhase.COOLDOWN)
-        )
-    return actions
-
-
-SCHEDULES = {
-    "1f1b": one_f_one_b_schedule,
-    "gpipe": gpipe_schedule,
-}
-
-
-def schedule_for(
-    name: str, num_stages: int, num_microbatches: int, stage: int
-) -> List[PipelineAction]:
-    """Dispatch to a named pipeline schedule (``"1f1b"`` or ``"gpipe"``)."""
-    if name not in SCHEDULES:
-        raise ConfigurationError(
-            f"unknown pipeline schedule {name!r}; known: {sorted(SCHEDULES)}"
-        )
-    return SCHEDULES[name](num_stages, num_microbatches, stage)
-
-
-def num_pipeline_bubbles(num_stages: int, num_microbatches: int) -> float:
-    """Pipeline bubble fraction of 1F1B: ``(p-1) / (m + p - 1)``."""
-    if num_stages <= 0 or num_microbatches <= 0:
-        raise ConfigurationError("stages and microbatches must be positive")
-    return (num_stages - 1) / float(num_microbatches + num_stages - 1)
 
 
 def _validate(num_stages: int, num_microbatches: int, stage: int) -> None:

@@ -8,17 +8,14 @@ that recording; this module defines the trace schema shared by both sides:
   sizes, group, parallelism axis, and the rails it used;
 * :class:`ComputeRecord` — one executed compute operation;
 * :class:`ReconfigRecord` — one rail reconfiguration performed by Opus;
-* :class:`IterationTrace` — the per-iteration container with the query helpers
-  the window analysis (Fig. 4), the communication-pattern rendering (Fig. 3),
-  and EXPERIMENTS.md reporting use.
+* :class:`FaultRecord` — one applied fault-injection event;
+* :class:`IterationTrace` — the per-iteration container, with the totals the
+  metrics summaries read and a JSON-ready dict form.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import List, Tuple
 
 from ..collectives.primitives import CollectiveType
@@ -145,34 +142,6 @@ class IterationTrace:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def scaleout_comms(self) -> List[CommRecord]:
-        """Communication records that traversed the rails, sorted by start."""
-        return sorted(
-            (r for r in self.comm_records if r.scaleout), key=lambda r: r.start
-        )
-
-    def comms_on_rail(self, rail: int) -> List[CommRecord]:
-        """Scale-out communication records on one rail, sorted by start."""
-        return sorted(
-            (r for r in self.comm_records if r.scaleout and rail in r.rails),
-            key=lambda r: r.start,
-        )
-
-    def comms_by_parallelism(self, parallelism: str) -> List[CommRecord]:
-        """Communication records of one parallelism axis, sorted by start."""
-        return sorted(
-            (r for r in self.comm_records if r.parallelism == parallelism),
-            key=lambda r: r.start,
-        )
-
-    def rails(self) -> Tuple[int, ...]:
-        """All rails that carried any traffic in this trace."""
-        rails = set()
-        for record in self.comm_records:
-            if record.scaleout:
-                rails.update(record.rails)
-        return tuple(sorted(rails))
-
     def total_scaleout_bytes(self) -> float:
         """Total bytes moved over the rails during the iteration."""
         return sum(r.total_bytes for r in self.comm_records if r.scaleout)
@@ -207,39 +176,6 @@ class IterationTrace:
             "reconfig_records": [asdict(r) for r in self.reconfig_records],
             "fault_records": [asdict(r) for r in self.fault_records],
         }
-
-    def to_json(self, path: Path) -> None:
-        """Write the trace to ``path`` as JSON."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2))
-
-    def comms_to_csv(self, path: Path) -> None:
-        """Write the communication records to ``path`` as CSV."""
-        path = Path(path)
-        fieldnames = [
-            "op_id",
-            "collective",
-            "parallelism",
-            "group",
-            "rails",
-            "size_bytes",
-            "total_bytes",
-            "start",
-            "end",
-            "phase",
-            "tag",
-            "scaleout",
-        ]
-        with path.open("w", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fieldnames)
-            writer.writeheader()
-            for record in sorted(self.comm_records, key=lambda r: r.start):
-                row = asdict(record)
-                row["collective"] = record.collective.value
-                row["phase"] = record.phase.value
-                row["group"] = " ".join(map(str, record.group))
-                row["rails"] = " ".join(map(str, record.rails))
-                writer.writerow(row)
 
     @classmethod
     def from_dict(cls, data: dict) -> "IterationTrace":
@@ -279,15 +215,9 @@ class IterationTrace:
             trace.fault_records.append(FaultRecord(**row))
         return trace
 
-    @classmethod
-    def from_json(cls, path: Path) -> "IterationTrace":
-        """Load a trace previously written by :meth:`to_json`."""
-        return cls.from_dict(json.loads(Path(path).read_text()))
-
-
 @dataclass
 class TrainingTrace:
-    """A multi-iteration trace (e.g. the 10 iterations behind Fig. 4a)."""
+    """A multi-iteration trace: one :class:`IterationTrace` per iteration."""
 
     iterations: List[IterationTrace] = field(default_factory=list)
 

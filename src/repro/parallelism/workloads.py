@@ -83,15 +83,6 @@ MODEL_CATALOG: Dict[str, ModelConfig] = {
 }
 
 
-def model_by_name(name: str) -> ModelConfig:
-    """Return a preset model by name."""
-    if name not in MODEL_CATALOG:
-        raise ConfigurationError(
-            f"unknown model {name!r}; known: {sorted(MODEL_CATALOG)}"
-        )
-    return MODEL_CATALOG[name]
-
-
 # --------------------------------------------------------------------------- #
 # Workload presets
 # --------------------------------------------------------------------------- #

@@ -36,10 +36,6 @@ from .store import ResultStore
 from .telemetry import ServiceTelemetry
 from .validation import SweepSpec, spec_excerpt, validate_sweep_spec
 
-#: Job lifecycle states.
-JOB_STATES = ("queued", "running", "done", "failed")
-
-
 @dataclass
 class Job:
     """One submitted sweep: lifecycle, accounting, and (eventually) results."""

@@ -4,8 +4,8 @@
 * :mod:`repro.simulator.network` — network timing models (electrical baseline,
   ideal network; the photonic and bare-OCS models live in
   :mod:`repro.core.network`).
-* :mod:`repro.simulator.fabric_network` — topology-backed models (fat-tree,
-  rail-optimized) with path resolution and oversubscription.
+* :mod:`repro.simulator.fabric_network` — the topology-backed analytic model
+  (fat-tree, rail-optimized) with path resolution and oversubscription.
 * :mod:`repro.simulator.flow_network` — the flow-level network mode:
   collectives expanded into point-to-point transfers that contend for links.
 * :mod:`repro.simulator.executor` — list-scheduling DAG executor (analytic
@@ -24,24 +24,14 @@ from .compute import ComputeTimeModel
 from .engine import Event, SimulationEngine
 from .executor import DAGExecutor, SimulationConfig
 from .faults import FaultEvent, FaultInjector, FaultKind, FaultPlan
-from .fabric_network import (
-    FatTreeNetworkModel,
-    RailOptimizedNetworkModel,
-    TopologyNetworkModel,
-)
-from .flow_network import (
-    FlowNetworkModel,
-    electrical_flow_network,
-    fat_tree_flow_network,
-    rail_optimized_flow_network,
-)
+from .fabric_network import TopologyNetworkModel
+from .flow_network import FlowNetworkModel
 from .flows import Flow, FlowSimulator, max_min_fair_rates
 from .metrics import (
     IterationMetrics,
     iteration_metrics,
     mean_iteration_time,
     normalized_iteration_time,
-    per_rail_traffic,
     reconfigurations_per_iteration,
 )
 from .network import (
@@ -57,7 +47,6 @@ __all__ = [
     "DAGExecutor",
     "ElectricalRailNetworkModel",
     "Event",
-    "FatTreeNetworkModel",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
@@ -68,17 +57,12 @@ __all__ = [
     "IdealNetworkModel",
     "IterationMetrics",
     "NetworkModel",
-    "RailOptimizedNetworkModel",
     "SimulationConfig",
     "SimulationEngine",
     "TopologyNetworkModel",
-    "electrical_flow_network",
-    "fat_tree_flow_network",
     "iteration_metrics",
     "max_min_fair_rates",
     "mean_iteration_time",
     "normalized_iteration_time",
-    "per_rail_traffic",
-    "rail_optimized_flow_network",
     "reconfigurations_per_iteration",
 ]

@@ -53,9 +53,3 @@ class ComputeTimeModel:
         if operation.kind != OpKind.COMPUTE:
             raise ConfigurationError("ComputeTimeModel only handles compute operations")
         return self.kernel_launch_overhead + operation.flops / self.effective_flops
-
-    def flops_to_seconds(self, flops: float) -> float:
-        """Convert a raw FLOP count to seconds on this GPU."""
-        if flops < 0:
-            raise ConfigurationError("flops must be non-negative")
-        return flops / self.effective_flops

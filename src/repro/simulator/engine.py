@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional
 
 from ..errors import SimulationError
-from .snapshot import SimState, Snapshottable, decode_callback, encode_callback
+from .snapshot import Snapshottable, decode_callback, encode_callback
 
 
 @dataclass(order=True)

@@ -6,21 +6,19 @@ ignores the internal structure of multi-tier packet fabrics.  This module adds
 :class:`NetworkModel` implementations that resolve actual paths through a
 :class:`~repro.topology.base.Topology` graph:
 
-* :class:`TopologyNetworkModel` — the generic machinery: for every
-  communication group it routes the group's ring hops through the fabric
-  graph, counts how many concurrent ring flows share each link, and derives
-  oversubscription-aware alpha–beta :class:`~repro.collectives.cost_model.LinkParameters`
-  (bottleneck bandwidth divided by the sharing factor, latency of the longest
-  path) fed to the same ring cost model the baselines use.
-* :class:`FatTreeNetworkModel` — transfers routed through the sliced
-  full-bisection fat tree of :mod:`repro.topology.fattree`.
-* :class:`RailOptimizedNetworkModel` — transfers routed through the
-  leaf/spine rail-optimized fabric of :mod:`repro.topology.railopt`.
+:class:`TopologyNetworkModel` routes every communication group's ring hops
+through the fabric graph, counts how many concurrent ring flows share each
+link, and derives oversubscription-aware alpha–beta
+:class:`~repro.collectives.cost_model.LinkParameters` (bottleneck bandwidth
+divided by the sharing factor, latency of the longest path) fed to the same
+ring cost model the baselines use.  The ``fattree`` and ``railopt`` backends
+run it on the graphs of :mod:`repro.topology.fattree` and
+:mod:`repro.topology.railopt`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..collectives.cost_model import LinkParameters
 from ..errors import ConfigurationError
@@ -28,8 +26,6 @@ from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
 from ..topology.base import Link, Topology, gpu_node_name
 from ..topology.devices import ClusterSpec
-from ..topology.fattree import FatTreeFabric, build_fat_tree_fabric
-from ..topology.railopt import RailOptimizedFabric, build_rail_optimized_fabric
 from .network import CommTiming, NetworkModel
 
 
@@ -142,51 +138,3 @@ class TopologyNetworkModel(NetworkModel):
             self.fault_injector.advance_to(ready_time)
         duration = self.transfer_duration(operation)
         return CommTiming(start=ready_time, end=ready_time + duration)
-
-
-class FatTreeNetworkModel(TopologyNetworkModel):
-    """Scale-out transfers routed through the k-ary fat-tree fabric."""
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        mesh: DeviceMesh,
-        fabric: Optional[FatTreeFabric] = None,
-        oversubscription: float = 1.0,
-    ) -> None:
-        if fabric is not None and oversubscription != 1.0:
-            raise ConfigurationError(
-                "pass either a prebuilt fabric or an oversubscription factor; "
-                "a provided fabric's link capacities are used as-is"
-            )
-        fabric = fabric or build_fat_tree_fabric(
-            cluster, oversubscription=oversubscription
-        )
-        if fabric.cluster != cluster:
-            raise ConfigurationError(
-                "the fat-tree fabric must be built from the same cluster "
-                "specification as the network model"
-            )
-        self.fabric = fabric
-        super().__init__(cluster, mesh, fabric.topology)
-
-
-class RailOptimizedNetworkModel(TopologyNetworkModel):
-    """Scale-out transfers routed through the electrical rail-optimized fabric."""
-
-    def __init__(
-        self,
-        cluster: ClusterSpec,
-        mesh: DeviceMesh,
-        fabric: Optional[RailOptimizedFabric] = None,
-        always_spine: bool = True,
-    ) -> None:
-        fabric = fabric or build_rail_optimized_fabric(cluster, always_spine=always_spine)
-        if fabric.cluster != cluster:
-            raise ConfigurationError(
-                "the rail-optimized fabric must be built from the same cluster "
-                "specification as the network model"
-            )
-        self.fabric = fabric
-        super().__init__(cluster, mesh, fabric.topology)
-

@@ -40,9 +40,6 @@ from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
 from ..topology.base import Link, Topology, gpu_node_name
 from ..topology.devices import ClusterSpec
-from ..topology.electrical import build_fully_connected_rail_topology
-from ..topology.fattree import build_fat_tree_fabric
-from ..topology.railopt import build_rail_optimized_fabric
 from .fabric_network import TopologyNetworkModel
 from .flows import AllocatorStats, FlowSimulator, Routes, StepItems
 from .routing import ROUTING_POLICIES, PolicyRouter
@@ -524,54 +521,3 @@ class FlowNetworkModel(TopologyNetworkModel):
     def advance(self) -> bool:
         """Process one network event; returns ``False`` when idle."""
         return self.simulator.engine.step()
-
-
-# --------------------------------------------------------------------------- #
-# Per-fabric constructors
-# --------------------------------------------------------------------------- #
-
-
-def electrical_flow_network(
-    cluster: ClusterSpec,
-    mesh: DeviceMesh,
-    routing_policy: str = "single",
-) -> FlowNetworkModel:
-    """Flow-level twin of the fully-connected electrical rail baseline."""
-    return FlowNetworkModel(
-        cluster,
-        mesh,
-        build_fully_connected_rail_topology(cluster),
-        routing_policy=routing_policy,
-    )
-
-
-def fat_tree_flow_network(
-    cluster: ClusterSpec,
-    mesh: DeviceMesh,
-    oversubscription: float = 1.0,
-    routing_policy: str = "single",
-) -> FlowNetworkModel:
-    """Flow-level twin of the fat-tree fabric (optionally oversubscribed)."""
-    fabric = build_fat_tree_fabric(cluster, oversubscription=oversubscription)
-    return FlowNetworkModel(
-        cluster,
-        mesh,
-        fabric.topology,
-        routing_policy=routing_policy,
-    )
-
-
-def rail_optimized_flow_network(
-    cluster: ClusterSpec,
-    mesh: DeviceMesh,
-    always_spine: bool = True,
-    routing_policy: str = "single",
-) -> FlowNetworkModel:
-    """Flow-level twin of the leaf/spine rail-optimized fabric."""
-    fabric = build_rail_optimized_fabric(cluster, always_spine=always_spine)
-    return FlowNetworkModel(
-        cluster,
-        mesh,
-        fabric.topology,
-        routing_policy=routing_policy,
-    )

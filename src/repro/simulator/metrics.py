@@ -10,7 +10,7 @@ normalized-iteration-time ratio of Fig. 8.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..parallelism.trace import IterationTrace, TrainingTrace
@@ -100,18 +100,6 @@ def normalized_iteration_time(
     if base <= 0:
         raise SimulationError("baseline iteration time must be positive")
     return mean_iteration_time(candidate, skip_first=skip_first) / base
-
-
-def per_rail_traffic(trace: IterationTrace) -> Dict[int, float]:
-    """Total bytes carried by each rail during one iteration."""
-    traffic: Dict[int, float] = {}
-    for record in trace.comm_records:
-        if not record.scaleout or not record.rails:
-            continue
-        share = record.total_bytes / len(record.rails)
-        for rail in record.rails:
-            traffic[rail] = traffic.get(rail, 0.0) + share
-    return traffic
 
 
 def reconfigurations_per_iteration(training: TrainingTrace) -> List[int]:

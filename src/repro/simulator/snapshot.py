@@ -47,7 +47,11 @@ from ..errors import SnapshotError
 #: Version 4: the Opus shim takes one mode string and the controller checks
 #: FC-FS order itself; a version-3 payload pickles the deleted
 #: ``ShimOptions`` and ``FCFSScheduler``.
-SNAPSHOT_FORMAT_VERSION = 4
+#: Version 5: the ``fattree`` and ``railopt`` backends build a plain
+#: ``TopologyNetworkModel``; a version-4 payload of an analytic session on
+#: either pickles the deleted ``FatTreeNetworkModel`` or
+#: ``RailOptimizedNetworkModel``.
+SNAPSHOT_FORMAT_VERSION = 5
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

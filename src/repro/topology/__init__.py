@@ -13,7 +13,6 @@ The subpackage provides everything below the control plane:
 * :mod:`repro.topology.fattree` — the fat-tree baseline.
 * :mod:`repro.topology.photonic` — the proposed photonic rail fabric.
 * :mod:`repro.topology.ocs` — the OCS crossbar / circuit state machine.
-* :mod:`repro.topology.nic` — NIC port partitioning (constraint C3).
 """
 
 from .base import Link, LinkKind, Node, NodeKind, Topology, gpu_node_name, nic_port_node_name
@@ -44,8 +43,7 @@ from .devices import (
 )
 from .electrical import build_fully_connected_rail_topology
 from .fattree import FatTreeFabric, build_fat_tree_fabric, fat_tree_inventory
-from .nic import NICAllocation, PortAssignment, allocate_ports, ports_required
-from .ocs import Circuit, CircuitConfiguration, EMPTY_CONFIGURATION, OpticalCircuitSwitch
+from .ocs import Circuit, CircuitConfiguration, OpticalCircuitSwitch
 from .photonic import (
     PhotonicRail,
     PhotonicRailFabric,
@@ -59,7 +57,6 @@ from .railopt import (
     build_rail_optimized_fabric,
     rail_optimized_inventory,
 )
-from .scaleup import build_scaleup_only_topology
 
 __all__ = [
     "Circuit",
@@ -69,7 +66,6 @@ __all__ = [
     "DGX_H100",
     "DGX_H200",
     "ElectricalSwitchSpec",
-    "EMPTY_CONFIGURATION",
     "FabricInventory",
     "FatTreeFabric",
     "GB200_NVL72",
@@ -77,7 +73,6 @@ __all__ = [
     "GPU_CATALOG",
     "Link",
     "LinkKind",
-    "NICAllocation",
     "NICPortConfig",
     "NICSpec",
     "NIC_CATALOG",
@@ -91,7 +86,6 @@ __all__ = [
     "PIEZO_POLATIS",
     "PhotonicRail",
     "PhotonicRailFabric",
-    "PortAssignment",
     "RailEndpoint",
     "RailOptimizedFabric",
     "SCALEUP_CATALOG",
@@ -100,18 +94,15 @@ __all__ = [
     "TRANSCEIVER_400G",
     "Topology",
     "TransceiverSpec",
-    "allocate_ports",
     "build_fat_tree_fabric",
     "build_fully_connected_rail_topology",
     "build_photonic_rail_fabric",
     "build_rail_optimized_fabric",
-    "build_scaleup_only_topology",
     "dgx_h200_cluster",
     "fat_tree_inventory",
     "gpu_node_name",
     "nic_port_node_name",
     "perlmutter_testbed",
     "photonic_rail_inventory",
-    "ports_required",
     "rail_optimized_inventory",
 ]

@@ -399,10 +399,6 @@ class Topology:
         self._require_node(name)
         return self._nodes[name]
 
-    def has_node(self, name: str) -> bool:
-        """Return whether a node called ``name`` exists."""
-        return name in self._nodes
-
     def link(self, link_id: int) -> Link:
         """Return the link with id ``link_id``."""
         if link_id not in self._links:
@@ -738,10 +734,6 @@ class Topology:
     # ------------------------------------------------------------------ #
     # Misc
     # ------------------------------------------------------------------ #
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Return a copy of the underlying networkx graph."""
-        return self._graph.copy()
 
     def __iter__(self) -> Iterator[Node]:
         return iter(self._nodes.values())

@@ -99,11 +99,6 @@ class CircuitConfiguration:
             port for circuit in self.circuits for port in circuit.ports
         )
 
-    @property
-    def num_circuits(self) -> int:
-        """Number of circuits in the configuration."""
-        return len(self.circuits)
-
     def peer_of(self, port: int) -> Optional[int]:
         """Return the port connected to ``port``, or ``None`` if unconnected."""
         for circuit in self.circuits:
@@ -113,17 +108,9 @@ class CircuitConfiguration:
                 return circuit.port_a
         return None
 
-    def contains(self, circuit: Circuit) -> bool:
-        """Return whether ``circuit`` is part of this configuration."""
-        return circuit in self.circuits
-
     def union(self, other: "CircuitConfiguration") -> "CircuitConfiguration":
         """Merge two configurations; raises on port conflicts."""
         return CircuitConfiguration(self.circuits | other.circuits)
-
-    def difference(self, other: "CircuitConfiguration") -> "CircuitConfiguration":
-        """Return the circuits of ``self`` that are not in ``other``."""
-        return CircuitConfiguration(self.circuits - other.circuits)
 
     def conflicts_with(self, other: "CircuitConfiguration") -> FrozenSet[int]:
         """Return ports that would be double-booked by merging with ``other``.
@@ -154,9 +141,6 @@ class CircuitConfiguration:
     def __str__(self) -> str:
         body = ", ".join(str(c) for c in self)
         return f"{{{body}}}"
-
-
-EMPTY_CONFIGURATION = CircuitConfiguration(())
 
 
 class OpticalCircuitSwitch:

@@ -260,10 +260,6 @@ class PhotonicRailFabric:
             raise TopologyError(f"rail {rail} does not exist")
         return self.rails[rail]
 
-    def installed_configuration(self, rail: int) -> CircuitConfiguration:
-        """Return the circuit configuration currently installed on ``rail``."""
-        return self.rail(rail).ocs.installed
-
     def apply_configuration(
         self, rail: int, configuration: CircuitConfiguration
     ) -> Tuple[int, int]:

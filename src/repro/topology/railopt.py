@@ -181,7 +181,6 @@ def build_rail_optimized_fabric(
     # Inventory for the cost / power model.
     num_leaves = total_leaves
     host_links = cluster.num_gpus * ports_per_gpu
-    leaf_spine_links = 0 if not spine_switches else total_leaves * spine_switches
     # Each host link has a transceiver at the NIC end and at the switch end;
     # each inter-switch link has one at each end.
     leaf_spine_fibers = total_uplinks

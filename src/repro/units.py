@@ -1,4 +1,4 @@
-"""Units and physical constants used throughout the photonic-rails reproduction.
+"""Units used throughout the photonic-rails reproduction.
 
 Conventions
 -----------
@@ -8,142 +8,22 @@ The whole library uses a single, consistent set of base units:
 * **data size** — bytes (``float``; fractional bytes are allowed in analytic
   formulas)
 * **bandwidth / rate** — bytes per second
-* **power** — watts
-* **cost** — US dollars
+* **compute** — floating-point operations per second
 
 Helper constants convert the units that appear in the paper (milliseconds for
-OCS reconfiguration times, Gbps for link rates, MB/GB for collective payloads)
-into the base units.  Keeping conversions explicit at call sites -- e.g.
+OCS reconfiguration times, Gbps for link rates, TFLOPS for GPU peaks) into the
+base units.  Keeping conversions explicit at call sites -- e.g.
 ``25 * MILLISECONDS`` or ``400 * GBPS`` -- keeps the code readable and removes
 a whole class of unit-mismatch bugs.
 """
 
 from __future__ import annotations
 
-# --------------------------------------------------------------------------- #
-# Time
-# --------------------------------------------------------------------------- #
-
-SECONDS: float = 1.0
+#: One millisecond, in seconds.
 MILLISECONDS: float = 1e-3
-MICROSECONDS: float = 1e-6
-NANOSECONDS: float = 1e-9
-MINUTES: float = 60.0
-HOURS: float = 3600.0
-
-# --------------------------------------------------------------------------- #
-# Data sizes (decimal and binary)
-# --------------------------------------------------------------------------- #
-
-BYTES: float = 1.0
-KB: float = 1e3
-MB: float = 1e6
-GB: float = 1e9
-TB: float = 1e12
-
-KIB: float = 1024.0
-MIB: float = 1024.0**2
-GIB: float = 1024.0**3
-
-# --------------------------------------------------------------------------- #
-# Bandwidth
-# --------------------------------------------------------------------------- #
 
 #: One gigabit per second, expressed in bytes per second.
 GBPS: float = 1e9 / 8.0
-#: One terabit per second, expressed in bytes per second.
-TBPS: float = 1e12 / 8.0
-#: One gigabyte per second.
-GBYTES_PER_S: float = 1e9
 
-# --------------------------------------------------------------------------- #
-# Compute
-# --------------------------------------------------------------------------- #
-
-FLOPS: float = 1.0
-GFLOPS: float = 1e9
+#: One teraFLOP per second, in FLOP/s.
 TFLOPS: float = 1e12
-PFLOPS: float = 1e15
-
-# --------------------------------------------------------------------------- #
-# Power and cost
-# --------------------------------------------------------------------------- #
-
-WATTS: float = 1.0
-KILOWATTS: float = 1e3
-MEGAWATTS: float = 1e6
-
-DOLLARS: float = 1.0
-
-
-def bytes_per_second_from_gbps(gbps: float) -> float:
-    """Convert a link rate in gigabits per second to bytes per second."""
-    return gbps * GBPS
-
-
-def gbps_from_bytes_per_second(rate: float) -> float:
-    """Convert a rate in bytes per second to gigabits per second."""
-    return rate / GBPS
-
-
-def seconds_from_ms(milliseconds: float) -> float:
-    """Convert milliseconds to seconds."""
-    return milliseconds * MILLISECONDS
-
-
-def ms_from_seconds(seconds: float) -> float:
-    """Convert seconds to milliseconds."""
-    return seconds / MILLISECONDS
-
-
-def megabytes(size_bytes: float) -> float:
-    """Convert a size in bytes to megabytes (decimal)."""
-    return size_bytes / MB
-
-
-def format_bytes(size_bytes: float) -> str:
-    """Render a byte count with a human-friendly suffix (e.g. ``'3.83 GB'``)."""
-    magnitude = abs(size_bytes)
-    if magnitude >= TB:
-        return f"{size_bytes / TB:.2f} TB"
-    if magnitude >= GB:
-        return f"{size_bytes / GB:.2f} GB"
-    if magnitude >= MB:
-        return f"{size_bytes / MB:.2f} MB"
-    if magnitude >= KB:
-        return f"{size_bytes / KB:.2f} KB"
-    return f"{size_bytes:.0f} B"
-
-
-def format_time(seconds: float) -> str:
-    """Render a duration with a human-friendly suffix (e.g. ``'12.5 ms'``)."""
-    magnitude = abs(seconds)
-    if magnitude >= 1.0:
-        return f"{seconds:.3f} s"
-    if magnitude >= MILLISECONDS:
-        return f"{seconds / MILLISECONDS:.3f} ms"
-    if magnitude >= MICROSECONDS:
-        return f"{seconds / MICROSECONDS:.3f} us"
-    return f"{seconds / NANOSECONDS:.1f} ns"
-
-
-def format_power(watts: float) -> str:
-    """Render a power figure with a human-friendly suffix (e.g. ``'1.29 MW'``)."""
-    magnitude = abs(watts)
-    if magnitude >= MEGAWATTS:
-        return f"{watts / MEGAWATTS:.2f} MW"
-    if magnitude >= KILOWATTS:
-        return f"{watts / KILOWATTS:.2f} kW"
-    return f"{watts:.1f} W"
-
-
-def format_cost(dollars: float) -> str:
-    """Render a cost figure with a human-friendly suffix (e.g. ``'$26.4M'``)."""
-    magnitude = abs(dollars)
-    if magnitude >= 1e9:
-        return f"${dollars / 1e9:.2f}B"
-    if magnitude >= 1e6:
-        return f"${dollars / 1e6:.2f}M"
-    if magnitude >= 1e3:
-        return f"${dollars / 1e3:.1f}K"
-    return f"${dollars:.2f}"

@@ -14,11 +14,9 @@ from repro.experiments.backends import (
     register_backend,
 )
 from repro.parallelism.mesh import DeviceMesh
-from repro.simulator.fabric_network import (
-    FatTreeNetworkModel,
-    RailOptimizedNetworkModel,
-)
+from repro.simulator.fabric_network import TopologyNetworkModel
 from repro.simulator.network import NetworkModel
+from repro.topology.base import NodeKind
 
 EXPECTED_BACKENDS = {"photonic", "electrical", "ideal", "fattree", "railopt", "ocs"}
 
@@ -26,6 +24,15 @@ EXPECTED_BACKENDS = {"photonic", "electrical", "ideal", "fattree", "railopt", "o
 @pytest.fixture()
 def tiny_mesh(tiny_workload, tiny_cluster):
     return DeviceMesh(tiny_workload.parallelism, tiny_cluster)
+
+
+def _switch_tiers(topology):
+    """The tiers of a fabric graph's electrical switches."""
+    return {
+        node.attrs["tier"]
+        for node in topology
+        if node.kind == NodeKind.ELECTRICAL_SWITCH
+    }
 
 
 def test_registry_contains_all_builtin_backends():
@@ -84,7 +91,9 @@ def test_fattree_model_bottleneck_never_exceeds_port_bandwidth(
     tiny_cluster, tiny_mesh
 ):
     network = create_network("fattree", tiny_cluster, tiny_mesh)
-    assert isinstance(network, FatTreeNetworkModel)
+    assert type(network) is TopologyNetworkModel
+    # Two 4-GPU domains fit under edge and aggregation switches.
+    assert _switch_tiers(network.topology) == {"edge", "agg"}
     # A cross-domain dp-style pair: ranks 0 and 4 live in different domains.
     link = network.group_link_parameters((0, 4))
     assert 0 < link.bandwidth <= tiny_cluster.scaleout_port_bandwidth
@@ -93,7 +102,8 @@ def test_fattree_model_bottleneck_never_exceeds_port_bandwidth(
 
 def test_railopt_model_routes_along_the_rail(tiny_cluster, tiny_mesh):
     network = create_network("railopt", tiny_cluster, tiny_mesh)
-    assert isinstance(network, RailOptimizedNetworkModel)
+    assert type(network) is TopologyNetworkModel
+    assert _switch_tiers(network.topology) == {"leaf", "spine"}
     link = network.group_link_parameters((0, 4))
     assert 0 < link.bandwidth <= tiny_cluster.scaleout_port_bandwidth
 

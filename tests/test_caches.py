@@ -378,12 +378,12 @@ def test_allocator_rejects_nan_free_masked_infinities():
 
 def test_fault_events_invalidate_route_tables_and_group_parameters(tiny_cluster):
     """Degrading a link must drop routes, step items, and analytic params."""
-    from repro.simulator.fabric_network import FatTreeNetworkModel
+    from repro.simulator.fabric_network import TopologyNetworkModel
     from repro.topology.fattree import build_fat_tree_fabric
 
     fabric = build_fat_tree_fabric(tiny_cluster)
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
-    analytic = FatTreeNetworkModel(tiny_cluster, mesh, fabric=fabric)
+    analytic = TopologyNetworkModel(tiny_cluster, mesh, fabric.topology)
     flow_model = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
 
     group = (0, 4)

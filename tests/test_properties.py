@@ -452,11 +452,13 @@ def _policy_model(policy):
     from repro.experiments.contention import mini_fat_tree_cluster
     from repro.parallelism.config import ParallelismConfig
     from repro.parallelism.mesh import DeviceMesh
-    from repro.simulator.flow_network import fat_tree_flow_network
+    from repro.simulator.flow_network import FlowNetworkModel
+    from repro.topology.fattree import build_fat_tree_fabric
 
     cluster = mini_fat_tree_cluster(num_nodes=4)
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=4), cluster)
-    return fat_tree_flow_network(cluster, mesh, routing_policy=policy)
+    topology = build_fat_tree_fabric(cluster).topology
+    return FlowNetworkModel(cluster, mesh, topology, routing_policy=policy)
 
 
 def _random_rank_transfers(rng, num_ranks=16):

@@ -34,9 +34,10 @@ from repro.experiments.contention import (
 from repro.experiments.runner import run_scenario
 from repro.parallelism.config import ParallelismConfig
 from repro.parallelism.mesh import DeviceMesh
-from repro.simulator.flow_network import fat_tree_flow_network
+from repro.simulator.flow_network import FlowNetworkModel
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
+from repro.topology.fattree import build_fat_tree_fabric
 
 
 # --------------------------------------------------------------------------- #
@@ -198,10 +199,12 @@ def test_unknown_provisioning_mode_rejected(provisioning):
 
 def test_fault_reroute_hook_is_the_policy_router():
     cluster, mesh = _mini_mesh()
-    model = fat_tree_flow_network(cluster, mesh, routing_policy="ecmp")
+    model = FlowNetworkModel(
+        cluster, mesh, build_fat_tree_fabric(cluster).topology, routing_policy="ecmp"
+    )
     assert model.simulator.route_policy == model._router.reroute
     # Single-path models keep the raw shortest-path reroute lane.
-    plain = fat_tree_flow_network(cluster, mesh)
+    plain = FlowNetworkModel(cluster, mesh, build_fat_tree_fabric(cluster).topology)
     assert plain.simulator.route_policy is None
 
 
