@@ -32,7 +32,7 @@ configuration); positional arguments override the node counts.
 from __future__ import annotations
 
 import json
-import math
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -148,15 +148,16 @@ def run_point(fabric: str, num_nodes: int, network_mode: str, repeat: int = 3) -
     return point
 
 
-def run_routing_overhead(num_nodes: int, repeat: int = 5) -> dict:
+def run_routing_overhead(num_nodes: int, pairs: int = 15) -> dict:
     """Wall-time cost of the routing-policy knob's default lane — about 1.0.
 
-    Spelling ``routing_policy="single"`` out loud must stay the pre-knob
-    code path (no router is instantiated), so explicit-over-default is a
+    Spelling ``routing_policy="single"`` out loud must stay the default code
+    path (no router is instantiated), so explicit-over-default is a
     pure-noise ratio gated tightly (1.05x, no slack) in the baseline: any
-    constant overhead sneaking onto the single-path lane trips it.  Best-of-5
-    on both sides keeps millisecond wall times stable enough for the tight
-    gate.
+    constant overhead sneaking onto the single-path lane trips it.  The
+    reported ratio is the median of ``pairs`` paired ratios, each pair run
+    back to back with the side that runs first alternating, so neither side
+    keeps the warmer caches and one slow run cannot move the result.
     """
     default = build_scenario("fattree", num_nodes, "flow")
     explicit = replace(
@@ -165,26 +166,32 @@ def run_routing_overhead(num_nodes: int, repeat: int = 5) -> dict:
         name=f"{default.name}-single",
     )
 
-    # One untimed warm-up of each side, then interleaved timed repeats:
-    # running all of one side first hands the other warm allocator caches
-    # and skews the ratio well away from 1.0.
+    def timed(scenario: Scenario) -> float:
+        started = time.perf_counter()
+        run_scenario(scenario)
+        return time.perf_counter() - started
+
+    # One untimed warm-up of each side.
     run_scenario(default)
     run_scenario(explicit)
-    default_s = single_s = math.inf
-    for _ in range(repeat):
-        started = time.perf_counter()
-        run_scenario(default)
-        default_s = min(default_s, time.perf_counter() - started)
-        started = time.perf_counter()
-        run_scenario(explicit)
-        single_s = min(single_s, time.perf_counter() - started)
+    default_times, single_times, ratios = [], [], []
+    for index in range(pairs):
+        if index % 2:
+            single_s = timed(explicit)
+            default_s = timed(default)
+        else:
+            default_s = timed(default)
+            single_s = timed(explicit)
+        default_times.append(default_s)
+        single_times.append(single_s)
+        ratios.append(single_s / max(default_s, 1e-12))
     return {
         "bench": "routing_overhead",
         "fabric": "fattree",
         "gpus": num_nodes * 4,
-        "default_s": round(default_s, 6),
-        "single_s": round(single_s, 6),
-        "ratio": round(single_s / max(default_s, 1e-12), 6),
+        "default_s": round(statistics.median(default_times), 6),
+        "single_s": round(statistics.median(single_times), 6),
+        "ratio": round(statistics.median(ratios), 6),
     }
 
 

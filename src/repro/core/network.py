@@ -289,19 +289,16 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
     def _on_circuit_change(self, event: CircuitChangeEvent) -> None:
         """React to a circuit install or tear on the fabric.
 
-        Installs and tears drop the route cache eagerly (the topology
-        version check would catch them too; this keeps the cache from
-        holding torn Link objects between version probes).  A tear
-        additionally confronts the flows *riding* the torn links: the
-        circuit-hold bookkeeping prevents a collective's own circuits from
-        being torn under it, but a flow detoured over another rail's
-        circuits (e.g. around a failed link or OCS port) is invisible to
-        that accounting.  Such flows re-route over the surviving fabric or
-        raise the typed :class:`~repro.errors.LinkFailedError`, per the
-        simulator's failure policy.
+        Installs and tears bump the topology version, so the route table
+        drops its routes on its next read.  A tear also confronts the flows
+        *riding* the torn links: the circuit-hold bookkeeping prevents a
+        collective's own circuits from being torn under it, but a flow
+        detoured over another rail's circuits (e.g. around a failed link or
+        OCS port) is invisible to that accounting.  Such flows re-route over
+        the surviving fabric or raise the typed
+        :class:`~repro.errors.LinkFailedError`, per the simulator's failure
+        policy.
         """
-        self._pair_paths.clear()
-        self._step_routes.clear()
         if not event.installed:
             self.simulator.fail_link_ids(event.link_ids)
 

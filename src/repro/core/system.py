@@ -24,7 +24,7 @@ from ..errors import ConfigurationError
 from ..experiments.backends import create_network
 from ..experiments.runner import ExperimentRunner, Scenario, ScenarioResult
 from ..parallelism.config import WorkloadConfig
-from ..parallelism.dag import DagBuildOptions, IterationDAG, build_iteration_dag
+from ..parallelism.dag import IterationDAG, build_iteration_dag
 from ..parallelism.groups import GroupRegistry
 from ..parallelism.mesh import DeviceMesh
 from ..parallelism.trace import TrainingTrace
@@ -39,7 +39,8 @@ class SystemConfig:
     """Knobs shared by every backend simulation."""
 
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    dag_options: DagBuildOptions = field(default_factory=DagBuildOptions)
+    #: Emit FSDP collectives per layer (the paper's setting) or per stage.
+    per_layer_fsdp: bool = True
     num_iterations: int = 2
 
 
@@ -61,7 +62,7 @@ class PhotonicRailSystem:
         self.cluster = cluster
         self.config = config or SystemConfig()
         self.dag: IterationDAG = build_iteration_dag(
-            workload, cluster, self.config.dag_options
+            workload, cluster, self.config.per_layer_fsdp
         )
         self.mesh: DeviceMesh = self.dag.mesh
         self.registry = GroupRegistry(self.mesh)
@@ -179,7 +180,7 @@ def reconfiguration_latency_sweep(
         backend="photonic",
         num_iterations=num_iterations,
         simulation=system_config.simulation,
-        dag_options=system_config.dag_options,
+        per_layer_fsdp=system_config.per_layer_fsdp,
         name="fig8",
     )
     baseline = runner.run(
@@ -189,7 +190,7 @@ def reconfiguration_latency_sweep(
             backend="electrical",
             num_iterations=num_iterations,
             simulation=system_config.simulation,
-            dag_options=system_config.dag_options,
+            per_layer_fsdp=system_config.per_layer_fsdp,
             name="fig8-baseline",
         )
     )

@@ -64,7 +64,6 @@ from ..parallelism.config import (
     TrainingConfig,
     WorkloadConfig,
 )
-from ..parallelism.dag import DagBuildOptions
 from ..parallelism.workloads import small_test_workload
 from ..simulator.faults import FaultEvent, FaultKind, FaultPlan
 from ..topology.devices import (
@@ -443,7 +442,7 @@ def scale_scenario(
         num_iterations=num_iterations,
         # Stage-aggregated FSDP: per-layer chains add DAG operations without
         # changing steady-state traffic at this layer count.
-        dag_options=DagBuildOptions(per_layer_fsdp=False),
+        per_layer_fsdp=False,
         name=f"scale-{backend}-{num_endpoints}",
     )
 

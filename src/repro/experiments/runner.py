@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ScenarioError
 from ..parallelism.config import WorkloadConfig
-from ..parallelism.dag import DagBuildOptions
 from ..simulator.executor import SimulationConfig
 from ..simulator.faults import FaultPlan, as_fault_plan
 from ..topology.devices import ClusterSpec
@@ -54,7 +53,8 @@ class Scenario:
     knobs: Mapping[str, object] = field(default_factory=dict)
     num_iterations: int = 2
     simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    dag_options: DagBuildOptions = field(default_factory=DagBuildOptions)
+    #: Emit FSDP collectives per layer (the paper's setting) or per stage.
+    per_layer_fsdp: bool = True
     name: str = "scenario"
 
     def __post_init__(self) -> None:
@@ -77,8 +77,9 @@ def scenario_hash(scenario: Scenario) -> str:
     """Stable configuration hash of a scenario (memoization cache key).
 
     The hash covers everything that influences the simulation result —
-    workload, cluster, backend, knobs, iteration count, simulator and DAG
-    options — and deliberately ignores ``name``, which is presentation only.
+    workload, cluster, backend, knobs, iteration count, simulator options and
+    FSDP granularity — and deliberately ignores ``name``, which is
+    presentation only.
     """
     payload = {
         "workload": asdict(scenario.workload),
@@ -87,7 +88,7 @@ def scenario_hash(scenario: Scenario) -> str:
         "knobs": {key: repr(value) for key, value in scenario.knobs.items()},
         "num_iterations": scenario.num_iterations,
         "simulation": asdict(scenario.simulation),
-        "dag_options": asdict(scenario.dag_options),
+        "per_layer_fsdp": scenario.per_layer_fsdp,
     }
     canonical = json.dumps(payload, sort_keys=True, default=repr)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -79,7 +79,7 @@ class SimulationSession(Snapshottable):
     def start(cls, scenario: Scenario) -> "SimulationSession":
         """Build the DAG, network model, and executor for ``scenario``."""
         dag = build_iteration_dag(
-            scenario.workload, scenario.cluster, scenario.dag_options
+            scenario.workload, scenario.cluster, scenario.per_layer_fsdp
         )
         registry = GroupRegistry(dag.mesh)
         network = create_network(

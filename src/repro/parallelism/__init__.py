@@ -14,7 +14,6 @@ from .config import (
     WorkloadConfig,
 )
 from .dag import (
-    DagBuildOptions,
     IterationDAG,
     OpKind,
     Operation,
@@ -56,7 +55,6 @@ __all__ = [
     "CommunicationGroup",
     "ComputeRecord",
     "DTYPE_BYTES",
-    "DagBuildOptions",
     "DeviceMesh",
     "GPT3_175B",
     "GroupRegistry",

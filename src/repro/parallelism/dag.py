@@ -246,19 +246,10 @@ class IterationDAG:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class DagBuildOptions:
-    """Options controlling the level of detail of the generated DAG."""
-
-    #: Emit FSDP AllGather/ReduceScatter per layer (True, paper behaviour) or
-    #: aggregated per stage (False, coarse mode for very large models).
-    per_layer_fsdp: bool = True
-
-
 def build_iteration_dag(
     workload: WorkloadConfig,
     cluster: Optional[ClusterSpec] = None,
-    options: Optional[DagBuildOptions] = None,
+    per_layer_fsdp: bool = True,
 ) -> IterationDAG:
     """Build the DAG of one training iteration of ``workload``.
 
@@ -269,12 +260,13 @@ def build_iteration_dag(
     cluster:
         Optional hardware description used to distinguish scale-up from
         scale-out groups (required by the simulator).
-    options:
-        Level-of-detail knobs; defaults reproduce the paper's setting.
+    per_layer_fsdp:
+        Emit FSDP AllGather/ReduceScatter per layer (True, the paper's
+        setting) or aggregated per stage (False, coarse mode for very large
+        models).
     """
-    options = options or DagBuildOptions()
     mesh = DeviceMesh(workload.parallelism, cluster)
-    builder = _DagBuilder(workload, mesh, options)
+    builder = _DagBuilder(workload, mesh, per_layer_fsdp)
     return builder.build()
 
 
@@ -282,11 +274,11 @@ class _DagBuilder:
     """Stateful helper that assembles the iteration DAG."""
 
     def __init__(
-        self, workload: WorkloadConfig, mesh: DeviceMesh, options: DagBuildOptions
+        self, workload: WorkloadConfig, mesh: DeviceMesh, per_layer_fsdp: bool
     ) -> None:
         self.workload = workload
         self.mesh = mesh
-        self.options = options
+        self.per_layer_fsdp = per_layer_fsdp
         self.par = workload.parallelism
         self.model = workload.model
         self.dag = IterationDAG(workload, mesh)
@@ -379,8 +371,8 @@ class _DagBuilder:
         if self.par.dp <= 1 or not self.par.use_fsdp:
             return
         per_layer = self.workload.fsdp_allgather_bytes_per_layer()
-        layers = self.layers_per_stage if self.options.per_layer_fsdp else 1
-        size = per_layer if self.options.per_layer_fsdp else per_layer * self.layers_per_stage
+        layers = self.layers_per_stage if self.per_layer_fsdp else 1
+        size = per_layer if self.per_layer_fsdp else per_layer * self.layers_per_stage
         for stage in range(self.par.pp):
             for index, (cp, ep, tp) in enumerate(self._inner_indices()):
                 group = self._dp_group(stage, cp, ep, tp)
@@ -615,10 +607,10 @@ class _DagBuilder:
     def _emit_fsdp_reducescatters(self) -> None:
         if self.par.dp <= 1:
             return
-        layers = self.layers_per_stage if self.options.per_layer_fsdp else 1
+        layers = self.layers_per_stage if self.per_layer_fsdp else 1
         if self.par.use_fsdp:
             per_layer = self.workload.fsdp_reducescatter_bytes_per_layer()
-            size = per_layer if self.options.per_layer_fsdp else per_layer * self.layers_per_stage
+            size = per_layer if self.per_layer_fsdp else per_layer * self.layers_per_stage
             collective = CollectiveType.REDUCE_SCATTER
             tag_prefix = "fsdp.reducescatter"
         else:

@@ -24,9 +24,10 @@ from ..collectives.cost_model import LinkParameters
 from ..errors import ConfigurationError
 from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
-from ..topology.base import Link, Topology, gpu_node_name
+from ..topology.base import Link, Topology
 from ..topology.devices import ClusterSpec
 from .network import CommTiming, NetworkModel
+from .routing import RouteTable
 
 
 class TopologyNetworkModel(NetworkModel):
@@ -35,7 +36,8 @@ class TopologyNetworkModel(NetworkModel):
     For a communication group the ring algorithm sends along consecutive
     (rank, successor) pairs; pairs inside one scale-up domain ride the
     NVLink interconnect and never touch the fabric.  Every cross-domain pair
-    is routed with :meth:`~repro.topology.base.Topology.shortest_path`; the
+    is routed with :meth:`~repro.topology.base.Topology.shortest_path`
+    through the model's :class:`~repro.simulator.routing.RouteTable`; the
     effective per-flow bandwidth is the minimum over all traversed links of
     ``link.bandwidth / flows_sharing_the_link``, which makes oversubscribed
     uplinks (spine tiers, partially-provisioned cores) slow the ring down
@@ -50,6 +52,8 @@ class TopologyNetworkModel(NetworkModel):
     ) -> None:
         super().__init__(cluster, mesh)
         self.topology = topology
+        #: Every route this model resolves, memoized per topology version.
+        self.route_table = RouteTable(topology, mesh)
         self._group_links: Dict[Tuple[int, ...], LinkParameters] = {}
         #: Topology version the group-parameter cache was built at; fault
         #: injection degrades and fails links mid-run, and bottleneck
@@ -73,9 +77,13 @@ class TopologyNetworkModel(NetworkModel):
     # Path resolution
     # ------------------------------------------------------------------ #
 
-    def _ring_paths(self, group: Tuple[int, ...]) -> List[List[Link]]:
-        """Routes of the group's cross-domain ring hops, one per directed pair."""
-        paths: List[List[Link]] = []
+    def _ring_paths(self, group: Tuple[int, ...]) -> List[Tuple[Link, ...]]:
+        """Routes of the group's cross-domain ring hops, one per directed pair.
+
+        Raises :class:`SimulationError` naming both ranks for a hop with no
+        route.
+        """
+        paths: List[Tuple[Link, ...]] = []
         size = len(group)
         for index, rank in enumerate(group):
             successor = group[(index + 1) % size]
@@ -83,12 +91,7 @@ class TopologyNetworkModel(NetworkModel):
                 continue
             if self.mesh.domain_of(rank) == self.mesh.domain_of(successor):
                 continue  # intra-domain hop: stays on the scale-up interconnect
-            paths.append(
-                self.topology.shortest_path(
-                    gpu_node_name(self.mesh.gpu_of(rank)),
-                    gpu_node_name(self.mesh.gpu_of(successor)),
-                )
-            )
+            paths.append(self.route_table.path(rank, successor))
         return paths
 
     def group_link_parameters(self, group: Tuple[int, ...]) -> LinkParameters:

@@ -9,9 +9,13 @@ each priced as if they owned it.
 
 :class:`FlowNetworkModel` closes that gap.  Every scale-out collective is
 expanded — via :func:`repro.collectives.schedule.expand` — into
-barrier-synchronized steps of point-to-point transfers; each transfer is
-routed over the topology graph with :meth:`~repro.topology.base.Topology.shortest_path`
-and handed to the max–min fair :class:`~repro.simulator.flows.FlowSimulator`.
+barrier-synchronized steps of point-to-point transfers; each step's
+transfers are routed over the topology graph through the model's
+:class:`~repro.simulator.routing.RouteTable` (one
+:meth:`~repro.topology.base.Topology.shortest_path` per distinct rank pair and
+topology version, one :class:`~repro.simulator.flows.Routes` bundle per
+distinct step) and handed to the max–min fair
+:class:`~repro.simulator.flows.FlowSimulator`.
 Transfers of *all* in-flight collectives share one simulator, so concurrent
 collectives genuinely contend for link capacity.  The DAG executor drives this
 model through the ``begin_comm`` / ``next_event_time`` / ``advance`` interface
@@ -31,18 +35,24 @@ alpha term.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..collectives.primitives import CollectiveType
 from ..collectives.schedule import Schedule, expand_cached
-from ..errors import ConfigurationError, SimulationError, TopologyError
+from ..errors import ConfigurationError, SimulationError
 from ..parallelism.dag import Operation
 from ..parallelism.mesh import DeviceMesh
-from ..topology.base import Link, Topology, gpu_node_name
+from ..topology.base import Link, Topology
 from ..topology.devices import ClusterSpec
 from .fabric_network import TopologyNetworkModel
 from .flows import AllocatorStats, FlowSimulator, Routes, StepItems
-from .routing import ROUTING_POLICIES, PolicyRouter
+from .routing import (
+    ROUTING_POLICIES,
+    DeferredRoutes,
+    ItemMemo,
+    PolicyRouter,
+    rekeyed,
+)
 
 #: Called with the completion time when an expanded collective finishes.
 CompletionCallback = Callable[[float], None]
@@ -61,35 +71,6 @@ EXPANDABLE_COLLECTIVES = frozenset(
         CollectiveType.SEND_RECV,
     }
 )
-
-
-class _StepRoutes:
-    """Deferred routes of one collective step: its (src, dst) rank pairs.
-
-    Called once at the step's start event, when the circuits exist.  A
-    picklable callable class rather than a lambda: it lives inside the
-    model's cached step items *across* iterations, so a snapshot must
-    serialize it and a fork must rebind it (through the deepcopy/pickle
-    memo) to the fork's own model — a closure would silently keep resolving
-    against the parent simulation's topology.
-    """
-
-    __slots__ = ("model", "pairs")
-
-    def __init__(
-        self, model: "FlowNetworkModel", pairs: Tuple[Tuple[int, int], ...]
-    ) -> None:
-        self.model = model
-        self.pairs = pairs
-
-    def __call__(self) -> Routes:
-        return self.model.step_routes(self.pairs)
-
-    def __getstate__(self):
-        return (self.model, self.pairs)
-
-    def __setstate__(self, state):
-        self.model, self.pairs = state
 
 
 class _InFlightCollective:
@@ -130,7 +111,7 @@ class _InFlightCollective:
         launch_at = ready_time + self._model.per_step_overhead
         # On circuit fabrics the items carry a resolver called at the step's
         # start instant (the circuits only exist by then); static packet
-        # fabrics carry the concrete route-table entries directly.  Either
+        # fabrics carry the route table's concrete bundles directly.  Either
         # way the per-step items are built once per schedule and reused
         # across steps, iterations, and collectives with the same shape.
         self._model.simulator.add_flows(
@@ -161,21 +142,9 @@ class FlowNetworkModel(TopologyNetworkModel):
 
     #: Whether routes are handed to the simulator as deferred resolvers
     #: (circuit fabrics, where the route only exists once the switching event
-    #: completes) or as concrete route-table entries (static packet fabrics).
+    #: completes) or as the route table's concrete bundles (static packet
+    #: fabrics).
     deferred_routes = False
-
-    #: A source with at least this many unresolved destinations in one
-    #: collective schedule is routed with a single multi-target BFS instead
-    #: of per-pair shortest-path calls (the AllToAll pattern).  The BFS only
-    #: pays off when the destination set is a sizable fraction of the fabric:
-    #: settling even one cross-pod target forces the level-synchronous search
-    #: through entire switch tiers (~the whole graph), while a bidirectional
-    #: per-pair search meets in the middle and explores orders of magnitude
-    #: less.  Both resolve identical routes (same min-hop, same min-link-id
-    #: tie-breaks), so the choice is purely a cost model: use the BFS when
-    #: ``len(dsts)`` rivals ``num_nodes / _MULTI_TARGET_NODE_RATIO``.
-    _MULTI_TARGET_MIN = 4
-    _MULTI_TARGET_NODE_RATIO = 256
 
     def __init__(
         self,
@@ -186,9 +155,8 @@ class FlowNetworkModel(TopologyNetworkModel):
     ) -> None:
         super().__init__(cluster, mesh, topology)
         #: Multipath routing policy (see :mod:`repro.simulator.routing`).
-        #: ``single`` — the default — takes exactly the pre-policy code path:
-        #: no router is built and every route goes through the plain
-        #: shortest-path table, bit-for-bit.
+        #: ``single`` — the default — builds no router: every route is the
+        #: route table's shortest path.
         policy = str(routing_policy)
         if policy not in ROUTING_POLICIES:
             raise ConfigurationError(
@@ -205,30 +173,20 @@ class FlowNetworkModel(TopologyNetworkModel):
         self.simulator = self._fresh_simulator()
         #: Per-step software launch overhead, matching the analytic alpha term.
         self.per_step_overhead = self._scaleout_link.per_message_overhead
-        self._pair_paths: Dict[Tuple[int, int], Tuple[Link, ...]] = {}
         #: Set when an installed fault plan mutates links: routes are then
         #: handed to the simulator as deferred resolvers even on static
         #: packet fabrics, so every flow resolves against the live topology
         #: at its start instant instead of embedding a route a fault may
         #: have invalidated.
         self._fault_deferred = False
-        #: Topology version the path cache was built at; a mismatch (circuits
-        #: installed or torn since) drops every cached route.
-        self._paths_version = topology.version
-        #: Per-schedule step items (routes or route resolver, sizes), keyed
-        #: by schedule identity; rebuilt when the route table drops.
-        self._step_items: Dict[int, Tuple[Schedule, List[object]]] = {}
-        #: Resolved routes per step content (its rank pairs), valid for the
-        #: topology version in ``_paths_version`` like the pair table.
-        self._step_routes: Dict[Tuple[Tuple[int, int], ...], Routes] = {}
+        #: Step items of deferred models (route resolvers and sizes), keyed
+        #: by schedule identity.  They embed no route, so they outlive
+        #: topology changes; eager items live in the route table instead.
+        self._step_items: ItemMemo = {}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        # Schedule-identity cache: re-key on the anchored schedule objects.
-        # Pickle and deepcopy keep object identity but change id().
-        self._step_items = {
-            id(cached[0]): cached for cached in self._step_items.values()
-        }
+        self._step_items = rekeyed(self._step_items)
 
     # ------------------------------------------------------------------ #
     # Flow-mode interface
@@ -282,9 +240,9 @@ class FlowNetworkModel(TopologyNetworkModel):
 
         Faults interrupt the simulation at their exact instants: link events
         mutate the topology (bumping the version, which invalidates the
-        route tables and step-item caches), and the simulator re-rates the
-        affected components and re-routes — or fails, per the plan's
-        ``on_link_fail`` policy — the flows whose paths died.
+        route table), and the simulator re-rates the affected components and
+        re-routes — or fails, per the plan's ``on_link_fail`` policy — the
+        flows whose paths died.
         """
         from .faults import FaultInjector
 
@@ -305,16 +263,11 @@ class FlowNetworkModel(TopologyNetworkModel):
         the branch keeps the prefix's injector state and gains its own tail
         of events.  With no plan installed yet this is a mid-run
         ``install_fault_plan``.  When link events flip the model from eager
-        to deferred route resolution, the step-item lists are dropped: they
-        embed concrete pre-fault routes that nothing would ever invalidate
-        once ``_prefetch_routes`` stops running.  The per-pair route table
-        survives the switch — it is keyed on the topology version (faults
-        bump it when they *fire*), and the eager and deferred resolvers
-        return identical paths.
+        to deferred route resolution, the eager step items stay behind in
+        the route table, which deferred resolution never reads.
         """
         if plan.is_empty:
             return
-        was_deferred = self.deferred_routes or self._fault_deferred
         if self.fault_injector is None:
             self.install_fault_plan(plan)
         else:
@@ -327,8 +280,6 @@ class FlowNetworkModel(TopologyNetworkModel):
             self.fault_injector.extend(plan.events, engine=self.simulator.engine)
             if plan.has_link_events:
                 self._fault_deferred = True
-        if not was_deferred and (self.deferred_routes or self._fault_deferred):
-            self._step_items.clear()
 
     def can_expand(self, operation: Operation) -> bool:
         """Whether ``operation`` is expanded into flows (vs priced analytically)."""
@@ -342,85 +293,24 @@ class FlowNetworkModel(TopologyNetworkModel):
         )
 
     def path_between(self, src_rank: int, dst_rank: int) -> Tuple[Link, ...]:
-        """Route between two ranks' GPUs (cached; includes scale-up hops).
+        """Route between two ranks' GPUs (memoized; includes scale-up hops).
 
-        The cache is keyed on the topology version: circuit fabrics mutate
-        connectivity mid-simulation, and a route resolved before a
+        Every flow-mode pair lookup comes through here.  The route table
+        drops its entries when the topology version moves: circuit fabrics
+        mutate connectivity mid-simulation, and a route resolved before a
         reconfiguration must not be served afterwards.
         """
-        self._sync_paths_version()
-        key = (src_rank, dst_rank)
-        path = self._pair_paths.get(key)
-        if path is None:
-            try:
-                path = tuple(
-                    self.topology.shortest_path(
-                        gpu_node_name(self.mesh.gpu_of(src_rank)),
-                        gpu_node_name(self.mesh.gpu_of(dst_rank)),
-                    )
-                )
-            except TopologyError as exc:
-                raise SimulationError(
-                    f"no route from rank {src_rank} to rank {dst_rank} on "
-                    f"{self.topology.name!r}: {exc}"
-                ) from exc
-            self._pair_paths[key] = path
-        return path
+        return self.route_table.path(src_rank, dst_rank)
 
     def step_routes(self, pairs: Tuple[Tuple[int, int], ...]) -> Routes:
         """Routes of one step's (src, dst) rank pairs, memoized per content.
 
-        Deferred steps resolve here at their start event.  Steps recur with
-        the same pairs — every step of a ring, every iteration — so the memo
-        resolves each distinct step once per topology version instead of
-        once per flow.
+        Eager steps resolve here when their items are built, deferred steps
+        at their start event.  Steps recur with the same pairs — every step
+        of a ring, every iteration — so each distinct step resolves once per
+        topology version instead of once per flow.
         """
-        self._sync_paths_version()
-        routes = self._step_routes.get(pairs)
-        if routes is None:
-            path_between = self.path_between
-            routes = Routes(
-                [path_between(src, dst) for src, dst in pairs], self._paths_version
-            )
-            if len(self._step_routes) >= 4096:
-                self._step_routes.clear()
-            self._step_routes[pairs] = routes
-        return routes
-
-    def _prefetch_routes(self, steps: Schedule) -> None:
-        """Fill the route table for a schedule's unresolved (src, dst) pairs.
-
-        Sources that talk to many destinations across the schedule (the
-        AllToAll pattern) are resolved with one early-terminating multi-target
-        BFS instead of one shortest-path call per pair; ring-style sources
-        (one or two destinations) stay on the per-pair path, which explores
-        far less of the graph.
-        """
-        self._refresh_route_version()
-        cache = self._pair_paths
-        by_src: Dict[int, Set[int]] = {}
-        for step in steps:
-            for transfer in step.transfers:
-                if (transfer.src, transfer.dst) not in cache:
-                    by_src.setdefault(transfer.src, set()).add(transfer.dst)
-        multi_target_min = max(
-            self._MULTI_TARGET_MIN,
-            self.topology.num_nodes // self._MULTI_TARGET_NODE_RATIO,
-        )
-        for src, dsts in by_src.items():
-            if len(dsts) < multi_target_min:
-                continue  # per-pair resolution explores less of the graph
-            node_to_rank = {
-                gpu_node_name(self.mesh.gpu_of(dst)): dst for dst in dsts
-            }
-            found = self.topology.paths_from(
-                gpu_node_name(self.mesh.gpu_of(src)), node_to_rank
-            )
-            for node, path in found.items():
-                cache[(src, node_to_rank[node])] = tuple(path)
-        # Pairs still missing (few-destination sources, unreachable targets)
-        # resolve lazily through path_between, which also raises the proper
-        # SimulationError for genuinely unroutable pairs.
+        return self.route_table.step(pairs, self.path_between)
 
     def begin_comm(
         self,
@@ -434,32 +324,8 @@ class FlowNetworkModel(TopologyNetworkModel):
         schedules) with the collective's completion time once its last step
         drains.
         """
-        steps = self._expanded_schedule(operation)
-        if not (self.deferred_routes or self._fault_deferred):
-            if self._router is None:
-                self._prefetch_routes(steps)
-            else:
-                # Policy-routed runs keep their path sets in the router
-                # (version-keyed there), but the cached step items embed the
-                # chosen concrete routes and must drop on a version bump.
-                self._refresh_route_version()
-        items = self.step_items(steps)
+        items = self.step_items(self._expanded_schedule(operation))
         _InFlightCollective(self, items, on_complete).launch(start_time)
-
-    def _refresh_route_version(self) -> None:
-        """Drop route-embedding caches when the topology version moved."""
-        if self._sync_paths_version():
-            self._step_items.clear()  # step items embed concrete routes
-
-    def _sync_paths_version(self) -> bool:
-        """Drop the version-keyed route tables if the topology changed."""
-        version = self.topology.version
-        if version == self._paths_version:
-            return False
-        self._pair_paths.clear()
-        self._step_routes.clear()
-        self._paths_version = version
-        return True
 
     def step_items(self, steps: Schedule) -> List[object]:
         """Per-step items for a schedule, memoized.
@@ -468,40 +334,31 @@ class FlowNetworkModel(TopologyNetworkModel):
         adaptive routing, a ``(resolver, size)`` list whose flows each read
         the live occupancy at their own start).  Built once per schedule
         object and reused across steps, iterations, and repeated
-        collectives.  Entries hold a reference to their schedule so the
-        ``id`` key stays valid for the cache's lifetime.
+        collectives.  Items with concrete routes are memoized in the route
+        table and drop with its routes; deferred items outlive topology
+        changes.
         """
+        deferred = self.deferred_routes or self._fault_deferred
+        memo = self._step_items if deferred else self.route_table.items()
         key = id(steps)
-        cached = self._step_items.get(key)
+        cached = memo.get(key)
         if cached is not None and cached[0] is steps:
             return cached[1]
         if self._router is not None:
-            items = self._router.step_items_for(
-                steps, self.deferred_routes or self._fault_deferred
-            )
-        elif self.deferred_routes or self._fault_deferred:
-            items = [
-                StepItems(
-                    _StepRoutes(self, tuple((t.src, t.dst) for t in step.transfers)),
-                    [t.size_bytes for t in step.transfers],
-                )
-                for step in steps
-            ]
+            items = self._router.step_items_for(steps, deferred)
         else:
-            path_between = self.path_between
-            version = self.topology.version
-            items = [
-                StepItems(
-                    Routes(
-                        [path_between(t.src, t.dst) for t in step.transfers], version
-                    ),
-                    [t.size_bytes for t in step.transfers],
+            items = []
+            for step in steps:
+                pairs = tuple([(t.src, t.dst) for t in step.transfers])
+                items.append(
+                    StepItems(
+                        DeferredRoutes(self, pairs) if deferred else self.step_routes(pairs),
+                        [t.size_bytes for t in step.transfers],
+                    )
                 )
-                for step in steps
-            ]
-        if len(self._step_items) >= 1024:
-            self._step_items.clear()
-        self._step_items[key] = (steps, items)
+        if len(memo) >= 1024:
+            memo.clear()
+        memo[key] = (steps, items)
         return items
 
     def _expanded_schedule(self, operation: Operation) -> Schedule:

@@ -1,11 +1,19 @@
-"""Multipath routing policies for packet-fabric flow mode.
+"""Route table and multipath routing policies for flow mode.
+
+:class:`RouteTable` is the one memo of resolved routes per topology-backed
+network model: per-pair shortest paths, equal-cost path sets, per-step
+:class:`~repro.simulator.flows.Routes` bundles and the step items that embed
+them.  Every entry is valid for one topology version; circuit installs,
+faults and degradations bump the version, and the next read drops all of
+them together.
 
 Static packet fabrics (fat tree, rail-optimized, fully-connected electrical)
-route every transfer on one deterministic shortest path.  This module adds
-the alternative policies behind the ``routing_policy`` knob:
+route every transfer on one deterministic shortest path.  The
+``routing_policy`` knob selects among:
 
-* ``single`` — today's behaviour, handled entirely by the network model's
-  existing route table (this module is not even instantiated);
+* ``single`` — the default: every route is the table's
+  :meth:`~repro.topology.base.Topology.shortest_path` entry and no
+  :class:`PolicyRouter` is built;
 * ``ecmp`` — every flow picks deterministically, by an integer hash of its
   (source, destination, step, position) coordinates, from the *equal-cost
   path set* enumerated by
@@ -21,22 +29,23 @@ the alternative policies behind the ``routing_policy`` knob:
 Determinism is load-bearing: the ECMP hash is a fixed integer mix (never
 Python's per-process-randomized ``hash``), the path sets come out of the
 topology in natural-sorted order, and the adaptive tie-break is (congestion,
-enumeration index).  Every cache in :class:`PolicyRouter` is keyed on the
-topology version, so circuit installs, faults, and degradations flush stale
-path sets automatically.
+enumeration index).  The router reads its path sets from the model's route
+table, so circuit installs, faults, and degradations flush stale sets
+automatically.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from ..errors import SimulationError, TopologyError
-from ..topology.base import Link, gpu_node_name
+from ..topology.base import Link, Topology, gpu_node_name
 from .flows import Routes, StepItems
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..collectives.schedule import Schedule, Transfer
+    from ..parallelism.mesh import DeviceMesh
     from .flow_network import FlowNetworkModel
 
 #: Every accepted ``routing_policy`` knob value.
@@ -46,13 +55,130 @@ ROUTING_POLICIES = ("single", "ecmp", "adaptive", "spray")
 #: per core choice, so this covers realistic fan-outs while bounding the
 #: enumeration on pathological graphs; truncation keeps the natural-sorted
 #: prefix, so it is deterministic too.
-DEFAULT_MAX_PATHS = 8
+MAX_EQUAL_COST_PATHS = 8
 
 #: Sub-flows a sprayed transfer is split into (clamped to the equal-cost
 #: set size, so a single-path pair degenerates to an ordinary flow).
-DEFAULT_SPRAY_WAYS = 4
+SPRAY_WAYS = 4
 
 _MASK64 = (1 << 64) - 1
+
+_Path = Tuple[Link, ...]
+_Found = TypeVar("_Found")
+#: Per-schedule step items, keyed by ``id(schedule)``.  Each entry anchors
+#: its schedule, so the key stays valid for the entry's lifetime.
+ItemMemo = Dict[int, Tuple["Schedule", List[object]]]
+
+
+def rekeyed(memo: ItemMemo) -> ItemMemo:
+    """``memo`` re-keyed on its anchored schedules' identities.
+
+    Pickle and deepcopy keep object identity but change ``id()``, so every
+    unpickled item memo goes through this.
+    """
+    return {id(cached[0]): cached for cached in memo.values()}
+
+
+class RouteTable:
+    """The memoized routes of one network model's topology.
+
+    Offers per-rank-pair shortest paths (:meth:`path`), per-node-pair
+    equal-cost sets (:meth:`equal_cost`), per-step bundles keyed by the
+    step's content (:meth:`step`), and the step items that embed concrete
+    routes (:meth:`items`).  All of them are valid for :attr:`version`: the
+    first read after the topology version moves drops every memo at once,
+    so no reader can be handed a route another reader already saw go stale.
+    """
+
+    def __init__(self, topology: Topology, mesh: "DeviceMesh") -> None:
+        self.topology = topology
+        self.mesh = mesh
+        #: Topology version every memo below was filled at.
+        self.version = topology.version
+        self._paths: Dict[Tuple[int, int], _Path] = {}
+        self._sets: Dict[Tuple[str, str], Tuple[_Path, ...]] = {}
+        self._steps: Dict[tuple, Routes] = {}
+        self._items: ItemMemo = {}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._items = rekeyed(self._items)
+
+    def _check(self) -> None:
+        """Drop every memo if the topology changed since they were filled."""
+        version = self.topology.version
+        if version != self.version:
+            self._paths.clear()
+            self._sets.clear()
+            self._steps.clear()
+            self._items.clear()
+            self.version = version
+
+    def between(
+        self, search: Callable[[str, str], _Found], src_rank: int, dst_rank: int
+    ) -> _Found:
+        """``search`` between two ranks' GPU nodes, unroutable pairs typed.
+
+        A :class:`TopologyError` becomes a :class:`SimulationError` naming
+        both ranks and the fabric.
+        """
+        mesh = self.mesh
+        try:
+            return search(
+                gpu_node_name(mesh.gpu_of(src_rank)),
+                gpu_node_name(mesh.gpu_of(dst_rank)),
+            )
+        except TopologyError as exc:
+            raise SimulationError(
+                f"no route from rank {src_rank} to rank {dst_rank} on "
+                f"{self.topology.name!r}: {exc}"
+            ) from exc
+
+    def path(self, src_rank: int, dst_rank: int) -> _Path:
+        """The shortest path between two ranks' GPUs (scale-up hops included)."""
+        self._check()
+        key = (src_rank, dst_rank)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = tuple(
+                self.between(self.topology.shortest_path, src_rank, dst_rank)
+            )
+        return path
+
+    def equal_cost(self, src: str, dst: str) -> Tuple[_Path, ...]:
+        """The equal-cost set between two nodes (raises ``TopologyError``)."""
+        self._check()
+        key = (src, dst)
+        paths = self._sets.get(key)
+        if paths is None:
+            paths = self._sets[key] = tuple(
+                self.topology.equal_cost_paths(
+                    src, dst, max_paths=MAX_EQUAL_COST_PATHS
+                )
+            )
+        return paths
+
+    def step(self, key: tuple, resolve: Callable[..., Sequence[Link]]) -> Routes:
+        """The routes of one step, memoized per content.
+
+        ``key`` lists the step's flows as argument tuples of ``resolve``,
+        which returns one flow's path.  Steps recur with the same content —
+        every step of a ring, every iteration — so each distinct step is
+        resolved once per topology version instead of once per flow.
+        """
+        self._check()
+        routes = self._steps.get(key)
+        if routes is None:
+            routes = Routes([resolve(*flow) for flow in key], self.version)
+            if len(self._steps) >= 4096:
+                self._steps.clear()
+            self._steps[key] = routes
+        return routes
+
+    def items(self) -> ItemMemo:
+        """The memo of step items that embed concrete (eager) routes."""
+        self._check()
+        return self._items
 
 
 def _mix(*values: int) -> int:
@@ -74,17 +200,48 @@ def _name_mix(src: str, dst: str) -> int:
     return zlib.crc32(f"{src}->{dst}".encode("utf-8"))
 
 
+class DeferredRoutes:
+    """The routes of one step, resolved at the step's start event.
+
+    Calls ``owner.step_routes(key)``: the network model's for single-path
+    routing (``key`` holds the step's (src, dst) rank pairs), or the
+    :class:`PolicyRouter`'s (``key`` holds each flow's
+    ``(src, dst, salt, way)`` coordinates).  Only a choice that is a pure
+    function of those coordinates and the topology version may be deferred
+    this way; adaptive flows read the live occupancy and stay per-flow
+    :class:`_PolicyResolver` s.
+
+    A picklable class rather than a closure: it lives inside the model's
+    cached step items *across* iterations, so a snapshot must serialize it
+    and a fork must rebind it (through the deepcopy/pickle memo) to the
+    fork's own model — a closure would silently keep resolving against the
+    parent simulation's topology.
+    """
+
+    __slots__ = ("owner", "key")
+
+    def __init__(self, owner: object, key: tuple) -> None:
+        self.owner = owner
+        self.key = key
+
+    def __call__(self) -> Routes:
+        return self.owner.step_routes(self.key)
+
+    def __getstate__(self):
+        return (self.owner, self.key)
+
+    def __setstate__(self, state):
+        self.owner, self.key = state
+
+
 class _PolicyResolver:
     """Deferred per-flow route choice under a routing policy.
 
     Adaptive flows resolve their path at the flow's start instant, against
-    the live topology and link occupancy.  Under an active fault plan the
-    other policies defer too, but a whole step at a time
-    (:class:`_PolicyStepRoutes`, built from these resolvers' coordinates).
-    ``salt`` and ``way`` replay the same deterministic choice a concrete
-    item would have embedded, so switching to deferred resolution changes
-    *when* the route is read, never *which* route a given policy picks from
-    a given state.
+    the live topology and link occupancy.  ``salt`` and ``way`` replay the
+    same deterministic choice a concrete item would have embedded, so
+    deferring changes *when* the route is read, never *which* route a given
+    policy picks from a given state.
     """
 
     __slots__ = ("router", "src", "dst", "salt", "way")
@@ -98,7 +255,7 @@ class _PolicyResolver:
         self.salt = salt
         self.way = way
 
-    def __call__(self) -> Tuple[Link, ...]:
+    def __call__(self) -> _Path:
         return self.router.resolve(self.src, self.dst, self.salt, self.way)
 
     def __getstate__(self):
@@ -108,116 +265,28 @@ class _PolicyResolver:
         self.router, self.src, self.dst, self.salt, self.way = state
 
 
-class _PolicyStepRoutes:
-    """Deferred routes of one policy-routed step, resolved at its start.
-
-    Only for policies whose choice is a pure function of the flow's
-    ``(src, dst, salt, way)`` coordinates and the topology version — ECMP
-    and spray; adaptive flows read the live occupancy and stay per-flow
-    :class:`_PolicyResolver` s.
-    """
-
-    __slots__ = ("router", "choices")
-
-    def __init__(
-        self, router: "PolicyRouter", choices: Tuple[Tuple[int, int, int, int], ...]
-    ) -> None:
-        self.router = router
-        self.choices = choices
-
-    def __call__(self) -> Routes:
-        return self.router.step_routes(self.choices)
-
-    def __getstate__(self):
-        return (self.router, self.choices)
-
-    def __setstate__(self, state):
-        self.router, self.choices = state
-
-
 class PolicyRouter:
     """Chooses concrete flow paths for one network model under a policy.
 
-    Owns the per-pair equal-cost path sets (version-keyed, flushed whenever
-    the topology changes) and turns a schedule's transfers into the step
-    items the flow simulator injects.
+    Reads the equal-cost path sets from the model's :class:`RouteTable` and
+    turns a schedule's transfers into the step items the flow simulator
+    injects.
     """
 
-    def __init__(
-        self,
-        model: "FlowNetworkModel",
-        policy: str,
-        max_paths: int = DEFAULT_MAX_PATHS,
-        spray_ways: int = DEFAULT_SPRAY_WAYS,
-    ) -> None:
-        if policy not in ROUTING_POLICIES:
-            raise SimulationError(
-                f"unknown routing policy {policy!r}; expected one of "
-                f"{', '.join(ROUTING_POLICIES)}"
-            )
+    def __init__(self, model: "FlowNetworkModel", policy: str) -> None:
         self.model = model
         self.policy = policy
-        self.max_paths = int(max_paths)
-        self.spray_ways = int(spray_ways)
-        #: (src_rank, dst_rank) -> equal-cost path tuple-of-tuples.
-        self._rank_sets: Dict[Tuple[int, int], Tuple[Tuple[Link, ...], ...]] = {}
-        #: (src_node, dst_node) -> same, for name-addressed fault reroutes.
-        self._node_sets: Dict[Tuple[str, str], Tuple[Tuple[Link, ...], ...]] = {}
-        #: Resolved routes per deferred step's flow coordinates.
-        self._step_routes: Dict[Tuple[Tuple[int, int, int, int], ...], Routes] = {}
-        self._sets_version = model.topology.version
 
-    # ------------------------------------------------------------------ #
-    # Path sets
-    # ------------------------------------------------------------------ #
-
-    def _check_version(self) -> None:
-        version = self.model.topology.version
-        if version != self._sets_version:
-            self._rank_sets.clear()
-            self._node_sets.clear()
-            self._step_routes.clear()
-            self._sets_version = version
-
-    def _node_set(self, src: str, dst: str) -> Tuple[Tuple[Link, ...], ...]:
-        """Equal-cost set between two node names (raises ``TopologyError``)."""
-        key = (src, dst)
-        paths = self._node_sets.get(key)
-        if paths is None:
-            paths = tuple(
-                self.model.topology.equal_cost_paths(
-                    src, dst, max_paths=self.max_paths
-                )
-            )
-            self._node_sets[key] = paths
-        return paths
-
-    def path_set(self, src_rank: int, dst_rank: int) -> Tuple[Tuple[Link, ...], ...]:
-        """Equal-cost set between two ranks' GPUs (version-keyed cache)."""
-        self._check_version()
-        key = (src_rank, dst_rank)
-        paths = self._rank_sets.get(key)
-        if paths is None:
-            mesh = self.model.mesh
-            src = gpu_node_name(mesh.gpu_of(src_rank))
-            dst = gpu_node_name(mesh.gpu_of(dst_rank))
-            try:
-                paths = self._node_set(src, dst)
-            except TopologyError as exc:
-                raise SimulationError(
-                    f"no route from rank {src_rank} to rank {dst_rank} on "
-                    f"{self.model.topology.name!r}: {exc}"
-                ) from exc
-            self._rank_sets[key] = paths
-        return paths
+    def path_set(self, src_rank: int, dst_rank: int) -> Tuple[_Path, ...]:
+        """Equal-cost set between two ranks' GPUs."""
+        table = self.model.route_table
+        return table.between(table.equal_cost, src_rank, dst_rank)
 
     # ------------------------------------------------------------------ #
     # Choice
     # ------------------------------------------------------------------ #
 
-    def resolve(
-        self, src_rank: int, dst_rank: int, salt: int, way: int = 0
-    ) -> Tuple[Link, ...]:
+    def resolve(self, src_rank: int, dst_rank: int, salt: int, way: int = 0) -> _Path:
         """The policy's path for one flow of the (src, dst) pair.
 
         ``salt`` discriminates flows of the same pair (step index and
@@ -231,7 +300,7 @@ class PolicyRouter:
             return self._least_congested(paths)
         return paths[(_mix(src_rank, dst_rank, salt) + way) % count]
 
-    def reroute(self, src: str, dst: str) -> Tuple[Link, ...]:
+    def reroute(self, src: str, dst: str) -> _Path:
         """Policy-aware replacement route for a link-failure casualty.
 
         Installed as :attr:`FlowSimulator.route_policy`, so a flow rerouted
@@ -241,8 +310,7 @@ class PolicyRouter:
         ``TopologyError`` propagate so the simulator can convert an
         unroutable casualty into its typed ``LinkFailedError``.
         """
-        self._check_version()
-        paths = self._node_set(src, dst)
+        paths = self.model.route_table.equal_cost(src, dst)
         count = len(paths)
         if count == 1:
             return paths[0]
@@ -250,9 +318,7 @@ class PolicyRouter:
             return self._least_congested(paths)
         return paths[_name_mix(src, dst) % count]
 
-    def _least_congested(
-        self, paths: Sequence[Tuple[Link, ...]]
-    ) -> Tuple[Link, ...]:
+    def _least_congested(self, paths: Sequence[_Path]) -> _Path:
         """The path minimizing (worst link occupancy, total occupancy, index).
 
         Occupancy is the live active-flow count per link from the simulator's
@@ -281,19 +347,8 @@ class PolicyRouter:
     # ------------------------------------------------------------------ #
 
     def step_routes(self, choices: Tuple[Tuple[int, int, int, int], ...]) -> Routes:
-        """Routes of one deferred step, memoized per content and version."""
-        self._check_version()
-        routes = self._step_routes.get(choices)
-        if routes is None:
-            resolve = self.resolve
-            routes = Routes(
-                [resolve(*choice) for choice in choices],
-                self.model.topology.version,
-            )
-            if len(self._step_routes) >= 4096:
-                self._step_routes.clear()
-            self._step_routes[choices] = routes
-        return routes
+        """Routes of one step's ``(src, dst, salt, way)`` flows, memoized."""
+        return self.model.route_table.step(choices, self.resolve)
 
     def step_items_for(self, steps: "Schedule", deferred: bool) -> List[object]:
         """Per-step items for a schedule.
@@ -306,50 +361,33 @@ class PolicyRouter:
         as single-path routing under faults.
         """
         items: List[object] = []
-        version = self.model.topology.version
         for step_index, step in enumerate(steps):
-            row: List[Tuple[object, float]] = []
+            row: List[Tuple[Tuple[int, int, int, int], float]] = []
             for position, transfer in enumerate(step.transfers):
-                row.extend(
-                    self.transfer_items(transfer, step_index, position, deferred)
-                )
-            sizes = [size for _item, size in row]
+                row.extend(self.transfer_items(transfer, step_index, position))
             if self.policy == "adaptive":
-                items.append(row)
-            elif deferred:
-                choices = tuple(
-                    (item.src, item.dst, item.salt, item.way) for item, _size in row
-                )
-                items.append(StepItems(_PolicyStepRoutes(self, choices), sizes))
-            else:
-                items.append(StepItems(Routes([path for path, _ in row], version), sizes))
+                items.append([(_PolicyResolver(self, *flow), size) for flow, size in row])
+                continue
+            choices = tuple([flow for flow, _size in row])
+            routes = DeferredRoutes(self, choices) if deferred else self.step_routes(choices)
+            items.append(StepItems(routes, [size for _flow, size in row]))
         return items
 
     def transfer_items(
-        self, transfer: "Transfer", step_index: int, position: int, deferred: bool
-    ) -> List[Tuple[object, float]]:
-        """The flow items realizing one transfer under this policy."""
+        self, transfer: "Transfer", step_index: int, position: int
+    ) -> List[Tuple[Tuple[int, int, int, int], float]]:
+        """The ``((src, dst, salt, way), size)`` flows realizing one transfer."""
         src, dst, size = transfer.src, transfer.dst, transfer.size_bytes
         salt = _mix(step_index, position)
         if self.policy == "spray":
-            ways = min(self.spray_ways, len(self.path_set(src, dst)))
+            ways = min(SPRAY_WAYS, len(self.path_set(src, dst)))
             if ways > 1:
                 # share * (ways - 1) + remainder == size exactly in floats:
                 # the last sub-flow absorbs every rounding crumb.
                 share = size / ways
                 remainder = size - share * (ways - 1)
                 return [
-                    (
-                        self._route_item(src, dst, salt, way, deferred),
-                        share if way < ways - 1 else remainder,
-                    )
+                    ((src, dst, salt, way), share if way < ways - 1 else remainder)
                     for way in range(ways)
                 ]
-        return [(self._route_item(src, dst, salt, 0, deferred), size)]
-
-    def _route_item(
-        self, src: int, dst: int, salt: int, way: int, deferred: bool
-    ) -> object:
-        if self.policy == "adaptive" or deferred:
-            return _PolicyResolver(self, src, dst, salt, way)
-        return self.resolve(src, dst, salt, way)
+        return [((src, dst, salt, 0), size)]

@@ -51,7 +51,10 @@ from ..errors import SnapshotError
 #: ``TopologyNetworkModel``; a version-4 payload of an analytic session on
 #: either pickles the deleted ``FatTreeNetworkModel`` or
 #: ``RailOptimizedNetworkModel``.
-SNAPSHOT_FORMAT_VERSION = 5
+#: Version 6: flow models keep their routes in one ``RouteTable`` and
+#: ``Scenario`` carries ``per_layer_fsdp`` itself; a version-5 payload
+#: pickles the deleted per-model route memos and step-route resolvers.
+SNAPSHOT_FORMAT_VERSION = 6
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -28,7 +28,7 @@ import pickle
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -137,10 +137,8 @@ class Topology:
         self._link_counter = 0
         self._version = 0
         #: Flattened routing adjacency (node -> [(neighbor, link), ...]) with
-        #: parallel links pre-resolved to min link_id; rebuilt lazily when
-        #: the version moves.  A whole-fabric BFS visits every edge, so the
-        #: per-edge cost of the multigraph's nested dicts dominates at 10k
-        #: endpoints without this.
+        #: parallel links pre-resolved to min link_id, walked by the
+        #: equal-cost enumeration; rebuilt lazily when the version moves.
         self._routing_adjacency: Optional[Dict[str, List[Tuple[str, Link]]]] = None
         self._routing_adjacency_version = -1
         #: Natural-sorted successor/predecessor name lists for the search
@@ -157,11 +155,11 @@ class Topology:
     def version(self) -> int:
         """Monotonic counter bumped on every link change.
 
-        Route caches built on top of this topology (see
-        :meth:`repro.simulator.flow_network.FlowNetworkModel.path_between`)
-        compare the version they were built at against the current one instead
-        of assuming the graph is static — circuit fabrics add and remove
-        ``OPTICAL_CIRCUIT`` links while a simulation is running.
+        Route memos built on top of this topology (see
+        :class:`repro.simulator.routing.RouteTable`) compare the version they
+        were filled at against the current one instead of assuming the graph
+        is static — circuit fabrics add and remove ``OPTICAL_CIRCUIT`` links
+        while a simulation is running.
         """
         return self._version
 
@@ -541,69 +539,13 @@ class Topology:
             links.append(data["link"])
         return links
 
-    def paths_from(
-        self, src: str, dsts: Optional[Iterable[str]] = None
-    ) -> Dict[str, List[Link]]:
-        """Minimum-hop routes from ``src`` to many destinations in one BFS.
-
-        Returns a mapping of destination node name to link path for every
-        requested destination that is reachable (all reachable nodes when
-        ``dsts`` is ``None``); unreachable destinations are simply absent, so
-        callers decide whether that is an error.  The search terminates as
-        soon as every requested destination has been settled, and parallel
-        links between a node pair are broken by minimum ``link_id`` exactly
-        like :meth:`shortest_path`.  This is the bulk primitive behind the
-        network models' route tables: resolving a source's entire destination
-        set (e.g. one AllToAll participant's ``n - 1`` peers) costs one
-        traversal instead of ``n - 1``.
-        """
-        self._require_node(src)
-        targets: Optional[set] = None
-        result: Dict[str, List[Link]] = {}
-        if dsts is not None:
-            targets = set(dsts)
-            if src in targets:
-                result[src] = []
-                targets.discard(src)
-            if not targets:
-                return result
-        adjacency = self._routing_lists()
-        parent: Dict[str, Tuple[str, Link]] = {src: ("", None)}  # type: ignore[dict-item]
-        frontier = [src]
-        while frontier:
-            next_frontier: List[str] = []
-            for node in frontier:
-                for neighbor, link in adjacency[node]:
-                    if neighbor in parent:
-                        continue
-                    parent[neighbor] = (node, link)
-                    next_frontier.append(neighbor)
-                    if targets is not None:
-                        targets.discard(neighbor)
-            if targets is not None and not targets:
-                break
-            frontier = next_frontier
-        wanted = (
-            (name for name in parent if name != src)
-            if dsts is None
-            else (name for name in dsts if name in parent and name != src)
-        )
-        for name in wanted:
-            path: List[Link] = []
-            node = name
-            while node != src:
-                node, link = parent[node]
-                path.append(link)
-            path.reverse()
-            result[name] = path
-        return result
-
     def _routing_lists(self) -> Dict[str, List[Tuple[str, Link]]]:
-        """The flattened, version-cached adjacency used by route searches.
+        """The flattened, version-cached adjacency of :meth:`equal_cost_paths`.
 
-        Neighbor lists are natural-sorted so BFS parent selection — and with
-        it every tie-break in :meth:`paths_from` — depends only on node
-        names, never on the order links happened to be added.
+        Neighbor lists are natural-sorted, and parallel links resolve to the
+        smallest ``link_id``, so the enumeration order — and with it every
+        ECMP choice — depends only on node names, never on the order links
+        happened to be added.
         """
         if (
             self._routing_adjacency is None

@@ -38,30 +38,8 @@ from repro.topology.photonic import build_photonic_rail_fabric
 
 
 # --------------------------------------------------------------------------- #
-# Multi-target BFS route tables
+# Route table
 # --------------------------------------------------------------------------- #
-
-
-def test_paths_from_matches_shortest_path_on_a_real_fabric(tiny_cluster):
-    from repro.topology.electrical import build_fully_connected_rail_topology
-
-    topology = build_fully_connected_rail_topology(tiny_cluster)
-    gpus = [gpu_node_name(gpu) for gpu in range(tiny_cluster.num_gpus)]
-    for src in gpus:
-        table = topology.paths_from(src, gpus)
-        for dst in gpus:
-            assert table[dst] == topology.shortest_path(src, dst)
-
-
-def test_paths_from_omits_unreachable_destinations():
-    topology = Topology(name="split")
-    for name in ("a", "b", "island"):
-        topology.add_node(name, NodeKind.GPU)
-    topology.add_link("a", "b", bandwidth=1e9, latency=0.0, kind=LinkKind.HOST)
-    table = topology.paths_from("a", ["b", "island", "a"])
-    assert [link.dst for link in table["b"]] == ["b"]
-    assert table["a"] == []  # source maps to the empty path
-    assert "island" not in table
 
 
 def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
@@ -79,7 +57,6 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
         parallelism="pp",
     )
     steps = expand(op)
-    model._prefetch_routes(steps)
     items = model.step_items(steps)
     path = model.path_between(0, 4)
     assert any(link.kind == LinkKind.OPTICAL_CIRCUIT for link in path)
@@ -91,12 +68,173 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
     # stale routes (which embed torn Link objects) must all be dropped.
     fabric.clear_rail(0)
     fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
-    model._prefetch_routes(steps)
     fresh_items = model.step_items(steps)
     fresh_path = model.path_between(0, 4)
     assert fresh_items is not items
     assert fresh_path is not path
     assert all(fabric.topology.has_link(link.link_id) for link in fresh_path)
+
+
+def _fat_tree_model(tiny_cluster, routing_policy="single"):
+    from repro.topology.fattree import build_fat_tree_fabric
+
+    fabric = build_fat_tree_fabric(tiny_cluster)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
+    return FlowNetworkModel(
+        tiny_cluster, mesh, fabric.topology, routing_policy=routing_policy
+    )
+
+
+def _step_pairs(step):
+    return tuple((transfer.src, transfer.dst) for transfer in step.transfers)
+
+
+def test_eager_ring_steps_share_one_routes_bundle_per_step_content(tiny_cluster):
+    """Identical ring steps share one bundle; every path is the BFS route."""
+    model = _fat_tree_model(tiny_cluster)
+    topology = model.topology
+    op = CollectiveOp(
+        collective=CollectiveType.ALL_REDUCE,
+        group=(0, 4, 1, 5),
+        size_bytes=1e6,
+        parallelism="dp",
+    )
+    steps = expand(op)
+    items = model.step_items(steps)
+    assert len(items) == len(steps) > 1
+    by_content = {}
+    for step, item in zip(steps, items):
+        by_content.setdefault(_step_pairs(step), set()).add(id(item.routes))
+    # A ring step's pairs are the same every step: one bundle for them all.
+    assert len(by_content) == 1
+    assert all(len(bundles) == 1 for bundles in by_content.values())
+    for step, item in zip(steps, items):
+        for (src, dst), path in zip(_step_pairs(step), item.routes.paths):
+            expected = topology.shortest_path(
+                gpu_node_name(model.mesh.gpu_of(src)),
+                gpu_node_name(model.mesh.gpu_of(dst)),
+            )
+            assert path == tuple(expected)
+    # Steps of different content keep different bundles.
+    alltoall = expand(
+        CollectiveOp(
+            collective=CollectiveType.ALL_TO_ALL,
+            group=(0, 4, 1, 5),
+            size_bytes=1e6,
+            parallelism="ep",
+        )
+    )
+    bundles = {id(item.routes) for item in model.step_items(alltoall)}
+    assert len(bundles) == len({_step_pairs(step) for step in alltoall})
+
+
+def _single_op(group=(0, 4)):
+    return CollectiveOp(
+        collective=CollectiveType.ALL_REDUCE,
+        group=group,
+        size_bytes=1e6,
+        parallelism="dp",
+    )
+
+
+def test_one_version_bump_drops_every_route_memo_together(tiny_cluster):
+    """After a bump, the first read of *any* memo drops all of them.
+
+    Checked on a single-path eager model, a deferred model and an ECMP
+    model: reading one pair path first must not use up the version change
+    that the equal-cost, step and eager step-item memos also depend on.
+    """
+    fabric = build_photonic_rail_fabric(tiny_cluster)
+    fabric.apply_configuration(0, fabric.rail(0).pairwise_configuration([(0, 1)]))
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
+    deferred = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
+    deferred.deferred_routes = True
+    models = {
+        "single": _fat_tree_model(tiny_cluster),
+        "deferred": deferred,
+        "ecmp": _fat_tree_model(tiny_cluster, routing_policy="ecmp"),
+    }
+    for kind, model in models.items():
+        table = model.route_table
+        steps = expand(_single_op())
+        items = model.step_items(steps)
+        path = model.path_between(0, 4)
+        nodes = (gpu_node_name(mesh.gpu_of(0)), gpu_node_name(mesh.gpu_of(4)))
+        sets = table.equal_cost(*nodes)
+        routes = items[0].routes() if kind == "deferred" else items[0].routes
+        assert model.step_items(steps) is items
+        assert table.equal_cost(*nodes) is sets
+
+        # Degrade one link of the route and heal it: the version moves.
+        link = next(link for link in path if link.kind != LinkKind.OPTICAL_CIRCUIT)
+        model.topology.degrade_link(link.link_id, 0.5)
+        model.topology.degrade_link(link.link_id, 1.0)
+        fresh_path = model.path_between(0, 4)  # the first read after the bump
+        assert fresh_path is not path and fresh_path == path, kind
+        assert table.equal_cost(*nodes) is not sets, kind
+        fresh_items = model.step_items(steps)
+        if kind == "deferred":
+            # Deferred items hold no route, so they outlive the bump; the
+            # routes they resolve to are fresh.
+            assert fresh_items is items
+            fresh_routes = fresh_items[0].routes()
+        else:
+            assert fresh_items is not items, kind
+            fresh_routes = fresh_items[0].routes
+        assert fresh_routes is not routes, kind
+        assert fresh_routes.version == model.topology.version, kind
+
+
+def test_analytic_ring_hop_without_a_route_names_both_ranks(tiny_cluster):
+    from repro.simulator.fabric_network import TopologyNetworkModel
+    from repro.topology.fattree import build_fat_tree_fabric
+
+    fabric = build_fat_tree_fabric(tiny_cluster)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
+    model = TopologyNetworkModel(tiny_cluster, mesh, fabric.topology)
+    source = gpu_node_name(mesh.gpu_of(0))
+    for link in fabric.topology.out_links(source):
+        fabric.topology.fail_link(link.link_id)
+    with pytest.raises(SimulationError, match=r"rank 0 to rank 4"):
+        model.group_link_parameters((0, 4))
+
+
+def test_forked_deferred_items_resolve_against_the_fork(tiny_cluster):
+    """A fork's cached deferred items must resolve on the fork's topology.
+
+    Tearing a circuit in the parent must not reach the child: a resolver
+    that captured the parent (a closure) would either fail to pickle or
+    resolve against the parent's torn fabric.
+    """
+    import pickle
+
+    from repro.experiments.backends import create_network
+
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
+    parent = create_network("photonic", tiny_cluster, mesh, network_mode="flow")
+    fabric = parent.fabric
+    fabric.apply_configuration(0, fabric.rail(0).pairwise_configuration([(0, 1)]))
+    steps = expand(_single_op())
+    items = parent.step_items(steps)
+    circuit_ids = {
+        link.link_id
+        for link in items[0].routes().paths[0]
+        if link.kind == LinkKind.OPTICAL_CIRCUIT
+    }
+    assert circuit_ids
+
+    child, child_steps = pickle.loads(pickle.dumps((parent, steps)))
+    child_items = child.step_items(child_steps)
+    assert child.step_items(child_steps) is child_items  # the cached items
+    fabric.clear_rail(0)  # tear the circuit in the parent only
+    with pytest.raises(SimulationError):
+        items[0].routes()
+
+    routes = child_items[0].routes()
+    assert routes.version == child.topology.version
+    assert circuit_ids <= set(routes.flat)
+    assert all(child.topology.has_link(link_id) for link_id in routes.flat)
+    assert not any(parent.topology.has_link(link_id) for link_id in circuit_ids)
 
 
 # --------------------------------------------------------------------------- #
@@ -397,7 +535,6 @@ def test_fault_events_invalidate_route_tables_and_group_parameters(tiny_cluster)
         parallelism="pp",
     )
     steps = expand(op)
-    flow_model._prefetch_routes(steps)
     items = flow_model.step_items(steps)
     path = flow_model.path_between(0, 4)
 
@@ -410,7 +547,6 @@ def test_fault_events_invalidate_route_tables_and_group_parameters(tiny_cluster)
     assert degraded_params.bandwidth == pytest.approx(
         healthy_params.bandwidth * 0.5
     )
-    flow_model._prefetch_routes(steps)
     assert flow_model.step_items(steps) is not items
     assert flow_model.path_between(0, 4) is not path
 

@@ -8,7 +8,7 @@ from repro.collectives.primitives import CollectiveType
 from repro.errors import ConfigurationError
 from repro.experiments.contention import TINY_MOE_MODEL
 from repro.parallelism.config import ParallelismConfig, TrainingConfig, WorkloadConfig
-from repro.parallelism.dag import DagBuildOptions, build_iteration_dag
+from repro.parallelism.dag import build_iteration_dag
 from repro.parallelism.pipeline import ActionKind, PipelinePhase, one_f_one_b_schedule
 
 
@@ -124,16 +124,16 @@ def test_coarse_fsdp_emits_one_allgather_per_chain():
     layers = workload.layers_per_stage
     assert layers > 1
 
-    def allgather_chains(options):
-        dag = build_iteration_dag(workload, options=options)
+    def allgather_chains(per_layer_fsdp):
+        dag = build_iteration_dag(workload, per_layer_fsdp=per_layer_fsdp)
         chains = defaultdict(list)
         for op in _collectives(dag, "dp"):
             if op.collective.collective == CollectiveType.ALL_GATHER:
                 chains[(op.stage, op.collective.group)].append(op.collective.size_bytes)
         return chains
 
-    per_layer = allgather_chains(DagBuildOptions())
-    coarse = allgather_chains(DagBuildOptions(per_layer_fsdp=False))
+    per_layer = allgather_chains(True)
+    coarse = allgather_chains(False)
     assert per_layer.keys() == coarse.keys()
     assert len(per_layer) == workload.parallelism.pp * workload.parallelism.tp
     for chain, sizes in per_layer.items():

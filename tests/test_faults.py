@@ -640,7 +640,7 @@ def test_fault_records_reach_the_iteration_trace():
     from repro.simulator.executor import DAGExecutor
 
     scenario = degraded_fabric_scenario("fattree", "degraded")
-    dag = build_iteration_dag(scenario.workload, scenario.cluster, scenario.dag_options)
+    dag = build_iteration_dag(scenario.workload, scenario.cluster, scenario.per_layer_fsdp)
     network = create_network(
         scenario.backend, scenario.cluster, dag.mesh, **dict(scenario.knobs)
     )

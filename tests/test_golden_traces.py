@@ -56,7 +56,7 @@ GOLDEN_CASES = {
 
 def _simulate_training(scenario):
     """Run one scenario end to end; returns ``(training, network)``."""
-    dag = build_iteration_dag(scenario.workload, scenario.cluster, scenario.dag_options)
+    dag = build_iteration_dag(scenario.workload, scenario.cluster, scenario.per_layer_fsdp)
     registry = GroupRegistry(dag.mesh)
     network = create_network(
         scenario.backend,

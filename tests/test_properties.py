@@ -564,13 +564,13 @@ def test_spray_subflow_sizes_sum_exactly_to_the_transfer_size(seed):
             Transfer(src=src, dst=dst, size_bytes=size),
             step_index=index,
             position=0,
-            deferred=False,
         )
-        assert sum(share for _path, share in items) == size  # bitwise
-        assert all(share > 0.0 for _path, share in items)
+        assert sum(share for _flow, share in items) == size  # bitwise
+        assert all(share > 0.0 for _flow, share in items)
         if len(router.path_set(src, dst)) > 1:
             assert len(items) > 1, "multipath pairs must actually spray"
-            routes = {tuple(link.link_id for link in path) for path, _ in items}
+            paths = [router.resolve(*flow) for flow, _share in items]
+            routes = {tuple(link.link_id for link in path) for path in paths}
             assert len(routes) == len(items), "sub-flows must take distinct paths"
 
 
