@@ -4,8 +4,7 @@
   wire-traffic formulas.
 * :mod:`repro.collectives.cost_model` — alpha–beta ring and tree cost models.
 * :mod:`repro.collectives.schedule` — expansion of collectives into per-step
-  point-to-point transfer schedules (ring, recursive doubling, direct
-  AllToAll), used by the flow-level simulator.
+  point-to-point transfer schedules (ring and direct AllToAll), used by the flow-level simulator.
 """
 
 from .cost_model import (
@@ -27,7 +26,6 @@ from .schedule import (
     direct_alltoall_schedule,
     expand,
     ring_schedule,
-    tree_schedule,
 )
 
 __all__ = [
@@ -45,5 +43,4 @@ __all__ = [
     "num_ring_steps",
     "ring_schedule",
     "total_traffic_bytes",
-    "tree_schedule",
 ]

@@ -4,7 +4,7 @@ The flow-level simulator can either charge a collective its analytic
 alpha–beta time (fast, used for large sweeps) or expand it into the individual
 point-to-point transfers of the underlying algorithm and simulate those as
 flows (used when link sharing between concurrent collectives matters).  This
-module provides the expansion machinery shared by the ring, tree, and AllToAll
+module provides the expansion machinery shared by the ring and AllToAll
 algorithms.
 
 A schedule is a list of :class:`TransferStep` objects; each step is a set of
@@ -129,72 +129,28 @@ def direct_alltoall_schedule(op: CollectiveOp) -> Schedule:
     return schedule
 
 
-def tree_schedule(op: CollectiveOp) -> Schedule:
-    """Expand ``op`` into a recursive-doubling/halving schedule (log2(n) steps).
-
-    Only defined for power-of-two group sizes; callers on the electrical
-    baseline fall back to :func:`ring_schedule` otherwise.  Provided to back
-    the C1 discussion — these schedules require a node degree of log2(n)
-    distinct neighbors over the course of the algorithm.
-    """
-    ranks = list(op.group)
-    n = len(ranks)
-    if n <= 1:
-        return []
-    if n & (n - 1):
-        raise ConfigurationError("tree_schedule requires a power-of-two group size")
-    if op.collective == CollectiveType.ALL_REDUCE:
-        per_step_bytes = op.size_bytes
-        num_rounds = n.bit_length() - 1
-    elif op.collective in (CollectiveType.ALL_GATHER, CollectiveType.REDUCE_SCATTER):
-        per_step_bytes = op.size_bytes / 2.0
-        num_rounds = n.bit_length() - 1
-    else:
-        raise ConfigurationError(
-            f"tree_schedule does not handle {op.collective!r}; use ring_schedule"
-        )
-    schedule: Schedule = []
-    for round_index in range(num_rounds):
-        distance = 1 << round_index
-        transfers = []
-        for i in range(n):
-            peer = i ^ distance
-            transfers.append(Transfer(ranks[i], ranks[peer], per_step_bytes))
-        schedule.append(TransferStep(tuple(transfers)))
-    return schedule
-
-
-def expand(op: CollectiveOp, prefer_tree: bool = False) -> Schedule:
+def expand(op: CollectiveOp) -> Schedule:
     """Expand ``op`` with the appropriate algorithm.
 
-    ``prefer_tree=True`` picks the latency-optimized schedule when the group
-    size is a power of two (electrical rails only); otherwise the ring
-    schedule is used, and AllToAll always uses the direct pairwise schedule.
+    AllToAll uses the direct pairwise schedule; every other collective uses
+    the ring schedule.
     """
     if op.collective == CollectiveType.ALL_TO_ALL:
         return direct_alltoall_schedule(op)
-    if prefer_tree and op.group_size >= 2 and not (op.group_size & (op.group_size - 1)):
-        if op.collective in (
-            CollectiveType.ALL_REDUCE,
-            CollectiveType.ALL_GATHER,
-            CollectiveType.REDUCE_SCATTER,
-        ):
-            return tree_schedule(op)
     return ring_schedule(op)
 
 
 #: Memoized expansions, keyed by everything the schedule depends on: the
-#: collective type, the exact rank group, the payload size, and the algorithm
-#: choice.  Tags, parallelism labels, and DAG op ids deliberately do not
+#: collective type, the exact rank group and the payload size.  Tags, parallelism labels, and DAG op ids deliberately do not
 #: participate — two FSDP layers with the same group and size share one
 #: schedule object.  Bounded LRU so pathological sweeps cannot hoard memory.
-_EXPANSION_CACHE: "OrderedDict[Tuple[CollectiveType, Tuple[int, ...], float, bool], Schedule]" = (
+_EXPANSION_CACHE: "OrderedDict[Tuple[CollectiveType, Tuple[int, ...], float], Schedule]" = (
     OrderedDict()
 )
 _EXPANSION_CACHE_MAX = 1024
 
 
-def expand_cached(op: CollectiveOp, prefer_tree: bool = False) -> Schedule:
+def expand_cached(op: CollectiveOp) -> Schedule:
     """Memoized :func:`expand` keyed on ``(collective, group, size)``.
 
     The returned schedule is shared between callers and across iterations;
@@ -203,12 +159,12 @@ def expand_cached(op: CollectiveOp, prefer_tree: bool = False) -> Schedule:
     operation per iteration — and expansion is O(steps × group size), so the
     cache turns a quadratic per-iteration cost into a lookup.
     """
-    key = (op.collective, op.group, op.size_bytes, prefer_tree)
+    key = (op.collective, op.group, op.size_bytes)
     cached = _EXPANSION_CACHE.get(key)
     if cached is not None:
         _EXPANSION_CACHE.move_to_end(key)
         return cached
-    schedule = expand(op, prefer_tree=prefer_tree)
+    schedule = expand(op)
     _EXPANSION_CACHE[key] = schedule
     if len(_EXPANSION_CACHE) > _EXPANSION_CACHE_MAX:
         _EXPANSION_CACHE.popitem(last=False)

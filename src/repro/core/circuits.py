@@ -17,6 +17,10 @@ builds and caches these configurations:
   installable within the NIC's port budget (constraint C2/C3) the planner
   reports it as non-coalescable and the controller falls back to per-group
   reconfiguration.
+
+The planner validates each configuration it hands out (no port carries two
+circuits) once, when it builds it; :class:`CircuitConfiguration` itself does
+not check on construction.
 """
 
 from __future__ import annotations
@@ -82,7 +86,9 @@ class CircuitPlanner:
             for rail in rails:
                 members = [r for r in ranks if self.mesh.rail_of(r) == rail]
                 domains = [self.mesh.domain_of(r) for r in members]
-                per_rail[rail] = self._rail_circuits(rail, domains, chain=chain)
+                per_rail[rail] = self._rail_circuits(
+                    rail, domains, chain=chain
+                ).validate()
         self._group_cache[cache_key] = per_rail
         return per_rail
 
@@ -163,6 +169,8 @@ class CircuitPlanner:
                 for rail, configuration in group_config.items():
                     existing = per_rail.get(rail, CircuitConfiguration(()))
                     per_rail[rail] = existing.union(configuration)
+            for configuration in per_rail.values():
+                configuration.validate()
         except (CircuitConflictError, ControlPlaneError):
             result = None
         self._axis_cache[axis] = result

@@ -1,10 +1,14 @@
-"""The Opus controller: per-rail circuit state and reconfiguration timing.
+"""The Opus controller: per-rail reconfiguration decisions and timing.
 
 The controller is the component of Fig. 6 that "orchestrates each rail's
-OCSes to perform reconfiguration upon receiving requests".  It owns, per rail:
+OCSes to perform reconfiguration upon receiving requests".  Which circuits a
+rail carries is recorded once, by the fabric's
+:class:`~repro.topology.photonic.PhotonicRail`; the controller decides what to
+tear and install, applies that delta through the fabric, and owns the timing,
+per rail:
 
-* the installed circuits and the time each becomes usable (a circuit installed
-  by a switching event is usable when the event finishes);
+* the time each installed circuit becomes usable (a circuit installed by a
+  switching event is usable when the event finishes);
 * the time each installed circuit is busy carrying traffic (a reconfiguration
   that would tear a busy circuit waits for it to drain — Objective 3);
 * the serialization of switching events on the rail's OCS.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..errors import (
     CircuitError,
@@ -39,55 +43,26 @@ from ..topology.photonic import PhotonicRailFabric
 
 @dataclass
 class RailCircuitState:
-    """Mutable circuit bookkeeping for one rail."""
+    """Switching timing for one rail.
+
+    The rail's :class:`~repro.topology.photonic.PhotonicRail` records which
+    circuits are installed; this keeps only when they are usable and busy.
+    """
 
     rail: int
-    #: Installed circuits and the time each becomes usable.
-    installed: Dict[Circuit, float] = field(default_factory=dict)
+    #: Time each installed circuit becomes usable.
+    usable_at: Dict[Circuit, float] = field(default_factory=dict)
     #: Time until which each installed circuit is busy carrying traffic.
     busy_until: Dict[Circuit, float] = field(default_factory=dict)
     #: Time the rail's OCS finishes its latest switching event.
     switch_free_at: float = 0.0
     #: Number of switching events performed on this rail.
     reconfigurations: int = 0
-    #: Installed circuit per OCS port (a valid crossbar state uses every
-    #: port at most once); kept in sync by :meth:`install` / :meth:`tear` so
-    #: conflict checks are port lookups, not scans over every installed
-    #: circuit — the scan was quadratic per collective at fabric scale.
-    port_owner: Dict[int, Circuit] = field(default_factory=dict)
-    #: OCS ports taken out of service by fault injection.  A failed port is
-    #: permanently conflicting: nothing can ever be installed on it, and the
-    #: planner routes circuits through each domain's surviving ports instead.
-    failed_ports: Set[int] = field(default_factory=set)
 
-    def install(self, circuit: Circuit, usable_at: float) -> None:
-        """Record ``circuit`` as installed and usable at ``usable_at``."""
-        self.installed[circuit] = usable_at
-        self.port_owner[circuit.port_a] = circuit
-        self.port_owner[circuit.port_b] = circuit
-
-    def tear(self, circuit: Circuit) -> None:
-        """Forget an installed circuit (no-op if absent)."""
-        if self.installed.pop(circuit, None) is not None:
-            self.busy_until.pop(circuit, None)
-            for port in (circuit.port_a, circuit.port_b):
-                if self.port_owner.get(port) == circuit:
-                    del self.port_owner[port]
-
-    def clear(self) -> None:
-        """Tear every circuit and forget traffic bookkeeping."""
-        self.installed.clear()
-        self.busy_until.clear()
-        self.port_owner.clear()
-
-    def conflicts_with(self, circuit: Circuit) -> List[Circuit]:
-        """Installed circuits sharing a port with ``circuit`` (excluding itself)."""
-        result = []
-        for port in (circuit.port_a, circuit.port_b):
-            owner = self.port_owner.get(port)
-            if owner is not None and owner != circuit and owner not in result:
-                result.append(owner)
-        return result
+    def forget(self, circuit: Circuit) -> None:
+        """Drop the timing of a torn circuit."""
+        self.usable_at.pop(circuit, None)
+        self.busy_until.pop(circuit, None)
 
     def drain_time(self, circuits: Iterable[Circuit]) -> float:
         """Latest time any of ``circuits`` is still carrying traffic.
@@ -395,6 +370,9 @@ class OpusController:
         ``provisioned`` marks a speculative request.  Requests of one group
         must arrive in issue order (first-come first-serve), else
         :class:`~repro.errors.SchedulingError` is raised before any switching.
+        ``target`` must be valid (see
+        :meth:`~repro.topology.ocs.CircuitConfiguration.validate`), as every
+        planner output is.
 
         Returns ``(ready_time, reconfig_record)`` where ``ready_time`` is when
         every requested circuit is usable, and ``reconfig_record`` describes
@@ -422,15 +400,18 @@ class OpusController:
             # and no switching event has happened on the rail since.
             return max(issue_time, cached[2]), None
 
-        missing = [c for c in target.circuits if c not in state.installed]
-        if state.failed_ports:
+        photonic_rail = self.fabric.rails[rail]
+        installed = photonic_rail.circuits
+        missing = [c for c in target.circuits if c not in installed]
+        failed_ports = photonic_rail.failed_ports
+        if failed_ports:
             # The planner routes around failed ports, so a missing circuit
             # that still lands on one means no healthy assignment exists (or
             # a stale configuration object leaked past a port failure) —
             # fail loudly instead of pretending the install happened.
             for circuit in missing:
                 for port in circuit.ports:
-                    if port in state.failed_ports:
+                    if port in failed_ports:
                         raise FaultError(
                             f"rail {rail}: circuit {circuit} needs OCS port "
                             f"{port}, which has failed; no healthy port "
@@ -439,7 +420,7 @@ class OpusController:
         if not missing:
             if not target.circuits:
                 return issue_time, None
-            ready = max(state.installed[c] for c in target.circuits)
+            ready = max(state.usable_at[c] for c in target.circuits)
             if len(self._ensure_cache) >= 4096:
                 self._ensure_cache.clear()
             self._ensure_cache[cache_key] = (target, state.reconfigurations, ready)
@@ -450,24 +431,24 @@ class OpusController:
         to_tear = {
             conflicting
             for circuit in missing
-            for conflicting in state.conflicts_with(circuit)
+            for conflicting in photonic_rail.conflicts_with(circuit)
         }
         drain_time = state.drain_time(to_tear)
         start = max(issue_time, drain_time, state.switch_free_at)
         delay = self.reconfiguration_delay(rail)
         end = start + delay
 
+        # Apply the delta through the fabric, which records the circuits and
+        # keeps the topology view (and any flow-level simulation on top of
+        # it) in step.
         for circuit in to_tear:
-            state.tear(circuit)
+            self.fabric.tear(rail, circuit)
+            state.forget(circuit)
         for circuit in missing:
-            state.install(circuit, end)
+            self.fabric.install(rail, circuit)
+            state.usable_at[circuit] = end
         state.switch_free_at = end
         state.reconfigurations += 1
-
-        # Mirror the decision onto the fabric's OCS objects so that the
-        # topology view (and any flow-level simulation on top of it) matches
-        # the controller's bookkeeping.
-        self._sync_fabric(rail)
 
         record = ReconfigRecord(
             rail=rail,
@@ -478,7 +459,7 @@ class OpusController:
             group_name=axis,
             num_circuits_changed=len(missing) + len(to_tear),
         )
-        ready = max(end, max(state.installed[c] for c in target.circuits))
+        ready = max(end, max(state.usable_at[c] for c in target.circuits))
         return ready, record
 
     def fail_port(self, rail: int, port: int) -> Optional[Circuit]:
@@ -486,23 +467,16 @@ class OpusController:
 
         The port becomes permanently conflicting: the circuit it carried (if
         any) is torn down immediately — without a switching event, the light
-        simply dies — the fabric's topology view is synchronized, and every
-        future configuration touching the port is rejected by
+        simply dies — through the fabric, which removes its topology links,
+        and every future configuration touching the port is rejected by
         :meth:`ensure`.  Returns the torn circuit, or ``None`` if the port
         was idle.  Callers owning a planner must drop its cached
         configurations so new targets route around the failed port.
         """
         state = self.rail_state(rail)
-        state.failed_ports.add(port)
-        victim = state.port_owner.get(port)
+        victim = self.fabric.fail_port(rail, port)
         if victim is not None:
-            # Tear through _sync_fabric so the topology links realizing the
-            # circuit are removed and circuit-change listeners fire; only
-            # then mark the hardware port failed (the OCS-level tear has
-            # already happened by the time the mark lands).
-            state.tear(victim)
-            self._sync_fabric(rail)
-        self.fabric.rail(rail).fail_port(port)
+            state.forget(victim)
         # Cached ensure() answers may assert targets containing the victim
         # are fully installed; the tear invalidates them all.
         self._ensure_cache.clear()
@@ -522,8 +496,9 @@ class OpusController:
         they would on hardware.
         """
         state = self.rail_state(rail)
+        installed = self.fabric.rails[rail].circuits
         for circuit in circuits:
-            if circuit not in state.installed:
+            if circuit not in installed:
                 raise CircuitError(
                     f"rail {rail}: cannot mark traffic on circuit {circuit} "
                     "because it is not installed"
@@ -534,21 +509,10 @@ class OpusController:
 
     def reset(self) -> None:
         """Tear down every circuit and forget all timing state (new job)."""
-        for rail, state in self._rails.items():
-            state.clear()
-            state.switch_free_at = 0.0
-            state.reconfigurations = 0
+        for rail in self._rails:
+            self._rails[rail] = RailCircuitState(rail=rail)
             self.fabric.clear_rail(rail)
         self._ensure_cache.clear()
         self._last_issue.clear()
         if self.reactive is not None:
             self.reactive.reset()
-
-    # ------------------------------------------------------------------ #
-    # Internals
-    # ------------------------------------------------------------------ #
-
-    def _sync_fabric(self, rail: int) -> None:
-        state = self.rail_state(rail)
-        configuration = CircuitConfiguration(tuple(state.installed))
-        self.fabric.apply_configuration(rail, configuration)

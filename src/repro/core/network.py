@@ -405,11 +405,12 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         self, rail: int, configuration: CircuitConfiguration
     ) -> Iterator[Circuit]:
         """Circuits on ``rail`` that carry flows and ``configuration`` would tear."""
-        state = self.controller.rail_state(rail)
+        photonic_rail = self.fabric.rails[rail]
+        installed = photonic_rail.circuits
         for circuit in configuration.circuits:
-            if circuit in state.installed:
+            if circuit in installed:
                 continue
-            for existing in state.conflicts_with(circuit):
+            for existing in photonic_rail.conflicts_with(circuit):
                 if self._circuit_load.get((rail, existing), 0) > 0:
                     yield existing
 

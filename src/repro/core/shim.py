@@ -201,7 +201,7 @@ class OpusShim:
             if scaleout:
                 self.profiler.record_completion(start, op.parallelism, rails)
         for rail, configuration in self.target_for(op).items():
-            installed = self.controller.rail_state(rail).installed
+            installed = self.fabric.rails[rail].circuits
             self.controller.notify_traffic(
                 rail, installed.keys() & configuration.circuits, end
             )

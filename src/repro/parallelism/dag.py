@@ -302,13 +302,14 @@ class _DagBuilder:
     # -------------------------- rank helpers --------------------------- #
 
     def _ranks_of(self, stage: int, replica: int) -> Tuple[int, ...]:
-        """All ranks with pipeline coordinate ``stage`` and dp coordinate ``replica``."""
-        ranks = []
-        for rank in self.mesh.ranks():
-            coord = self.mesh.coordinate(rank)
-            if coord.pp == stage and coord.dp == replica:
-                ranks.append(rank)
-        return tuple(ranks)
+        """All ranks with pipeline coordinate ``stage`` and dp coordinate ``replica``.
+
+        ``pp`` and ``dp`` are the two outermost mesh axes, so these ranks are
+        one contiguous block of ``cp * ep * tp`` ranks.
+        """
+        inner = self.par.cp * self.par.ep * self.par.tp
+        base = (stage * self.par.dp + replica) * inner
+        return tuple(range(base, base + inner))
 
     def _inner_indices(self) -> List[Tuple[int, int, int]]:
         """All (cp, ep, tp) coordinate combinations (the per-rail replicas)."""

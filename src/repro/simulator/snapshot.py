@@ -54,7 +54,10 @@ from ..errors import SnapshotError
 #: Version 6: flow models keep their routes in one ``RouteTable`` and
 #: ``Scenario`` carries ``per_layer_fsdp`` itself; a version-5 payload
 #: pickles the deleted per-model route memos and step-route resolvers.
-SNAPSHOT_FORMAT_VERSION = 6
+#: Version 7: each ``PhotonicRail`` records its circuits and failed ports,
+#: and the controller keeps only timing; a version-6 payload pickles the
+#: deleted ``OpticalCircuitSwitch`` and the controller's port maps.
+SNAPSHOT_FORMAT_VERSION = 7
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -1,4 +1,4 @@
-"""Network topology substrates: devices, fabrics, and optical circuit switches.
+"""Network topology substrates: devices, fabrics, and optical circuits.
 
 The subpackage provides everything below the control plane:
 
@@ -11,8 +11,10 @@ The subpackage provides everything below the control plane:
 * :mod:`repro.topology.electrical` — fully-connected rail graph backing the
   electrical backend's flow-level network mode.
 * :mod:`repro.topology.fattree` — the fat-tree baseline.
-* :mod:`repro.topology.photonic` — the proposed photonic rail fabric.
-* :mod:`repro.topology.ocs` — the OCS crossbar / circuit state machine.
+* :mod:`repro.topology.photonic` — the proposed photonic rail fabric; each
+  rail records its installed circuits and failed OCS ports.
+* :mod:`repro.topology.ocs` — the circuit and circuit-configuration value
+  types.
 """
 
 from .base import Link, LinkKind, Node, NodeKind, Topology, gpu_node_name, nic_port_node_name
@@ -43,7 +45,7 @@ from .devices import (
 )
 from .electrical import build_fully_connected_rail_topology
 from .fattree import FatTreeFabric, build_fat_tree_fabric, fat_tree_inventory
-from .ocs import Circuit, CircuitConfiguration, OpticalCircuitSwitch
+from .ocs import Circuit, CircuitConfiguration
 from .photonic import (
     PhotonicRail,
     PhotonicRailFabric,
@@ -81,7 +83,6 @@ __all__ = [
     "OCSTechnology",
     "OCS_CATALOG",
     "OCS_TECHNOLOGIES",
-    "OpticalCircuitSwitch",
     "PERLMUTTER_NODE",
     "PIEZO_POLATIS",
     "PhotonicRail",

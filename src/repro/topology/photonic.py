@@ -9,8 +9,12 @@ GPU-to-rail mapping) is retained unchanged (paper §2.1).
 
 The fabric exposes:
 
-* a per-rail :class:`~repro.topology.ocs.OpticalCircuitSwitch` whose crossbar
-  state is the ground truth for installed circuits;
+* a per-rail :class:`PhotonicRail` that is the one record of the rail's
+  installed circuits, the OCS ports each one holds, the ports that have
+  failed and the topology link ids behind each circuit;
+* :meth:`PhotonicRailFabric.install` and :meth:`PhotonicRailFabric.tear`,
+  which conflict-check one circuit against that record, add or remove its
+  topology links and tell the circuit listeners;
 * a :class:`~repro.topology.base.Topology` view in which installed circuits
   appear as ``OPTICAL_CIRCUIT`` links between NIC-port nodes, so the flow-level
   simulator routes over circuits exactly the way it routes over packet links;
@@ -23,9 +27,14 @@ The fabric exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..errors import CircuitError, ConfigurationError, TopologyError
+from ..errors import (
+    CircuitConflictError,
+    CircuitError,
+    ConfigurationError,
+    TopologyError,
+)
 from .base import (
     LinkKind,
     NodeKind,
@@ -34,7 +43,7 @@ from .base import (
     ocs_node_name,
 )
 from .devices import ClusterSpec, OCSTechnology
-from .ocs import Circuit, CircuitConfiguration, OpticalCircuitSwitch
+from .ocs import Circuit, CircuitConfiguration
 from .railopt import FabricInventory, add_host_ports
 from .scaleup import add_scaleup_domains
 
@@ -51,10 +60,11 @@ class RailEndpoint:
 class CircuitChangeEvent:
     """One circuit installed on (or torn from) the fabric's topology view.
 
-    Emitted by :meth:`PhotonicRailFabric.apply_configuration` for every
-    circuit whose topology links were added or removed, so time-domain
-    consumers (the flow-level network model, tests) can react to connectivity
-    changes as they happen instead of diffing the graph.
+    Emitted by :meth:`PhotonicRailFabric.install` and
+    :meth:`PhotonicRailFabric.tear` for every circuit whose topology links
+    were added or removed, so time-domain consumers (the flow-level network
+    model, tests) can react to connectivity changes as they happen instead
+    of diffing the graph.
     """
 
     rail: int
@@ -83,11 +93,16 @@ def _circuit_latency() -> float:
 
 
 class PhotonicRail:
-    """One rail of the photonic fabric: an OCS plus its port mapping.
+    """One rail of the photonic fabric: its OCS's port mapping and circuits.
 
     The OCS port assigned to a (domain, nic_port) endpoint is
     ``domain * ports_per_gpu + nic_port``; this is a fixed cabling decision
     made at build time, mirroring how fibers are physically patched once.
+
+    The rail is the one record of its crossbar state: which circuits are
+    installed (and the topology links behind each), which port each circuit
+    holds, and which ports have failed.  :class:`PhotonicRailFabric` changes
+    that record, one circuit at a time.
     """
 
     def __init__(
@@ -108,9 +123,17 @@ class PhotonicRail:
                 f"radix {self.technology.radix}; use a larger-radix OCS or "
                 f"fewer scale-up domains"
             )
-        self.ocs = OpticalCircuitSwitch(
-            name=ocs_node_name(rail), technology=self.technology
-        )
+        #: Installed circuits, in install order, each with the pair of
+        #: unidirectional topology link ids realizing it.
+        self.circuits: Dict[Circuit, Tuple[int, int]] = {}
+        #: Installed circuit per OCS port: a crossbar uses each port at most
+        #: once, so conflict checks are port lookups.
+        self.port_owner: Dict[int, Circuit] = {}
+        #: OCS ports taken out of service by fault injection.  A failed port
+        #: is permanently conflicting, and it stays failed across
+        #: :meth:`PhotonicRailFabric.clear_rail`: it is a hardware fault, not
+        #: crossbar state.
+        self.failed_ports: Set[int] = set()
 
     # ------------------------------------------------------------------ #
     # Port mapping
@@ -148,33 +171,49 @@ class PhotonicRail:
         return Circuit(self.ocs_port(a), self.ocs_port(b))
 
     # ------------------------------------------------------------------ #
+    # Circuit record
+    # ------------------------------------------------------------------ #
+
+    def conflicts_with(self, circuit: Circuit) -> List[Circuit]:
+        """Installed circuits sharing a port with ``circuit`` (excluding itself)."""
+        result = []
+        for port in (circuit.port_a, circuit.port_b):
+            owner = self.port_owner.get(port)
+            if owner is not None and owner != circuit and owner not in result:
+                result.append(owner)
+        return result
+
+    def check_port(self, port: int) -> None:
+        """Raise :class:`CircuitError` if ``port`` is outside the OCS radix."""
+        if not 0 <= port < self.technology.radix:
+            raise CircuitError(
+                f"rail {self.rail}: port {port} outside radix "
+                f"{self.technology.radix}"
+            )
+
+    # ------------------------------------------------------------------ #
     # Port health (fault injection)
     # ------------------------------------------------------------------ #
 
-    def fail_port(self, port: int) -> Optional[Circuit]:
-        """Take one OCS port out of service; returns the circuit it carried.
-
-        Failed ports are treated as permanently conflicting: the
-        healthy-port helpers below (and the circuit planner on top of
-        them) route rings and pairs through each domain's surviving NIC
-        ports instead, and installs that would touch the port raise.
-        """
-        return self.ocs.fail_port(port)
+    # Failed ports are permanently conflicting: the healthy-port helpers
+    # below (and the circuit planner on top of them) route rings and pairs
+    # through each domain's surviving NIC ports instead, and installs that
+    # would touch a failed port raise.
 
     def healthy_nic_ports(self, domain: int) -> Tuple[int, ...]:
         """NIC ports of ``domain`` whose OCS ports are still in service."""
         return tuple(
             nic_port
             for nic_port in range(self.ports_per_gpu)
-            if not self.ocs.port_failed(
-                self.ocs_port(RailEndpoint(domain, nic_port))
-            )
+            if self.ocs_port(RailEndpoint(domain, nic_port))
+            not in self.failed_ports
         )
 
     def healthy_port(self, domain: int, preferred: int) -> int:
         """``preferred`` if its OCS port is healthy, else the first survivor."""
-        if not self.ocs.port_failed(
+        if (
             self.ocs_port(RailEndpoint(domain, preferred))
+            not in self.failed_ports
         ):
             return preferred
         healthy = self.healthy_nic_ports(domain)
@@ -213,23 +252,18 @@ class PhotonicRail:
     def __repr__(self) -> str:
         return (
             f"PhotonicRail(rail={self.rail}, ocs={self.technology.name!r}, "
-            f"circuits={len(self.ocs.installed)})"
+            f"circuits={len(self.circuits)})"
         )
 
 
 @dataclass
 class PhotonicRailFabric:
-    """The full photonic rail fabric: per-rail OCSes plus a topology view."""
+    """The full photonic rail fabric: per-rail circuit records plus a topology view."""
 
     cluster: ClusterSpec
     topology: Topology
     rails: Dict[int, PhotonicRail]
     inventory: FabricInventory
-    #: topology link ids currently realizing each installed circuit,
-    #: keyed by (rail, circuit).
-    _circuit_links: Dict[Tuple[int, Circuit], Tuple[int, int]] = field(
-        default_factory=dict
-    )
     #: Callbacks notified on every circuit install / tear-down.
     _listeners: List[CircuitChangeListener] = field(default_factory=list)
 
@@ -240,19 +274,19 @@ class PhotonicRailFabric:
     def add_circuit_listener(self, listener: CircuitChangeListener) -> None:
         """Subscribe to circuit install / tear-down events.
 
-        Listeners fire synchronously from :meth:`apply_configuration`, after
-        the topology links have been added (install) or removed (tear-down).
+        Listeners fire synchronously from :meth:`install` and :meth:`tear`,
+        after the topology links have been added or removed.
         """
         self._listeners.append(listener)
 
     def circuit_links(self, rail: int, circuit: Circuit) -> Tuple[int, int]:
         """Topology link ids currently realizing ``circuit`` on ``rail``."""
-        key = (rail, circuit)
-        if key not in self._circuit_links:
+        link_ids = self.rail(rail).circuits.get(circuit)
+        if link_ids is None:
             raise CircuitError(
                 f"circuit {circuit} is not installed on rail {rail}"
             )
-        return self._circuit_links[key]
+        return link_ids
 
     def rail(self, rail: int) -> PhotonicRail:
         """Return the :class:`PhotonicRail` for rail index ``rail``."""
@@ -260,37 +294,76 @@ class PhotonicRailFabric:
             raise TopologyError(f"rail {rail} does not exist")
         return self.rails[rail]
 
-    def apply_configuration(
-        self, rail: int, configuration: CircuitConfiguration
-    ) -> Tuple[int, int]:
-        """Reconfigure ``rail`` to ``configuration`` and update the topology.
+    def install(self, rail: int, circuit: Circuit) -> Tuple[int, int]:
+        """Install one circuit on ``rail`` and add its topology links.
 
-        Returns ``(num_torn_down, num_set_up)``.  The *time* cost of the
-        reconfiguration is not modelled here — the simulator and the Opus
-        controller account for the switching delay; this method only mutates
-        connectivity state.
+        Returns the circuit's link ids.  Raises :class:`CircuitError` for a
+        port outside the OCS radix or a failed port, and
+        :class:`CircuitConflictError` when a port already carries a circuit.
+        The *time* a switching event takes is not modelled here: the Opus
+        controller accounts for it.
         """
         photonic_rail = self.rail(rail)
-        installed = photonic_rail.ocs.installed
-        tear_down, set_up = installed.delta(configuration)
-        result = photonic_rail.ocs.apply(configuration)
-        for circuit in tear_down:
-            self._remove_circuit_links(rail, circuit)
-        for circuit in set_up:
-            self._add_circuit_links(rail, photonic_rail, circuit)
-        return result
+        for port in circuit.ports:
+            photonic_rail.check_port(port)
+            if port in photonic_rail.failed_ports:
+                raise CircuitError(
+                    f"rail {rail}: port {port} has failed and cannot carry "
+                    f"circuit {circuit}"
+                )
+            owner = photonic_rail.port_owner.get(port)
+            if owner is not None:
+                raise CircuitConflictError(
+                    f"rail {rail}: port {port} already carries circuit {owner}"
+                )
+        link_ids = self._add_circuit_links(photonic_rail, circuit)
+        photonic_rail.circuits[circuit] = link_ids
+        photonic_rail.port_owner[circuit.port_a] = circuit
+        photonic_rail.port_owner[circuit.port_b] = circuit
+        self._notify(CircuitChangeEvent(rail, circuit, link_ids, installed=True))
+        return link_ids
+
+    def tear(self, rail: int, circuit: Circuit) -> None:
+        """Tear one installed circuit off ``rail`` and remove its topology links."""
+        photonic_rail = self.rail(rail)
+        link_ids = photonic_rail.circuits.pop(circuit, None)
+        if link_ids is None:
+            raise CircuitError(
+                f"circuit {circuit} is not installed on rail {rail}"
+            )
+        del photonic_rail.port_owner[circuit.port_a]
+        del photonic_rail.port_owner[circuit.port_b]
+        for link_id in link_ids:
+            self.topology.remove_link(link_id)
+        self._notify(CircuitChangeEvent(rail, circuit, link_ids, installed=False))
+
+    def fail_port(self, rail: int, port: int) -> Optional[Circuit]:
+        """Take one OCS port on ``rail`` out of service (fault injection).
+
+        The circuit the port carried, if any, is torn (its listeners fire
+        before the port is marked failed) and returned.  Further installs
+        touching the port raise :class:`CircuitError`.
+        """
+        photonic_rail = self.rail(rail)
+        photonic_rail.check_port(port)
+        victim = photonic_rail.port_owner.get(port)
+        if victim is not None:
+            self.tear(rail, victim)
+        photonic_rail.failed_ports.add(port)
+        return victim
 
     def clear_rail(self, rail: int) -> None:
-        """Tear down every circuit on ``rail``."""
-        self.apply_configuration(rail, CircuitConfiguration(()))
+        """Tear down every circuit on ``rail``; failed ports stay failed."""
+        for circuit in list(self.rail(rail).circuits):
+            self.tear(rail, circuit)
 
     # ------------------------------------------------------------------ #
     # Internal topology maintenance
     # ------------------------------------------------------------------ #
 
     def _add_circuit_links(
-        self, rail: int, photonic_rail: PhotonicRail, circuit: Circuit
-    ) -> None:
+        self, photonic_rail: PhotonicRail, circuit: Circuit
+    ) -> Tuple[int, int]:
         endpoint_a = photonic_rail.endpoint_of(circuit.port_a)
         endpoint_b = photonic_rail.endpoint_of(circuit.port_b)
         gpu_a = photonic_rail.gpu_of(endpoint_a)
@@ -305,19 +378,7 @@ class PhotonicRailFabric:
             latency=_circuit_latency(),
             kind=LinkKind.OPTICAL_CIRCUIT,
         )
-        link_ids = (forward.link_id, backward.link_id)
-        self._circuit_links[(rail, circuit)] = link_ids
-        self._notify(CircuitChangeEvent(rail, circuit, link_ids, installed=True))
-
-    def _remove_circuit_links(self, rail: int, circuit: Circuit) -> None:
-        link_ids = self._circuit_links.pop((rail, circuit), None)
-        if link_ids is None:
-            raise CircuitError(
-                f"no topology links recorded for circuit {circuit} on rail {rail}"
-            )
-        for link_id in link_ids:
-            self.topology.remove_link(link_id)
-        self._notify(CircuitChangeEvent(rail, circuit, link_ids, installed=False))
+        return (forward.link_id, backward.link_id)
 
     def _notify(self, event: CircuitChangeEvent) -> None:
         for listener in self._listeners:
@@ -344,7 +405,6 @@ def photonic_rail_inventory(cluster: ClusterSpec) -> FabricInventory:
 def build_photonic_rail_fabric(
     cluster: ClusterSpec,
     technology: Optional[OCSTechnology] = None,
-    initial_configurations: Optional[Mapping[int, CircuitConfiguration]] = None,
 ) -> PhotonicRailFabric:
     """Build the photonic rail fabric for ``cluster``.
 
@@ -355,8 +415,6 @@ def build_photonic_rail_fabric(
         technology.
     technology:
         Override the OCS technology for every rail (e.g. to sweep Table 3).
-    initial_configurations:
-        Optional per-rail circuit configurations to install at build time.
     """
     topology = Topology(name=f"photonic-rail[{cluster.num_gpus}]")
     add_scaleup_domains(topology, cluster)
@@ -373,13 +431,9 @@ def build_photonic_rail_fabric(
         )
         rails[rail] = photonic_rail
 
-    fabric = PhotonicRailFabric(
+    return PhotonicRailFabric(
         cluster=cluster,
         topology=topology,
         rails=rails,
         inventory=photonic_rail_inventory(cluster),
     )
-    if initial_configurations:
-        for rail, configuration in initial_configurations.items():
-            fabric.apply_configuration(rail, configuration)
-    return fabric

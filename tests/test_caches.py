@@ -37,6 +37,12 @@ from repro.topology.base import Link, LinkKind, NodeKind, Topology, gpu_node_nam
 from repro.topology.photonic import build_photonic_rail_fabric
 
 
+def _install_pair(fabric):
+    """Install rail 0's circuit between scale-up domains 0 and 1."""
+    (circuit,) = fabric.rail(0).pairwise_configuration([(0, 1)]).circuits
+    fabric.install(0, circuit)
+
+
 # --------------------------------------------------------------------------- #
 # Route table
 # --------------------------------------------------------------------------- #
@@ -48,8 +54,7 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
     model = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
 
-    rail = fabric.rail(0)
-    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     op = CollectiveOp(
         collective=CollectiveType.SEND_RECV,
         group=(0, 4),
@@ -67,7 +72,7 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
     # Tear the circuit down and install it again: the version advances, the
     # stale routes (which embed torn Link objects) must all be dropped.
     fabric.clear_rail(0)
-    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     fresh_items = model.step_items(steps)
     fresh_path = model.path_between(0, 4)
     assert fresh_items is not items
@@ -145,7 +150,7 @@ def test_one_version_bump_drops_every_route_memo_together(tiny_cluster):
     that the equal-cost, step and eager step-item memos also depend on.
     """
     fabric = build_photonic_rail_fabric(tiny_cluster)
-    fabric.apply_configuration(0, fabric.rail(0).pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
     deferred = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
     deferred.deferred_routes = True
@@ -213,7 +218,7 @@ def test_forked_deferred_items_resolve_against_the_fork(tiny_cluster):
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
     parent = create_network("photonic", tiny_cluster, mesh, network_mode="flow")
     fabric = parent.fabric
-    fabric.apply_configuration(0, fabric.rail(0).pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     steps = expand(_single_op())
     items = parent.step_items(steps)
     circuit_ids = {
@@ -251,8 +256,7 @@ def test_deferred_step_routes_resolve_once_per_step_content_and_version(
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
     model = FlowNetworkModel(tiny_cluster, mesh, fabric.topology)
     model.deferred_routes = True
-    rail = fabric.rail(0)
-    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     op = CollectiveOp(
         collective=CollectiveType.ALL_REDUCE,
         group=(0, 4),
@@ -277,7 +281,7 @@ def test_deferred_step_routes_resolve_once_per_step_content_and_version(
     assert routes[0].version == fabric.topology.version
 
     fabric.clear_rail(0)
-    fabric.apply_configuration(0, rail.pairwise_configuration([(0, 1)]))
+    _install_pair(fabric)
     fresh = items[0].routes()
     assert fresh is not routes[0]
     assert fresh.version == fabric.topology.version

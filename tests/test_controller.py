@@ -11,13 +11,20 @@ exercised only through the end-to-end system):
 * switching events on one rail serialize through ``switch_free_at`` while
   rails stay independent;
 * the provisioned flag of the request lands on the reconfiguration record;
-* requests of one communication group are admitted in issue order (FC-FS).
+* requests of one communication group are admitted in issue order (FC-FS);
+* under random request, port-failure and reset sequences, each rail's
+  circuit record and the topology's circuit links agree.
 """
+
+import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from repro.core.controller import OpusController
-from repro.errors import CircuitError, SchedulingError
+from repro.errors import CircuitError, FaultError, SchedulingError
+from repro.topology.base import LinkKind, nic_port_node_name
 from repro.topology.ocs import Circuit, CircuitConfiguration
 from repro.topology.photonic import build_photonic_rail_fabric
 from repro.topology.devices import perlmutter_testbed
@@ -48,9 +55,9 @@ def test_ensure_installs_missing_circuits_and_charges_the_delay(controller):
     assert record.end == pytest.approx(2.0 + DELAY)
     assert record.num_circuits_changed == 1
     assert not record.provisioned
-    # The decision is mirrored onto the fabric: the OCS crossbar holds the
+    # The decision is applied through the fabric: the rail records the
     # circuit and the topology view gained the circuit links.
-    assert controller.fabric.rail(0).ocs.is_connected(0, 1)
+    assert Circuit(0, 1) in controller.fabric.rail(0).circuits
     assert controller.fabric.topology.links_between("gpu0.nic0", "gpu4.nic0")
 
 
@@ -81,7 +88,7 @@ def test_reconfiguration_waits_for_busy_circuits_to_drain(controller):
     assert record is not None
     assert record.start == pytest.approx(5.0)
     assert ready == pytest.approx(5.0 + DELAY)
-    assert Circuit(0, 1) not in controller.rail_state(0).installed
+    assert Circuit(0, 1) not in controller.fabric.rail(0).circuits
 
 
 def test_switching_events_serialize_per_rail(controller):
@@ -118,11 +125,11 @@ def test_reset_clears_circuits_and_timing_state(controller):
     controller.notify_traffic(0, [Circuit(0, 1)], busy_until=9.0)
     controller.reset()
     state = controller.rail_state(0)
-    assert not state.installed
+    assert not state.usable_at
     assert not state.busy_until
     assert state.switch_free_at == 0.0
     assert controller.total_reconfigurations() == 0
-    assert not controller.fabric.rail(0).ocs.installed.circuits
+    assert not controller.fabric.rail(0).circuits
 
 
 def test_out_of_order_request_for_the_same_group_is_rejected(controller):
@@ -138,3 +145,72 @@ def test_out_of_order_request_for_the_same_group_is_rejected(controller):
     # A new job starts a fresh order.
     controller.reset()
     controller.ensure(0, _config((0, 1)), 1.0, GROUP, "dp")
+
+
+def _assert_ledger_matches_topology(controller):
+    """Each rail's record, its port owners, its failed ports, the controller's
+    timing and the topology's circuit links all describe the same circuits."""
+    fabric = controller.fabric
+    recorded = set()
+    for rail_id, rail in fabric.rails.items():
+        ports = Counter(port for circuit in rail.circuits for port in circuit.ports)
+        # No port carries two circuits, and no failed port carries one.
+        assert all(count == 1 for count in ports.values())
+        assert not set(ports) & rail.failed_ports
+        assert rail.port_owner == {
+            port: circuit for circuit in rail.circuits for port in circuit.ports
+        }
+        assert set(controller.rail_state(rail_id).usable_at) == set(rail.circuits)
+        for circuit, link_ids in rail.circuits.items():
+            ends = set()
+            for port in circuit.ports:
+                endpoint = rail.endpoint_of(port)
+                ends.add(nic_port_node_name(rail.gpu_of(endpoint), endpoint.nic_port))
+            for link_id in link_ids:
+                link = fabric.topology.link(link_id)
+                assert link.kind == LinkKind.OPTICAL_CIRCUIT
+                assert {link.src, link.dst} == ends
+                assert link_id not in recorded
+                recorded.add(link_id)
+    # The topology holds exactly the recorded circuits' links.
+    assert {
+        link.link_id for link in fabric.topology.links(LinkKind.OPTICAL_CIRCUIT)
+    } == recorded
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_rail_ledger_and_topology_agree_under_random_requests(seed):
+    rng = random.Random(seed)
+    cluster = replace(perlmutter_testbed(num_nodes=4), nic_ports_per_gpu=2)
+    fabric = build_photonic_rail_fabric(cluster)
+    controller = OpusController(fabric, reconfiguration_delay=DELAY)
+    cabled = cluster.num_domains * cluster.nic_ports_per_gpu
+    targets = []
+    now = 0.0
+    for _ in range(80):
+        now += rng.random() * DELAY
+        rail = rng.randrange(cluster.num_rails)
+        roll = rng.random()
+        if roll < 0.1:
+            controller.fail_port(rail, rng.randrange(cabled))
+        elif roll < 0.15:
+            controller.reset()
+        else:
+            if targets and roll < 0.4:
+                target = rng.choice(targets)
+            else:
+                ports = rng.sample(range(cabled), 2 * rng.randint(1, cabled // 2))
+                target = CircuitConfiguration(
+                    Circuit(ports[i], ports[i + 1]) for i in range(0, len(ports), 2)
+                ).validate()
+                targets.append(target)
+            before = dict(fabric.rail(rail).circuits)
+            try:
+                controller.ensure(rail, target, now, frozenset({rail}), "dp")
+            except FaultError:
+                # Refused before any switching: the rail is unchanged.
+                assert fabric.rail(rail).circuits == before
+            else:
+                assert target.circuits <= set(fabric.rail(rail).circuits)
+        _assert_ledger_matches_topology(controller)
+

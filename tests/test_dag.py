@@ -8,7 +8,8 @@ from repro.collectives.primitives import CollectiveType
 from repro.errors import ConfigurationError
 from repro.experiments.contention import TINY_MOE_MODEL
 from repro.parallelism.config import ParallelismConfig, TrainingConfig, WorkloadConfig
-from repro.parallelism.dag import build_iteration_dag
+from repro.parallelism.dag import _DagBuilder, build_iteration_dag
+from repro.parallelism.mesh import DeviceMesh
 from repro.parallelism.pipeline import ActionKind, PipelinePhase, one_f_one_b_schedule
 
 
@@ -117,6 +118,33 @@ def test_cp_and_ep_collectives_follow_their_degrees(dims):
         assert ep_ops == []
     # TP traffic stays in the scale-up domain and is never emitted.
     assert _collectives(dag, "tp") == []
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [
+        {},
+        {"pp": 4},
+        {"dp": 3, "tp": 2},
+        {"pp": 2, "dp": 2, "cp": 4},
+        {"pp": 2, "dp": 3, "ep": 2, "tp": 1},
+        {"tp": 2, "cp": 2, "ep": 2, "pp": 2, "dp": 2},
+    ],
+)
+def test_ranks_of_equals_the_coordinate_scan(dims):
+    workload = _workload(**dims)
+    mesh = DeviceMesh(workload.parallelism)
+    builder = _DagBuilder(workload, mesh, per_layer_fsdp=True)
+    par = workload.parallelism
+    for stage in range(par.pp):
+        for replica in range(par.dp):
+            scanned = tuple(
+                rank
+                for rank in mesh.ranks()
+                if mesh.coordinate(rank).pp == stage
+                and mesh.coordinate(rank).dp == replica
+            )
+            assert builder._ranks_of(stage, replica) == scanned
 
 
 def test_coarse_fsdp_emits_one_allgather_per_chain():

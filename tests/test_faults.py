@@ -44,7 +44,7 @@ from repro.simulator.faults import (
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.topology.devices import perlmutter_testbed
-from repro.topology.ocs import Circuit, OpticalCircuitSwitch
+from repro.topology.ocs import Circuit
 from repro.topology.photonic import build_photonic_rail_fabric
 
 
@@ -428,17 +428,20 @@ def test_failure_rerates_the_survivors_on_shared_links():
 
 
 def test_ocs_fail_port_tears_and_blocks_installs():
-    ocs = OpticalCircuitSwitch(name="test.ocs")
-    ocs.install(Circuit(0, 1))
-    victim = ocs.fail_port(0)
+    fabric = build_photonic_rail_fabric(perlmutter_testbed(num_nodes=4))
+    rail = fabric.rail(0)
+    link_ids = fabric.install(0, Circuit(0, 1))
+    victim = fabric.fail_port(0, 0)
     assert victim == Circuit(0, 1)
-    assert ocs.peer_of(1) is None
-    assert ocs.port_failed(0)
+    assert rail.port_owner.get(1) is None
+    assert not any(fabric.topology.has_link(link_id) for link_id in link_ids)
+    assert 0 in rail.failed_ports
     with pytest.raises(CircuitError, match="failed"):
-        ocs.install(Circuit(0, 2))
-    ocs.clear()
-    assert ocs.port_failed(0)  # hardware faults survive crossbar clears
-    assert 0 not in ocs.free_ports()
+        fabric.install(0, Circuit(0, 2))
+    fabric.install(0, Circuit(1, 2))
+    fabric.clear_rail(0)
+    assert not rail.circuits
+    assert 0 in rail.failed_ports  # hardware faults survive crossbar clears
 
 
 def test_photonic_rail_routes_pairs_around_failed_ports():
@@ -454,7 +457,7 @@ def test_photonic_rail_routes_pairs_around_failed_ports():
     cluster2 = replace(perlmutter_testbed(num_nodes=2), nic_ports_per_gpu=2)
     fabric2 = build_photonic_rail_fabric(cluster2)
     rail2 = fabric2.rail(0)
-    rail2.fail_port(0)  # domain 0, nic 0
+    fabric2.fail_port(0, 0)  # domain 0, nic 0
     rerouted = rail2.pairwise_configuration([(0, 1)])
     assert rerouted.circuits == frozenset({Circuit(1, 2)})
     assert rail2.healthy_nic_ports(0) == (1,)
@@ -481,7 +484,8 @@ def test_controller_fail_port_tears_topology_links_and_guards_ensure():
 
     victim = controller.fail_port(0, circuit.port_a)
     assert victim == circuit
-    assert circuit not in controller.rail_state(0).installed
+    assert circuit not in fabric.rail(0).circuits
+    assert circuit not in controller.rail_state(0).usable_at
     assert all(not fabric.topology.has_link(link_id) for link_id in link_ids)
     # Re-ensuring the stale configuration hits the failed port loudly.
     with pytest.raises(FaultError, match="has failed"):
@@ -502,12 +506,12 @@ def test_planner_routes_around_failed_ports():
     healthy = planner.configuration_for_group((0, 4))[0]
     assert healthy.circuits == frozenset({Circuit(0, 2)})
 
-    fabric.rail(0).fail_port(0)
+    fabric.fail_port(0, 0)
     planner.clear_cache()
     rerouted = planner.configuration_for_group((0, 4))[0]
     assert rerouted.circuits == frozenset({Circuit(1, 2)})
 
-    fabric.rail(0).fail_port(1)
+    fabric.fail_port(0, 1)
     planner.clear_cache()
     with pytest.raises(ControlPlaneError, match="failed OCS ports"):
         planner.configuration_for_group((0, 4))
@@ -536,7 +540,7 @@ def test_planner_target_memo_drops_on_clear_cache_after_a_port_failure():
     assert planner.target_for_op(op) is target
     assert target[0].circuits == frozenset({Circuit(0, 2)})
 
-    fabric.rail(0).fail_port(0)
+    fabric.fail_port(0, 0)
     planner.clear_cache()
     rerouted = planner.target_for_op(op)
     assert rerouted is not target

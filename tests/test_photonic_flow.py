@@ -37,7 +37,6 @@ from repro.simulator.flow_network import FlowNetworkModel
 from repro.simulator.flows import FlowSimulator
 from repro.topology.base import LinkKind, NodeKind, Topology
 from repro.topology.devices import perlmutter_testbed
-from repro.topology.ocs import CircuitConfiguration
 from repro.topology.photonic import RailEndpoint, build_photonic_rail_fabric
 
 
@@ -214,16 +213,15 @@ def test_path_cache_invalidates_on_topology_version_bump(tiny_cluster):
     mesh = DeviceMesh(ParallelismConfig(tp=4, dp=2), tiny_cluster)
     network = create_network("photonic", tiny_cluster, mesh, network_mode="flow")
     fabric = network.fabric
-    rail = fabric.rail(0)
-    ring = rail.pairwise_configuration([(0, 1)])
-    fabric.apply_configuration(0, ring)
+    (circuit,) = fabric.rail(0).pairwise_configuration([(0, 1)]).circuits
+    fabric.install(0, circuit)
     path = network.path_between(0, 4)
     assert any(link.kind == LinkKind.OPTICAL_CIRCUIT for link in path)
     assert network.path_between(0, 4) is path  # cached
     fabric.clear_rail(0)
     with pytest.raises(SimulationError):
         network.path_between(0, 4)
-    fabric.apply_configuration(0, ring)
+    fabric.install(0, circuit)
     fresh = network.path_between(0, 4)
     assert fresh is not path
     assert all(fabric.topology.has_link(link.link_id) for link in fresh)
@@ -235,11 +233,10 @@ def test_circuit_change_listeners_fire_on_install_and_tear(tiny_cluster):
     fabric = build_photonic_rail_fabric(tiny_cluster)
     events = []
     fabric.add_circuit_listener(events.append)
-    configuration = fabric.rail(0).pairwise_configuration([(0, 1)])
-    fabric.apply_configuration(0, configuration)
-    (circuit,) = configuration.circuits
+    (circuit,) = fabric.rail(0).pairwise_configuration([(0, 1)]).circuits
+    assert fabric.install(0, circuit) == events[0].link_ids
     assert fabric.circuit_links(0, circuit) == events[0].link_ids
-    fabric.clear_rail(0)
+    fabric.tear(0, circuit)
     assert [event.installed for event in events] == [True, False]
     assert events[0].rail == 0
     assert events[0].link_ids == events[1].link_ids
@@ -248,6 +245,8 @@ def test_circuit_change_listeners_fire_on_install_and_tear(tiny_cluster):
     )
     with pytest.raises(CircuitError):
         fabric.circuit_links(0, circuit)
+    with pytest.raises(CircuitError, match="not installed"):
+        fabric.tear(0, circuit)
 
 
 # --------------------------------------------------------------------------- #
@@ -303,11 +302,8 @@ def test_deferred_flows_see_circuits_installed_after_scheduling(tiny_cluster):
     flow = simulator.add_flow(resolver, size_bytes=1e6, start_time=1.0)
     # The circuit is installed between scheduling and flow start — exactly
     # what a switching event completing before the launch looks like.
-    fabric.apply_configuration(
-        0,
-        CircuitConfiguration(
-            (rail.circuit_between(RailEndpoint(0, 0), RailEndpoint(1, 0)),)
-        ),
+    fabric.install(
+        0, rail.circuit_between(RailEndpoint(0, 0), RailEndpoint(1, 0))
     )
     simulator.run()
     assert flow.finish_time is not None

@@ -114,3 +114,27 @@ def test_scale_10k_fattree_flow_completes_within_the_wall():
     assert result.metrics["steady_iteration_time"] > 0
     assert result.metrics["scaleout_bytes"] > 0
     assert elapsed < 420.0, f"10k fat-tree flow run took {elapsed:.0f}s"
+
+
+@pytest.mark.slow
+def test_scale_1k_photonic_flow_completes_within_the_wall():
+    """The paper's fabric at 1k endpoints: photonic rails, flow mode, Opus on.
+
+    Runs only in the non-blocking ``-m slow`` CI job.  The run takes 2.1 to
+    3.2 s on a 2-core host; the 20 s wall leaves headroom for slower CI
+    runners and still catches a superlinear regression in the control plane.
+    """
+    import time
+
+    from repro.experiments.runner import run_scenario
+
+    scenario = scale_scenario(
+        num_endpoints=1_000, backend="photonic", num_iterations=2
+    )
+    started = time.perf_counter()
+    result = run_scenario(scenario)
+    elapsed = time.perf_counter() - started
+    assert result.metrics["steady_iteration_time"] > 0
+    assert result.metrics["scaleout_bytes"] > 0
+    assert result.metrics["reconfigurations_per_iteration"] > 0
+    assert elapsed < 20.0, f"1k photonic flow run took {elapsed:.1f}s"

@@ -6,7 +6,8 @@ from repro.errors import CircuitConflictError, CircuitError, TopologyError
 from repro.topology.base import LinkKind, NodeKind, Topology, nic_port_node_name
 from repro.topology.devices import dgx_h200_cluster, perlmutter_testbed
 from repro.topology.fattree import build_fat_tree_fabric, fat_tree_inventory
-from repro.topology.ocs import Circuit, CircuitConfiguration, OpticalCircuitSwitch
+from repro.topology.ocs import Circuit, CircuitConfiguration
+from repro.topology.photonic import build_photonic_rail_fabric
 from repro.topology.railopt import build_rail_optimized_fabric, rail_optimized_inventory
 
 
@@ -190,35 +191,46 @@ def test_circuit_rejects_self_loops_and_negative_ports():
 
 def test_configuration_rejects_port_conflicts():
     with pytest.raises(CircuitConflictError):
-        CircuitConfiguration((Circuit(0, 1), Circuit(1, 2)))
+        CircuitConfiguration((Circuit(0, 1), Circuit(1, 2))).validate()
 
 
 def test_switch_apply_reports_delta_and_preserves_shared_circuits():
-    switch = OpticalCircuitSwitch("test.ocs")
+    from repro.core.controller import OpusController
+
+    fabric = build_photonic_rail_fabric(perlmutter_testbed(num_nodes=8))
+    controller = OpusController(fabric, reconfiguration_delay=1e-3)
+    rail = fabric.rail(0)
+    group = frozenset({0})
     first = CircuitConfiguration((Circuit(0, 1), Circuit(2, 3)))
-    torn, set_up = switch.apply(first)
-    assert (torn, set_up) == (0, 2)
-    # Keep 0<->1, replace 2<->3 with 2<->4.
+    _, record = controller.ensure(0, first, 0.0, group, "dp")
+    assert record.num_circuits_changed == 2
+    shared_links = fabric.circuit_links(0, Circuit(0, 1))
+    # Keep 0<->1, replace 2<->3 with 2<->4: one tear plus one install.
     second = CircuitConfiguration((Circuit(0, 1), Circuit(2, 4)))
-    torn, set_up = switch.apply(second)
-    assert (torn, set_up) == (1, 1)
-    assert switch.is_connected(0, 1)
-    assert switch.is_connected(2, 4)
-    assert switch.reconfiguration_count == 2
-    # A no-op apply does not count as a reconfiguration.
-    torn, set_up = switch.apply(second)
-    assert (torn, set_up) == (0, 0)
-    assert switch.reconfiguration_count == 2
+    _, record = controller.ensure(0, second, 1.0, group, "dp")
+    assert record.num_circuits_changed == 2
+    assert set(rail.circuits) == {Circuit(0, 1), Circuit(2, 4)}
+    # The shared circuit was left untouched: same topology links.
+    assert fabric.circuit_links(0, Circuit(0, 1)) == shared_links
+    assert controller.rail_state(0).reconfigurations == 2
+    # A request the installed circuits already serve is not a reconfiguration.
+    _, record = controller.ensure(0, second, 2.0, group, "dp")
+    assert record is None
+    assert controller.rail_state(0).reconfigurations == 2
 
 
 def test_switch_rejects_ports_outside_radix():
-    switch = OpticalCircuitSwitch("test.ocs")
-    with pytest.raises(CircuitError):
-        switch.install(Circuit(0, switch.radix))
+    fabric = build_photonic_rail_fabric(perlmutter_testbed(num_nodes=2))
+    radix = fabric.rail(0).technology.radix
+    with pytest.raises(CircuitError, match="outside radix"):
+        fabric.install(0, Circuit(0, radix))
+    assert not fabric.rail(0).circuits
 
 
 def test_switch_install_conflict_raises():
-    switch = OpticalCircuitSwitch("test.ocs")
-    switch.install(Circuit(0, 1))
+    fabric = build_photonic_rail_fabric(perlmutter_testbed(num_nodes=4))
+    fabric.install(0, Circuit(0, 1))
     with pytest.raises(CircuitConflictError):
-        switch.install(Circuit(1, 2))
+        fabric.install(0, Circuit(1, 2))
+    assert set(fabric.rail(0).circuits) == {Circuit(0, 1)}
+    assert fabric.rail(0).port_owner == {0: Circuit(0, 1), 1: Circuit(0, 1)}
