@@ -36,8 +36,8 @@ class TopologyNetworkModel(NetworkModel):
     For a communication group the ring algorithm sends along consecutive
     (rank, successor) pairs; pairs inside one scale-up domain ride the
     NVLink interconnect and never touch the fabric.  Every cross-domain pair
-    is routed with :meth:`~repro.topology.base.Topology.shortest_path`
-    through the model's :class:`~repro.simulator.routing.RouteTable`; the
+    is routed on its shortest path by the model's
+    :class:`~repro.simulator.routing.RouteTable`; the
     effective per-flow bandwidth is the minimum over all traversed links of
     ``link.bandwidth / flows_sharing_the_link``, which makes oversubscribed
     uplinks (spine tiers, partially-provisioned cores) slow the ring down
@@ -52,7 +52,7 @@ class TopologyNetworkModel(NetworkModel):
     ) -> None:
         super().__init__(cluster, mesh)
         self.topology = topology
-        #: Every route this model resolves, memoized per topology version.
+        #: Every route this model resolves.
         self.route_table = RouteTable(topology, mesh)
         self._group_links: Dict[Tuple[int, ...], LinkParameters] = {}
         #: Topology version the group-parameter cache was built at; fault

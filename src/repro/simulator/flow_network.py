@@ -11,10 +11,10 @@ each priced as if they owned it.
 expanded — via :func:`repro.collectives.schedule.expand` — into
 barrier-synchronized steps of point-to-point transfers; each step's
 transfers are routed over the topology graph through the model's
-:class:`~repro.simulator.routing.RouteTable` (one
-:meth:`~repro.topology.base.Topology.shortest_path` per distinct rank pair and
-topology version, one :class:`~repro.simulator.flows.Routes` bundle per
-distinct step) and handed to the max–min fair
+:class:`~repro.simulator.routing.RouteTable` (closed-form fat-tree routes, or
+one :meth:`~repro.topology.base.Topology.shortest_path` per distinct node
+pair and topology version; one :class:`~repro.simulator.flows.Routes` bundle
+per distinct step) and handed to the max–min fair
 :class:`~repro.simulator.flows.FlowSimulator`.
 Transfers of *all* in-flight collectives share one simulator, so concurrent
 collectives genuinely contend for link capacity.  The DAG executor drives this
@@ -221,11 +221,11 @@ class FlowNetworkModel(TopologyNetworkModel):
             topology=self.topology,
             stats=self.flow_stats,
         )
-        if self._router is not None:
-            # Fault reroutes must stay under the run's routing policy — and
-            # the hook must survive simulator rebuilds (a rewound clock swaps
-            # in a fresh simulator), so it is installed here, not in __init__.
-            simulator.route_policy = self._router.reroute
+        # Fault reroutes stay under the run's routing policy — and the hook
+        # must survive simulator rebuilds (a rewound clock swaps in a fresh
+        # simulator), so it is installed here, not in __init__.
+        router = self._router
+        simulator.route_policy = router.reroute if router else self.route_table.node_path
         return simulator
 
     def on_iteration_end(self, iteration: int, time: float) -> None:
@@ -293,12 +293,12 @@ class FlowNetworkModel(TopologyNetworkModel):
         )
 
     def path_between(self, src_rank: int, dst_rank: int) -> Tuple[Link, ...]:
-        """Route between two ranks' GPUs (memoized; includes scale-up hops).
+        """Route between two ranks' GPUs (includes scale-up hops).
 
         Every flow-mode pair lookup comes through here.  The route table
-        drops its entries when the topology version moves: circuit fabrics
-        mutate connectivity mid-simulation, and a route resolved before a
-        reconfiguration must not be served afterwards.
+        never serves a route across a topology version change: circuit
+        fabrics mutate connectivity mid-simulation, and a route resolved
+        before a reconfiguration must not be served afterwards.
         """
         return self.route_table.path(src_rank, dst_rank)
 

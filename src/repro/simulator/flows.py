@@ -97,8 +97,9 @@ _SHAPES_MAX = 4096
 #: Circuit-switched fabrics install a collective's circuits *after* its flows
 #: are scheduled (the switching delay separates the two), so the route over
 #: those circuits only exists — and is only looked up — when the flow starts.
-#: A resolver must return currently-installed links (the version-keyed route
-#: caches guarantee this), so resolver paths skip the per-link liveness check.
+#: A resolver must return currently-installed links (the route table never
+#: serves a route across a version change), so resolver paths skip the
+#: per-link liveness check.
 PathResolver = Callable[[], Sequence[Link]]
 
 LinkKey = Tuple[str, str, int]
@@ -520,9 +521,9 @@ class FlowSimulator(Snapshottable):
         self.link_failure_policy: str = "fail"
         #: Optional route chooser for rerouted casualties:
         #: ``route_policy(src_node, dst_node)`` returns the new link sequence.
-        #: Models running a routing policy install their router here, so a
-        #: fault reroute stays under the run's policy; ``None`` — the default
-        #: — takes the plain shortest path.
+        #: Flow models install their route table's search or their policy
+        #: router here, so a fault reroute stays under the run's policy;
+        #: ``None`` — the default — takes the plain shortest path.
         self.route_policy: Optional[Callable[[str, str], Sequence[Link]]] = None
 
     # ------------------------------------------------------------------ #

@@ -1,19 +1,18 @@
 """Route table and multipath routing policies for flow mode.
 
-:class:`RouteTable` is the one memo of resolved routes per topology-backed
-network model: per-pair shortest paths, equal-cost path sets, per-step
-:class:`~repro.simulator.flows.Routes` bundles and the step items that embed
-them.  Every entry is valid for one topology version; circuit installs,
-faults and degradations bump the version, and the next read drops all of
-them together.
+:class:`RouteTable` resolves every route of one topology-backed network
+model: per-pair shortest paths (in closed form on a fat tree as built),
+equal-cost path sets, per-step :class:`~repro.simulator.flows.Routes`
+bundles and the step items that embed them.  Every memo entry is valid for
+one topology version; circuit installs, faults and degradations bump the
+version, and the next read drops all of them together.
 
 Static packet fabrics (fat tree, rail-optimized, fully-connected electrical)
 route every transfer on one deterministic shortest path.  The
 ``routing_policy`` knob selects among:
 
-* ``single`` — the default: every route is the table's
-  :meth:`~repro.topology.base.Topology.shortest_path` entry and no
-  :class:`PolicyRouter` is built;
+* ``single`` — the default: every route is the table's :meth:`RouteTable.path`
+  and no :class:`PolicyRouter` is built;
 * ``ecmp`` — every flow picks deterministically, by an integer hash of its
   (source, destination, step, position) coordinates, from the *equal-cost
   path set* enumerated by
@@ -57,6 +56,10 @@ ROUTING_POLICIES = ("single", "ecmp", "adaptive", "spray")
 #: prefix, so it is deterministic too.
 MAX_EQUAL_COST_PATHS = 8
 
+#: Entries the route table's pair, equal-cost and step memos each hold
+#: before they start over.
+MEMO_BOUND = 4096
+
 #: Sub-flows a sprayed transfer is split into (clamped to the equal-cost
 #: set size, so a single-path pair degenerates to an ordinary flow).
 SPRAY_WAYS = 4
@@ -80,14 +83,18 @@ def rekeyed(memo: ItemMemo) -> ItemMemo:
 
 
 class RouteTable:
-    """The memoized routes of one network model's topology.
+    """The routes of one network model's topology.
 
     Offers per-rank-pair shortest paths (:meth:`path`), per-node-pair
-    equal-cost sets (:meth:`equal_cost`), per-step bundles keyed by the
-    step's content (:meth:`step`), and the step items that embed concrete
-    routes (:meth:`items`).  All of them are valid for :attr:`version`: the
-    first read after the topology version moves drops every memo at once,
-    so no reader can be handed a route another reader already saw go stale.
+    searched paths (:meth:`node_path`) and equal-cost sets
+    (:meth:`equal_cost`), per-step bundles keyed by the step's content
+    (:meth:`step`), and the step items that embed concrete routes
+    (:meth:`items`).  :meth:`path` reads the topology's closed form while
+    the topology is at the version the closed form was built at, and
+    searches once a fault, degradation or restore moves it.  Every memo is
+    valid for :attr:`version`: the first read after the version moves drops
+    them all at once, so no reader can be handed a route another reader
+    already saw go stale.
     """
 
     def __init__(self, topology: Topology, mesh: "DeviceMesh") -> None:
@@ -95,7 +102,7 @@ class RouteTable:
         self.mesh = mesh
         #: Topology version every memo below was filled at.
         self.version = topology.version
-        self._paths: Dict[Tuple[int, int], _Path] = {}
+        self._paths: Dict[Tuple[str, str], _Path] = {}
         self._sets: Dict[Tuple[str, str], Tuple[_Path, ...]] = {}
         self._steps: Dict[tuple, Routes] = {}
         self._items: ItemMemo = {}
@@ -137,26 +144,36 @@ class RouteTable:
     def path(self, src_rank: int, dst_rank: int) -> _Path:
         """The shortest path between two ranks' GPUs (scale-up hops included)."""
         self._check()
-        key = (src_rank, dst_rank)
-        path = self._paths.get(key)
-        if path is None:
-            path = self._paths[key] = tuple(
-                self.between(self.topology.shortest_path, src_rank, dst_rank)
-            )
-        return path
+        closed = self.topology.closed_form
+        if closed is not None and closed.version == self.version:
+            mesh = self.mesh
+            return closed.path(mesh.gpu_of(src_rank), mesh.gpu_of(dst_rank))
+        return self.between(self.node_path, src_rank, dst_rank)
+
+    def _memoized(self, memo: dict, key: object, compute: Callable[[], _Found]) -> _Found:
+        """``memo[key]``, computed on a miss; a full memo starts over."""
+        self._check()
+        found = memo.get(key)
+        if found is None:
+            if len(memo) >= MEMO_BOUND:
+                memo.clear()
+            found = memo[key] = compute()
+        return found
+
+    def node_path(self, src: str, dst: str) -> _Path:
+        """The searched shortest path between two nodes (raises ``TopologyError``).
+
+        Also the fault reroute of flow models without a routing policy.
+        """
+        search = self.topology.shortest_path
+        return self._memoized(self._paths, (src, dst), lambda: tuple(search(src, dst)))
 
     def equal_cost(self, src: str, dst: str) -> Tuple[_Path, ...]:
         """The equal-cost set between two nodes (raises ``TopologyError``)."""
-        self._check()
-        key = (src, dst)
-        paths = self._sets.get(key)
-        if paths is None:
-            paths = self._sets[key] = tuple(
-                self.topology.equal_cost_paths(
-                    src, dst, max_paths=MAX_EQUAL_COST_PATHS
-                )
-            )
-        return paths
+        search = self.topology.equal_cost_paths
+        return self._memoized(
+            self._sets, (src, dst), lambda: tuple(search(src, dst, MAX_EQUAL_COST_PATHS))
+        )
 
     def step(self, key: tuple, resolve: Callable[..., Sequence[Link]]) -> Routes:
         """The routes of one step, memoized per content.
@@ -166,14 +183,9 @@ class RouteTable:
         every step of a ring, every iteration — so each distinct step is
         resolved once per topology version instead of once per flow.
         """
-        self._check()
-        routes = self._steps.get(key)
-        if routes is None:
-            routes = Routes([resolve(*flow) for flow in key], self.version)
-            if len(self._steps) >= 4096:
-                self._steps.clear()
-            self._steps[key] = routes
-        return routes
+        return self._memoized(
+            self._steps, key, lambda: Routes([resolve(*flow) for flow in key], self.version)
+        )
 
     def items(self) -> ItemMemo:
         """The memo of step items that embed concrete (eager) routes."""

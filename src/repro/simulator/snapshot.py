@@ -57,7 +57,10 @@ from ..errors import SnapshotError
 #: Version 7: each ``PhotonicRail`` records its circuits and failed ports,
 #: and the controller keeps only timing; a version-6 payload pickles the
 #: deleted ``OpticalCircuitSwitch`` and the controller's port maps.
-SNAPSHOT_FORMAT_VERSION = 7
+#: Version 8: a ``Topology`` carries the closed-form routes its builder
+#: attached, and a ``RouteTable`` keys searched paths on node names; a
+#: version-7 payload pickles neither.
+SNAPSHOT_FORMAT_VERSION = 8
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

@@ -36,6 +36,7 @@ from ..errors import SnapshotError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.snapshot import SimState
+    from .fattree import FatTreeRoutes
 
 
 _NATURAL_SPLIT = re.compile(r"(\d+)")
@@ -150,6 +151,9 @@ class Topology:
         self._failed_links: Dict[int, Link] = {}
         #: Original bandwidth of links currently degraded below capacity.
         self._original_bandwidth: Dict[int, float] = {}
+        #: Closed-form routes a fabric builder attached, valid at the
+        #: version they record (see :class:`repro.simulator.routing.RouteTable`).
+        self.closed_form: Optional["FatTreeRoutes"] = None
 
     @property
     def version(self) -> int:
@@ -528,16 +532,19 @@ class Topology:
         while cursor is not None:
             node_path.append(cursor)
             cursor = succ[cursor]
-        adjacency = self._graph._adj
-        links: List[Link] = []
-        for hop_src, hop_dst in zip(node_path, node_path[1:]):
-            edges = adjacency[hop_src][hop_dst]
-            if len(edges) == 1:
-                (data,) = edges.values()
-            else:
-                data = edges[min(edges)]
-            links.append(data["link"])
-        return links
+        return [
+            self.route_link(hop_src, hop_dst)
+            for hop_src, hop_dst in zip(node_path, node_path[1:])
+        ]
+
+    def route_link(self, src: str, dst: str) -> Link:
+        """The smallest-id link from ``src`` to ``dst``: the one routes take."""
+        edges = self._graph._adj[src][dst]
+        if len(edges) == 1:
+            (data,) = edges.values()
+        else:
+            data = edges[min(edges)]
+        return data["link"]
 
     def _routing_lists(self) -> Dict[str, List[Tuple[str, Link]]]:
         """The flattened, version-cached adjacency of :meth:`equal_cost_paths`.
@@ -551,19 +558,13 @@ class Topology:
             self._routing_adjacency is None
             or self._routing_adjacency_version != self._version
         ):
-            adjacency: Dict[str, List[Tuple[str, Link]]] = {
-                name: [] for name in self._nodes
+            self._routing_adjacency = {
+                node: [
+                    (neighbor, self.route_link(node, neighbor))
+                    for neighbor in sorted(neighbors, key=_natural_key)
+                ]
+                for node, neighbors in self._graph._adj.items()
             }
-            for node, neighbors in self._graph._adj.items():
-                out = adjacency[node]
-                for neighbor in sorted(neighbors, key=_natural_key):
-                    edges = neighbors[neighbor]
-                    if len(edges) == 1:
-                        (data,) = edges.values()
-                    else:
-                        data = edges[min(edges)]
-                    out.append((neighbor, data["link"]))
-            self._routing_adjacency = adjacency
             self._routing_adjacency_version = self._version
         return self._routing_adjacency
 

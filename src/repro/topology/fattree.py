@@ -8,26 +8,30 @@ standard "sliced" construction: only as many pods (and the proportional share
 of core switches) as needed are provisioned, while keeping full bisection for
 the provisioned part.
 
-For Fig. 7 only the inventory matters; the graph construction is provided so
-the same simulator can run packet-fabric baselines end-to-end.
+The graph runs the packet-fabric baselines end to end; its
+:class:`FatTreeRoutes` compute each GPU pair's route from pod and switch
+coordinates, with no graph search.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..errors import TopologyError
 from .base import (
+    Link,
     LinkKind,
     NodeKind,
     Topology,
+    gpu_node_name,
     nic_port_node_name,
     switch_node_name,
 )
 from .devices import ClusterSpec
 from .railopt import FabricInventory, add_host_ports, _switch_latency
-from .scaleup import add_scaleup_domains
+from .scaleup import add_scaleup_domains, nvswitch_node_name
 
 
 @dataclass
@@ -40,6 +44,81 @@ class FatTreeFabric:
     edge_switches: int
     aggregation_switches: int
     core_switches: int
+
+
+class FatTreeRoutes:
+    """Closed-form single-path routes of one fat-tree graph (Al-Fares et al.).
+
+    GPUs of one scale-up domain meet at their NVSwitch.  Any other route
+    climbs from the source GPU's lowest NIC port to the lowest switch both
+    ends reach (their shared edge switch, their pod's first aggregation
+    switch, or core 0 via their pods' first ones) and descends the same way:
+    the tie-breaks of :meth:`~repro.topology.base.Topology.shortest_path` on
+    the graph at :attr:`version`, as built.  Each GPU's legs resolve lazily.
+    """
+
+    def __init__(self, topology: Topology, cluster: ClusterSpec, half: int) -> None:
+        self.topology = topology
+        #: Topology version of the graph as built.
+        self.version = topology.version
+        self._per_domain = cluster.scaleup.gpus_per_domain
+        self._ports = cluster.nic_port_config.num_ports
+        self._half = half
+        #: GPU -> (its hops up: to its NVSwitch, then NIC, edge, agg[, core];
+        #: the same hops down, in path order).
+        self._legs: Dict[int, Tuple[Tuple[Link, ...], Tuple[Link, ...]]] = {}
+
+    def _legs_of(self, gpu: int) -> Tuple[Tuple[Link, ...], Tuple[Link, ...]]:
+        legs = self._legs.get(gpu)
+        if legs is None:
+            edge = gpu * self._ports // self._half
+            names = [
+                nvswitch_node_name(gpu // self._per_domain),
+                gpu_node_name(gpu),
+                nic_port_node_name(gpu, 0),
+                switch_node_name("edge", edge),
+                switch_node_name("agg", edge // self._half * self._half),
+                switch_node_name("core", 0),
+            ]
+            if names[-1] not in self.topology:  # a single pod has no core
+                names.pop()
+            hops = [(names[1], names[0])] + list(zip(names[1:], names[2:]))
+            link = self.topology.route_link
+            legs = self._legs[gpu] = (
+                tuple(link(src, dst) for src, dst in hops),
+                tuple(link(dst, src) for src, dst in reversed(hops)),
+            )
+        return legs
+
+    def path(self, src: int, dst: int) -> Tuple[Link, ...]:
+        """The route from GPU ``src`` to GPU ``dst``."""
+        if src == dst:
+            return ()
+        up, down = self._legs_of(src)[0], self._legs_of(dst)[1]
+        if src // self._per_domain == dst // self._per_domain:
+            return (up[0], down[-1])
+        src_edge, dst_edge = src * self._ports // self._half, dst * self._ports // self._half
+        # Switch tiers to climb: 1 to a shared edge switch, 2 to a shared
+        # pod's aggregation switch, 3 to the core.
+        tiers = 3 - (src_edge == dst_edge) - (src_edge // self._half == dst_edge // self._half)
+        return up[1 : tiers + 2] + down[-tiers - 2 : -1]
+
+
+def _routes_are_direct(cluster: ClusterSpec, half: int) -> bool:
+    """Whether no shortest path detours through a domain mate's NIC.
+
+    The detour ties or beats the direct route when the mate's edge switch
+    is closer to the destination.  It cannot when each domain's ports share
+    one edge switch, or fill whole edge switches in one pod or whole pods.
+    """
+    ports = cluster.nic_port_config.num_ports
+    block = ports * cluster.scaleup.gpus_per_domain
+    edges = block // half
+    return half % block == 0 or (
+        half % ports == 0
+        and block % half == 0
+        and (half % edges == 0 or edges % half == 0)
+    )
 
 
 def _fattree_counts(num_endpoints: int, radix: int) -> tuple:
@@ -201,6 +280,8 @@ def build_fat_tree_fabric(
                     kind=LinkKind.ELECTRICAL,
                 )
 
+    if _routes_are_direct(cluster, half):
+        topology.closed_form = FatTreeRoutes(topology, cluster, half)
     inventory = _fattree_bill_of_materials(num_endpoints, radix, oversubscription)
     return FatTreeFabric(
         cluster=cluster,

@@ -242,6 +242,107 @@ def test_forked_deferred_items_resolve_against_the_fork(tiny_cluster):
     assert not any(parent.topology.has_link(link_id) for link_id in circuit_ids)
 
 
+def _counted_searches(topology):
+    """Record every graph search on ``topology`` from now on."""
+    searches = []
+    search = topology.shortest_path
+
+    def counted(src, dst):
+        searches.append((src, dst))
+        return search(src, dst)
+
+    topology.shortest_path = counted
+    return searches
+
+
+def _same_links(path, other):
+    return len(path) == len(other) and all(a is b for a, b in zip(path, other))
+
+
+def _mini_fat_tree_model():
+    """A flow model on the 3-tier radix-4 fat tree of 16 two-port GPUs."""
+    from repro.experiments.contention import degraded_fabric_cluster
+    from repro.topology.fattree import build_fat_tree_fabric
+
+    cluster = degraded_fabric_cluster(num_nodes=4)
+    mesh = DeviceMesh(ParallelismConfig(tp=4, dp=4), cluster)
+    return FlowNetworkModel(cluster, mesh, build_fat_tree_fabric(cluster).topology)
+
+
+def test_fat_tree_routes_leave_the_closed_form_when_a_link_fails():
+    """A failed link sends the table to the search, which avoids the link."""
+    model = _mini_fat_tree_model()
+    topology = model.topology
+    searches = _counted_searches(topology)
+    path = model.path_between(0, 4)
+    assert searches == [] and model.route_table._paths == {}
+    assert [link.src for link in path][2:5] == ["edge.sw0", "agg.sw0", "core.sw0"]
+
+    uplink = path[2]
+    topology.fail_link(uplink.link_id)
+    rerouted = model.path_between(0, 4)
+    assert searches == [("gpu0", "gpu4")]
+    assert uplink.link_id not in {link.link_id for link in rerouted}
+    assert all(topology.has_link(link.link_id) for link in rerouted)
+    assert _same_links(rerouted, topology.shortest_path("gpu0", "gpu4"))
+    # The single-path fault reroute reads the same table.
+    assert model.simulator.route_policy("gpu0", "gpu4") is rerouted
+    assert len(searches) == 2  # the direct comparison above, nothing more
+
+
+def test_a_degrade_and_the_restore_after_it_keep_the_table_on_the_search():
+    model = _mini_fat_tree_model()
+    topology = model.topology
+    healthy = topology.snapshot()
+    path = model.path_between(0, 4)
+    searches = _counted_searches(topology)
+
+    topology.degrade_link(path[3].link_id, 0.5)
+    assert _same_links(model.path_between(0, 4), path)
+    topology.restore(healthy)
+    assert topology.link_degradation(path[3].link_id) == 1.0
+    assert _same_links(model.path_between(0, 4), path)
+    assert searches == [("gpu0", "gpu4")] * 2
+
+
+def test_forked_and_resumed_fat_tree_sessions_route_on_their_own_links(tmp_path):
+    from dataclasses import replace
+
+    from repro.experiments.contention import shared_uplink_incast_scenario
+    from repro.experiments.session import SimulationSession
+
+    base = shared_uplink_incast_scenario(num_iterations=2)
+    scenario = replace(base, knobs={**base.knobs, "network_mode": "flow"})
+    parent = SimulationSession.start(scenario)
+    parent.run_to(1)
+    path = parent.network.path_between(0, 4)  # the legs are filled before the copies
+    parent.save(tmp_path / "ckpt.bin")
+
+    for child in (parent.fork(), SimulationSession.load(tmp_path / "ckpt.bin")):
+        topology = child.network.topology
+        assert topology is not parent.network.topology
+        assert topology.closed_form.topology is topology
+        assert topology.closed_form.version == topology.version
+        routed = child.network.path_between(0, 4)
+        assert [link.link_id for link in routed] == [link.link_id for link in path]
+        assert all(topology.link(link.link_id) is link for link in routed)
+        child.run_to(2)
+
+
+def test_searched_pair_and_equal_cost_memos_start_over_at_the_bound(
+    tiny_cluster, monkeypatch
+):
+    from repro.simulator import routing
+
+    monkeypatch.setattr(routing, "MEMO_BOUND", 2)
+    table = _fat_tree_model(tiny_cluster).route_table
+    for dst in ("gpu4", "gpu5", "gpu6"):
+        table.node_path("gpu0", dst)
+        table.equal_cost("gpu0", dst)
+    assert list(table._paths) == [("gpu0", "gpu6")]
+    assert list(table._sets) == [("gpu0", "gpu6")]
+
+
 # --------------------------------------------------------------------------- #
 # Collective-expansion memo
 # --------------------------------------------------------------------------- #

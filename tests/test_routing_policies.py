@@ -203,9 +203,9 @@ def test_fault_reroute_hook_is_the_policy_router():
         cluster, mesh, build_fat_tree_fabric(cluster).topology, routing_policy="ecmp"
     )
     assert model.simulator.route_policy == model._router.reroute
-    # Single-path models keep the raw shortest-path reroute lane.
+    # Single-path models reroute through their route table's graph search.
     plain = FlowNetworkModel(cluster, mesh, build_fat_tree_fabric(cluster).topology)
-    assert plain.simulator.route_policy is None
+    assert plain.simulator.route_policy == plain.route_table.node_path
 
 
 @pytest.mark.parametrize("policy", ("ecmp", "adaptive", "spray"))

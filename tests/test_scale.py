@@ -117,6 +117,31 @@ def test_scale_10k_fattree_flow_completes_within_the_wall():
 
 
 @pytest.mark.slow
+def test_scale_10k_fattree_closed_form_routes_match_the_search():
+    """A seeded sample of the 10k fat tree's closed-form routes, differentially.
+
+    The tier-1 differential test covers every pair up to 256 GPUs; this one
+    checks that the coordinates still line up at the headline scale, where
+    the fat tree spans many pods.
+    """
+    import random
+
+    from repro.topology.base import gpu_node_name
+    from repro.topology.fattree import build_fat_tree_fabric
+
+    topology = build_fat_tree_fabric(scale_cluster(10_000)).topology
+    closed = topology.closed_form
+    assert closed is not None
+    rng = random.Random(10_000)
+    for _ in range(2_000):
+        src, dst = rng.sample(range(10_000), 2)
+        expected = topology.shortest_path(gpu_node_name(src), gpu_node_name(dst))
+        got = closed.path(src, dst)
+        assert len(got) == len(expected), (src, dst)
+        assert all(a is b for a, b in zip(got, expected)), (src, dst)
+
+
+@pytest.mark.slow
 def test_scale_1k_photonic_flow_completes_within_the_wall():
     """The paper's fabric at 1k endpoints: photonic rails, flow mode, Opus on.
 

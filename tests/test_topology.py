@@ -1,9 +1,18 @@
 """Topology construction tests: fat-tree port counts, rail-opt inventory, OCS."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CircuitConflictError, CircuitError, TopologyError
-from repro.topology.base import LinkKind, NodeKind, Topology, nic_port_node_name
+from repro.topology.base import (
+    LinkKind,
+    NodeKind,
+    Topology,
+    gpu_node_name,
+    nic_port_node_name,
+)
 from repro.topology.devices import dgx_h200_cluster, perlmutter_testbed
 from repro.topology.fattree import build_fat_tree_fabric, fat_tree_inventory
 from repro.topology.ocs import Circuit, CircuitConfiguration
@@ -170,6 +179,74 @@ def test_fat_tree_has_multiple_equal_cost_cross_domain_paths():
     assert list(paths[0]) == topology.shortest_path("gpu0", "gpu4")
     signatures = {tuple(link.link_id for link in path) for path in paths}
     assert len(signatures) == len(paths), "equal-cost paths must be distinct"
+
+
+# --------------------------------------------------------------------------- #
+# Closed-form fat-tree routes
+# --------------------------------------------------------------------------- #
+
+
+def _fat_tree_shapes():
+    """Every fat-tree cluster shape the suite builds, by name."""
+    from repro.experiments.contention import degraded_fabric_cluster, scale_cluster
+
+    shapes = {f"scale-{n}": scale_cluster(n) for n in (40, 120, 200, 520, 1000, 2000)}
+    shapes.update(
+        {f"degraded-{n}": degraded_fabric_cluster(n) for n in (2, 4, 16, 64)}
+    )
+    shapes.update(
+        {
+            f"perlmutter-{ports}port": replace(
+                perlmutter_testbed(num_nodes=4), nic_ports_per_gpu=ports
+            )
+            for ports in (1, 2)
+        }
+    )
+    return shapes
+
+
+def _gpu_pairs(num_gpus, seed, limit=256, samples=2000):
+    """All ordered GPU pairs up to ``limit`` GPUs, a seeded sample above."""
+    if num_gpus <= limit:
+        return [(a, b) for a in range(num_gpus) for b in range(num_gpus) if a != b]
+    rng = random.Random(seed)
+    return [tuple(rng.sample(range(num_gpus), 2)) for _ in range(samples)]
+
+
+def _assert_closed_form_is_the_search(topology, pairs):
+    closed = topology.closed_form
+    assert closed is not None and closed.version == topology.version
+    for src, dst in pairs:
+        expected = topology.shortest_path(gpu_node_name(src), gpu_node_name(dst))
+        got = closed.path(src, dst)
+        assert len(got) == len(expected), (src, dst)
+        assert all(a is b for a, b in zip(got, expected)), (src, dst)
+
+
+@pytest.mark.parametrize("oversubscription", (1.0, 4.0))
+@pytest.mark.parametrize("shape", sorted(_fat_tree_shapes()))
+def test_closed_form_fat_tree_routes_are_the_searched_routes(shape, oversubscription):
+    """Same ``Link`` objects in the same order as the graph search."""
+    cluster = _fat_tree_shapes()[shape]
+    topology = build_fat_tree_fabric(cluster, oversubscription=oversubscription).topology
+    _assert_closed_form_is_the_search(topology, _gpu_pairs(cluster.num_gpus, seed=7))
+
+
+def test_fat_tree_with_straddling_domains_carries_no_closed_form():
+    """Where a domain mate's NIC can tie the direct route, the search decides.
+
+    Radix-6 switches host three single-port GPUs each, so a 4-GPU domain
+    shares an edge switch with the next one, and the search takes GPU 4 to
+    GPU 0 through GPU 0's mate GPU 3 and their NVSwitch.
+    """
+    from repro.experiments.contention import MINI_SWITCH
+
+    six = replace(MINI_SWITCH, radix=6)
+    cluster = replace(perlmutter_testbed(num_nodes=4), electrical_switch=six)
+    topology = build_fat_tree_fabric(cluster).topology
+    assert topology.closed_form is None
+    hops = [link.dst for link in topology.shortest_path("gpu4", "gpu0")]
+    assert hops[-3:] == ["gpu3", "domain0.nvswitch", "gpu0"]
 
 
 # --------------------------------------------------------------------------- #
