@@ -10,7 +10,9 @@ per rail:
 * the time each installed circuit becomes usable (a circuit installed by a
   switching event is usable when the event finishes);
 * the time each installed circuit is busy carrying traffic (a reconfiguration
-  that would tear a busy circuit waits for it to drain — Objective 3);
+  that would tear a busy circuit waits for it to drain — Objective 3),
+  marked per configuration and applied to the circuits when the rail's
+  ledger next changes;
 * the serialization of switching events on the rail's OCS.
 
 Its single entry point, :meth:`OpusController.ensure`, answers: *given that a
@@ -27,10 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Container, Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from ..errors import (
-    CircuitError,
     ConfigurationError,
     ControlPlaneError,
     FaultError,
@@ -52,12 +53,27 @@ class RailCircuitState:
     rail: int
     #: Time each installed circuit becomes usable.
     usable_at: Dict[Circuit, float] = field(default_factory=dict)
-    #: Time until which each installed circuit is busy carrying traffic.
+    #: Time until which each installed circuit is busy carrying traffic, as
+    #: of the rail's last ledger change: traffic marked since then waits in
+    #: :attr:`pending` (:meth:`OpusController.rail_state` applies it).
     busy_until: Dict[Circuit, float] = field(default_factory=dict)
+    #: Latest traffic end per configuration marked since the last ledger
+    #: change.  The installed circuits stay the same until that change, so
+    #: applying a mark then equals applying it per circuit when it was made.
+    pending: Dict[CircuitConfiguration, float] = field(default_factory=dict)
     #: Time the rail's OCS finishes its latest switching event.
     switch_free_at: float = 0.0
     #: Number of switching events performed on this rail.
     reconfigurations: int = 0
+
+    def apply_pending(self, installed: Container[Circuit]) -> None:
+        """Apply the pending traffic marks to the ``installed`` circuits."""
+        busy = self.busy_until
+        for configuration, end in self.pending.items():
+            for circuit in configuration.circuits:
+                if circuit in installed:
+                    busy[circuit] = max(busy.get(circuit, 0.0), end)
+        self.pending.clear()
 
     def forget(self, circuit: Circuit) -> None:
         """Drop the timing of a torn circuit."""
@@ -341,10 +357,16 @@ class OpusController:
         return self.fabric.rail(rail).technology.reconfiguration_time
 
     def rail_state(self, rail: int) -> RailCircuitState:
-        """Return the mutable circuit state of one rail."""
-        if rail not in self._rails:
+        """Return the mutable circuit state of one rail, pending traffic applied."""
+        state = self._state(rail)
+        state.apply_pending(self.fabric.rails[rail].circuits)
+        return state
+
+    def _state(self, rail: int) -> RailCircuitState:
+        state = self._rails.get(rail)
+        if state is None:
             raise ControlPlaneError(f"rail {rail} is not managed by this controller")
-        return self._rails[rail]
+        return state
 
     def total_reconfigurations(self) -> int:
         """Total switching events across all rails since construction."""
@@ -379,7 +401,7 @@ class OpusController:
         the switching event that had to be performed (``None`` if the circuits
         were already installed).
         """
-        state = self.rail_state(rail)
+        state = self._state(rail)
         last = self._last_issue.get(group)
         if last is not None and issue_time < last:
             raise SchedulingError(
@@ -389,16 +411,9 @@ class OpusController:
             )
         self._last_issue[group] = issue_time
 
-        cache_key = (rail, id(target))
-        cached = self._ensure_cache.get(cache_key)
-        if (
-            cached is not None
-            and cached[0] is target
-            and cached[1] == state.reconfigurations
-        ):
-            # This exact configuration was fully installed when last checked
-            # and no switching event has happened on the rail since.
-            return max(issue_time, cached[2]), None
+        ready = self._installed_ready(rail, target)
+        if ready is not None:
+            return max(issue_time, ready), None
 
         photonic_rail = self.fabric.rails[rail]
         installed = photonic_rail.circuits
@@ -423,7 +438,7 @@ class OpusController:
             ready = max(state.usable_at[c] for c in target.circuits)
             if len(self._ensure_cache) >= 4096:
                 self._ensure_cache.clear()
-            self._ensure_cache[cache_key] = (target, state.reconfigurations, ready)
+            self._ensure_cache[(rail, id(target))] = (target, state.reconfigurations, ready)
             return max(issue_time, ready), None
 
         # Circuits that must be torn down because they share ports with the
@@ -433,6 +448,7 @@ class OpusController:
             for circuit in missing
             for conflicting in photonic_rail.conflicts_with(circuit)
         }
+        state.apply_pending(installed)
         drain_time = state.drain_time(to_tear)
         start = max(issue_time, drain_time, state.switch_free_at)
         delay = self.reconfiguration_delay(rail)
@@ -462,6 +478,26 @@ class OpusController:
         ready = max(end, max(state.usable_at[c] for c in target.circuits))
         return ready, record
 
+    def known_installed(self, rail: int, target: CircuitConfiguration) -> bool:
+        """Whether ``target`` is known to be fully installed on ``rail``.
+
+        True when :meth:`ensure` last found it installed and no switching
+        event or port failure happened on the rail since: one memo lookup.
+        ``False`` means "not known", not "missing".
+        """
+        return self._installed_ready(rail, target) is not None
+
+    def _installed_ready(self, rail: int, target: CircuitConfiguration) -> Optional[float]:
+        """The memoized ready time of a fully installed ``target``, if current."""
+        cached = self._ensure_cache.get((rail, id(target)))
+        if (
+            cached is not None
+            and cached[0] is target
+            and cached[1] == self._rails[rail].reconfigurations
+        ):
+            return cached[2]
+        return None
+
     def fail_port(self, rail: int, port: int) -> Optional[Circuit]:
         """Take one OCS port on ``rail`` out of service (fault injection).
 
@@ -473,7 +509,7 @@ class OpusController:
         was idle.  Callers owning a planner must drop its cached
         configurations so new targets route around the failed port.
         """
-        state = self.rail_state(rail)
+        state = self.rail_state(rail)  # the ledger changes: apply pending traffic
         victim = self.fabric.fail_port(rail, port)
         if victim is not None:
             state.forget(victim)
@@ -483,9 +519,9 @@ class OpusController:
         return victim
 
     def notify_traffic(
-        self, rail: int, circuits: Iterable[Circuit], busy_until: float
+        self, rail: int, configuration: CircuitConfiguration, busy_until: float
     ) -> None:
-        """Mark circuits as carrying traffic until ``busy_until``.
+        """Mark ``configuration``'s installed circuits busy until ``busy_until``.
 
         A reconfiguration that would tear one of these circuits cannot start
         before the traffic drains (Objective 3).  The analytic network models
@@ -493,22 +529,22 @@ class OpusController:
         (:class:`~repro.core.network.PhotonicFlowNetworkModel`)
         feeds the *actual* drain time of the collective's flows, so drains
         under contention push subsequent reconfigurations later exactly as
-        they would on hardware.
+        they would on hardware.  Circuits of ``configuration`` that are not
+        installed (a port failure can tear one under its flows) carry no
+        mark.
+
+        The mark is kept per configuration and reaches the circuits'
+        :attr:`RailCircuitState.busy_until` when the rail's ledger next
+        changes, so a call costs the same whatever the configuration's size.
         """
-        state = self.rail_state(rail)
-        installed = self.fabric.rails[rail].circuits
-        for circuit in circuits:
-            if circuit not in installed:
-                raise CircuitError(
-                    f"rail {rail}: cannot mark traffic on circuit {circuit} "
-                    "because it is not installed"
-                )
-            state.busy_until[circuit] = max(
-                state.busy_until.get(circuit, 0.0), busy_until
-            )
+        pending = self._state(rail).pending
+        pending[configuration] = max(pending.get(configuration, 0.0), busy_until)
 
     def reset(self) -> None:
-        """Tear down every circuit and forget all timing state (new job)."""
+        """Tear down every circuit and forget all timing state (new job).
+
+        Pending traffic marks go with the rest of the timing state.
+        """
         for rail in self._rails:
             self._rails[rail] = RailCircuitState(rail=rail)
             self.fabric.clear_rail(rail)

@@ -24,10 +24,12 @@ collective it consults the :class:`~repro.core.shim.OpusShim`:
 fabrics: topology change becomes a first-class, time-domain event.  Every
 collective's launch is gated on :meth:`~repro.core.controller.OpusController.ensure`
 — the OCS switching delay separates the request from the flow start, routes
-are resolved only when the flows actually start (the circuits exist by then),
-the per-pair path cache invalidates on topology version bumps, and the real
-drain times of completed flows feed the controller's busy bookkeeping instead
-of analytic estimates.
+are resolved only when the flows actually start (the circuits exist by then,
+and a route over one direct circuit is read from the rail's ledger), and the
+real drain times of completed flows feed the controller's busy bookkeeping
+instead of analytic estimates.  Holds and traffic marks are kept per
+(rail, configuration), so a collective's Opus bookkeeping costs the same
+whatever the size of its axis configuration.
 
 With the shim in its ``"bare"`` mode (no profiling, provisioning or axis
 coalescing), either model is the bare-OCS baseline of the ``ocs`` backend:
@@ -153,10 +155,11 @@ class OpusNetworkModel(NetworkModel):
         if not self.is_scaleout(operation):
             return CommTiming(start=ready_time, end=ready_time + duration)
 
-        grant = self.shim.request_circuits(op, ready_time)
+        target = self.shim.target_for(op)
+        grant = self.shim.request_circuits(op, ready_time, target)
         start = max(ready_time, grant.ready_time)
         end = start + duration
-        self.shim.notify_transfer(op, start, end)
+        self.shim.notify_transfer(op, start, end, target)
         return CommTiming(start=start, end=end, reconfigs=grant.records)
 
     def on_comm_end(self, operation: Operation, end_time: float) -> None:
@@ -246,10 +249,13 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         super().__init__(
             cluster, mesh, fabric, reconfiguration_delay, shim_mode, registry
         )
-        #: In-flight flow count per installed circuit, keyed by (rail, circuit).
-        self._circuit_load: Dict[Tuple[int, Circuit], int] = {}
-        #: Collectives whose launch waits for conflicting circuits to drain.
-        self._waiters: Dict[Tuple[int, Circuit], List[_DeferredLaunch]] = {}
+        #: Collectives in flight per held configuration, per rail.  A rail
+        #: holds few configurations at a time, and a circuit carries flows
+        #: while any of them contains it.
+        self._circuit_load: Dict[int, Dict[CircuitConfiguration, int]] = {}
+        #: Collectives whose launch waits for conflicting circuits to drain,
+        #: per rail and circuit.
+        self._waiters: Dict[int, Dict[Circuit, List[_DeferredLaunch]]] = {}
         #: Reconfiguration records awaiting pickup, keyed by DAG op id.
         self._op_records: Dict[int, List[ReconfigRecord]] = {}
         self.fabric.add_circuit_listener(self._on_circuit_change)
@@ -290,7 +296,10 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         """React to a circuit install or tear on the fabric.
 
         Installs and tears bump the topology version, so the route table
-        drops its routes on its next read.  A tear also confronts the flows
+        drops its memos on its next read; a flow over one direct circuit
+        then reads its route from the rail's ledger
+        (:class:`~repro.topology.photonic.CircuitRoutes`), and only the
+        others search the graph.  A tear also confronts the flows
         *riding* the torn links: the circuit-hold bookkeeping prevents a
         collective's own circuits from being torn under it, but a flow
         detoured over another rail's circuits (e.g. around a failed link or
@@ -332,19 +341,19 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         if live:
             self._defer_launch(live, operation, start_time, on_complete)
             return
-        grant = self.shim.request_circuits(op, start_time)
+        grant = self.shim.request_circuits(op, start_time, target)
         if grant.records:
             self._op_records.setdefault(operation.op_id, []).extend(grant.records)
         launch_at = max(start_time, grant.ready_time)
-        held = self._hold_circuits(target)
+        self._hold(target)
 
         def _finished(end: float) -> None:
             # Real drain feedback: the controller learns when the circuits
             # actually emptied (notify_transfer marks them busy until then),
             # and only afterwards may waiters / provisioning touch them.
             self._observe_telemetry(end)
-            self.shim.notify_transfer(op, launch_at, end)
-            self._release_circuits(held, end)
+            self.shim.notify_transfer(op, launch_at, end, target)
+            self._release(target, end)
             on_complete(end)
 
         super().begin_comm(operation, launch_at, _finished)
@@ -405,13 +414,16 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         self, rail: int, configuration: CircuitConfiguration
     ) -> Iterator[Circuit]:
         """Circuits on ``rail`` that carry flows and ``configuration`` would tear."""
+        held = self._circuit_load.get(rail)
+        if not held or self.controller.known_installed(rail, configuration):
+            return
         photonic_rail = self.fabric.rails[rail]
         installed = photonic_rail.circuits
         for circuit in configuration.circuits:
             if circuit in installed:
                 continue
             for existing in photonic_rail.conflicts_with(circuit):
-                if self._circuit_load.get((rail, existing), 0) > 0:
+                if _carries_flows(held, existing):
                     yield existing
 
     def _live_conflicts(
@@ -436,35 +448,50 @@ class PhotonicFlowNetworkModel(OpusNetworkModel, FlowNetworkModel):
         on_complete: CompletionCallback,
     ) -> None:
         waiter = _DeferredLaunch(set(live), operation, start_time, on_complete)
-        for key in live:
-            self._waiters.setdefault(key, []).append(waiter)
+        for rail, circuit in live:
+            self._waiters.setdefault(rail, {}).setdefault(circuit, []).append(waiter)
 
-    def _hold_circuits(
-        self, target: Dict[int, CircuitConfiguration]
-    ) -> List[Tuple[int, Circuit]]:
-        held: List[Tuple[int, Circuit]] = []
+    def _hold(self, target: Dict[int, CircuitConfiguration]) -> None:
+        """Count one more collective in flight on each of ``target``'s configurations."""
         for rail, configuration in target.items():
-            for circuit in configuration.circuits:
-                key = (rail, circuit)
-                self._circuit_load[key] = self._circuit_load.get(key, 0) + 1
-                held.append(key)
-        return held
+            counts = self._circuit_load.setdefault(rail, {})
+            counts[configuration] = counts.get(configuration, 0) + 1
 
-    def _release_circuits(
-        self, held: List[Tuple[int, Circuit]], end: float
-    ) -> None:
+    def _release(self, target: Dict[int, CircuitConfiguration], end: float) -> None:
+        """Drop the holds of a drained collective; re-issue unblocked waiters.
+
+        Waiters wake in the order their circuits stop carrying flows: rail
+        by rail as held, circuit by circuit in each configuration's order.
+        """
         ready: List[_DeferredLaunch] = []
-        for key in held:
-            count = self._circuit_load.get(key, 0) - 1
+        for rail, configuration in target.items():
+            counts = self._circuit_load[rail]
+            count = counts[configuration] - 1
             if count > 0:
-                self._circuit_load[key] = count
+                counts[configuration] = count
                 continue
-            self._circuit_load.pop(key, None)
-            for waiter in self._waiters.pop(key, []):
-                waiter.pending.discard(key)
-                if not waiter.pending:
-                    ready.append(waiter)
+            del counts[configuration]
+            if not counts:
+                del self._circuit_load[rail]
+            waiting = self._waiters.get(rail)
+            if not waiting:
+                continue
+            for circuit in configuration.circuits:
+                if circuit not in waiting or _carries_flows(counts, circuit):
+                    continue
+                key = (rail, circuit)
+                for waiter in waiting.pop(circuit):
+                    waiter.pending.discard(key)
+                    if not waiter.pending:
+                        ready.append(waiter)
+            if not waiting:
+                del self._waiters[rail]
         for waiter in ready:
             self.begin_comm(
                 waiter.operation, max(waiter.start, end), waiter.on_complete
             )
+
+
+def _carries_flows(held: Dict[CircuitConfiguration, int], circuit: Circuit) -> bool:
+    """Whether any held configuration contains ``circuit``."""
+    return any(circuit in configuration.circuits for configuration in held)

@@ -33,7 +33,7 @@ One *mode* fixes the shim's behaviour (the Fig. 8 ablation axes):
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..collectives.primitives import CollectiveOp
 from ..errors import ConfigurationError, ControlPlaneError
@@ -125,6 +125,9 @@ class OpusShim:
         #: the controller's FC-FS check requires per-group issue order — so speculative
         #: requests are clamped to never move backwards on a rail.
         self._last_provision_issue: Dict[int, float] = {}
+        #: Member set per group tuple: the controller's FC-FS key, built and
+        #: hashed once per group instead of once per request.
+        self._members: Dict[Tuple[int, ...], FrozenSet[int]] = {}
 
     # ------------------------------------------------------------------ #
     # Iteration lifecycle
@@ -166,17 +169,25 @@ class OpusShim:
             return self.planner.target_for_op(op)
         return self.planner.configuration_for_op(op)
 
-    def request_circuits(self, op: CollectiveOp, ready_time: float) -> CircuitGrant:
+    def request_circuits(
+        self,
+        op: CollectiveOp,
+        ready_time: float,
+        target: Dict[int, CircuitConfiguration],
+    ) -> CircuitGrant:
         """Serve one intercepted scale-out collective call.
 
-        Returns when the circuits it needs are usable, together with every
-        reconfiguration record produced on its behalf (including buffered
-        records from provisioning decisions taken earlier).
+        ``target`` is :meth:`target_for` of ``op``.  Returns when the
+        circuits it needs are usable, together with every reconfiguration
+        record produced on its behalf (including buffered records from
+        provisioning decisions taken earlier).
         """
-        group = frozenset(op.group)
+        group = self._members.get(op.group)
+        if group is None:
+            group = self._members[op.group] = frozenset(op.group)
         records: List[ReconfigRecord] = []
         ready = ready_time
-        for rail, configuration in self.target_for(op).items():
+        for rail, configuration in target.items():
             rail_ready, record = self.controller.ensure(
                 rail, configuration, ready_time, group, op.parallelism
             )
@@ -194,17 +205,23 @@ class OpusShim:
         self._provisioned_records = []
         return CircuitGrant(ready_time=ready, records=tuple(buffered + records))
 
-    def notify_transfer(self, op: CollectiveOp, start: float, end: float) -> None:
-        """Record the executed window of a collective and mark circuits busy."""
+    def notify_transfer(
+        self,
+        op: CollectiveOp,
+        start: float,
+        end: float,
+        target: Dict[int, CircuitConfiguration],
+    ) -> None:
+        """Record the executed window of a collective and mark its circuits busy.
+
+        ``target`` is :meth:`target_for` of ``op``.
+        """
         if self.profiling:
             _, rails, scaleout = self.mesh.group_placement(op.group)
             if scaleout:
                 self.profiler.record_completion(start, op.parallelism, rails)
-        for rail, configuration in self.target_for(op).items():
-            installed = self.fabric.rails[rail].circuits
-            self.controller.notify_traffic(
-                rail, installed.keys() & configuration.circuits, end
-            )
+        for rail, configuration in target.items():
+            self.controller.notify_traffic(rail, configuration, end)
 
     def notify_completion(self, op: CollectiveOp, end_time: float) -> None:
         """Provisioning hook: called when a scale-out collective finishes.

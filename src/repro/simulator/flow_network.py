@@ -11,10 +11,11 @@ each priced as if they owned it.
 expanded — via :func:`repro.collectives.schedule.expand` — into
 barrier-synchronized steps of point-to-point transfers; each step's
 transfers are routed over the topology graph through the model's
-:class:`~repro.simulator.routing.RouteTable` (closed-form fat-tree routes, or
-one :meth:`~repro.topology.base.Topology.shortest_path` per distinct node
-pair and topology version; one :class:`~repro.simulator.flows.Routes` bundle
-per distinct step) and handed to the max–min fair
+:class:`~repro.simulator.routing.RouteTable` (closed-form fat-tree and
+direct-circuit routes, else one
+:meth:`~repro.topology.base.Topology.shortest_path` per distinct node pair
+and topology version; one :class:`~repro.simulator.flows.Routes` bundle per
+distinct step) and handed to the max–min fair
 :class:`~repro.simulator.flows.FlowSimulator`.
 Transfers of *all* in-flight collectives share one simulator, so concurrent
 collectives genuinely contend for link capacity.  The DAG executor drives this

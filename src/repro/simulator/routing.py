@@ -1,11 +1,15 @@
 """Route table and multipath routing policies for flow mode.
 
 :class:`RouteTable` resolves every route of one topology-backed network
-model: per-pair shortest paths (in closed form on a fat tree as built),
-equal-cost path sets, per-step :class:`~repro.simulator.flows.Routes`
-bundles and the step items that embed them.  Every memo entry is valid for
-one topology version; circuit installs, faults and degradations bump the
-version, and the next read drops all of them together.
+model: per-pair shortest paths, equal-cost path sets, per-step
+:class:`~repro.simulator.flows.Routes` bundles and the step items that embed
+them.  A pair's path comes from the topology's closed form where the fabric
+builder attached one — a fat tree's coordinates while it is as built, a
+photonic rail's installed circuits (:class:`~repro.topology.photonic.CircuitRoutes`)
+— and from a graph search otherwise, so a circuit install forces no search.
+Every memo entry is valid for one topology version; circuit installs, faults
+and degradations bump the version, and the next read drops all of them
+together.
 
 Static packet fabrics (fat tree, rail-optimized, fully-connected electrical)
 route every transfer on one deterministic shortest path.  The
@@ -89,9 +93,11 @@ class RouteTable:
     searched paths (:meth:`node_path`) and equal-cost sets
     (:meth:`equal_cost`), per-step bundles keyed by the step's content
     (:meth:`step`), and the step items that embed concrete routes
-    (:meth:`items`).  :meth:`path` reads the topology's closed form while
-    the topology is at the version the closed form was built at, and
-    searches once a fault, degradation or restore moves it.  Every memo is
+    (:meth:`items`).  :meth:`path` takes the topology's closed form
+    (:attr:`~repro.topology.base.Topology.closed_form`) wherever it answers,
+    and searches where it returns ``None``: on a fat tree once a fault,
+    degradation or restore moved the version, on photonic rails for every
+    pair no single installed circuit joins.  Every memo is
     valid for :attr:`version`: the first read after the version moves drops
     them all at once, so no reader can be handed a route another reader
     already saw go stale.
@@ -143,11 +149,12 @@ class RouteTable:
 
     def path(self, src_rank: int, dst_rank: int) -> _Path:
         """The shortest path between two ranks' GPUs (scale-up hops included)."""
-        self._check()
         closed = self.topology.closed_form
-        if closed is not None and closed.version == self.version:
+        if closed is not None:
             mesh = self.mesh
-            return closed.path(mesh.gpu_of(src_rank), mesh.gpu_of(dst_rank))
+            route = closed.path(mesh.gpu_of(src_rank), mesh.gpu_of(dst_rank))
+            if route is not None:
+                return route
         return self.between(self.node_path, src_rank, dst_rank)
 
     def _memoized(self, memo: dict, key: object, compute: Callable[[], _Found]) -> _Found:

@@ -60,7 +60,11 @@ from ..errors import SnapshotError
 #: Version 8: a ``Topology`` carries the closed-form routes its builder
 #: attached, and a ``RouteTable`` keys searched paths on node names; a
 #: version-7 payload pickles neither.
-SNAPSHOT_FORMAT_VERSION = 8
+#: Version 9: the photonic flow model holds circuits per configuration, the
+#: controller keeps pending traffic marks per configuration, and a photonic
+#: ``Topology`` carries :class:`~repro.topology.photonic.CircuitRoutes`; a
+#: version-8 payload pickles per-circuit holds and none of the rest.
+SNAPSHOT_FORMAT_VERSION = 9
 
 #: name -> module-level callable usable as a persistent event callback.
 _CONTINUATIONS: Dict[str, Callable[..., Any]] = {}

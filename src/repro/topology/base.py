@@ -28,7 +28,16 @@ import pickle
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -36,7 +45,6 @@ from ..errors import SnapshotError, TopologyError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simulator.snapshot import SimState
-    from .fattree import FatTreeRoutes
 
 
 _NATURAL_SPLIT = re.compile(r"(\d+)")
@@ -125,6 +133,17 @@ class Link:
         self.key = (self.src, self.dst, self.link_id)
 
 
+class ClosedFormRoutes(Protocol):
+    """Routes a fabric builder computes without a graph search."""
+
+    def path(self, src_gpu: int, dst_gpu: int) -> Optional[Tuple[Link, ...]]:
+        """The route :meth:`Topology.shortest_path` would return, or ``None``.
+
+        ``None`` means only the search can tell: the graph left the shape
+        the routes were computed for.
+        """
+
+
 class Topology:
     """A directed multigraph of nodes and links with simple routing helpers."""
 
@@ -151,9 +170,11 @@ class Topology:
         self._failed_links: Dict[int, Link] = {}
         #: Original bandwidth of links currently degraded below capacity.
         self._original_bandwidth: Dict[int, float] = {}
-        #: Closed-form routes a fabric builder attached, valid at the
-        #: version they record (see :class:`repro.simulator.routing.RouteTable`).
-        self.closed_form: Optional["FatTreeRoutes"] = None
+        #: Routes a fabric builder attached: ``closed_form.path(src_gpu,
+        #: dst_gpu)`` returns exactly the route :meth:`shortest_path` would,
+        #: or ``None`` where only the search can tell (see
+        #: :class:`repro.simulator.routing.RouteTable`).
+        self.closed_form: Optional[ClosedFormRoutes] = None
 
     @property
     def version(self) -> int:
@@ -202,7 +223,7 @@ class Topology:
             link_id=link_id,
         )
         self._links[link.link_id] = link
-        self._graph.add_edge(src, dst, key=link.link_id, link=link)
+        self._attach(link)
         self._version += 1
         return link
 
@@ -219,12 +240,37 @@ class Topology:
         backward = self.add_link(b, a, bandwidth, latency, kind)
         return forward, backward
 
+    def _attach(self, link: Link) -> None:
+        """Enter ``link`` in the graph's adjacency.
+
+        Writes the ``MultiDiGraph`` layout (``succ[src][dst][link_id] ->
+        {"link": link}``, the key dict shared with ``pred[dst][src]``)
+        directly, as :meth:`route_link` and the search lists read it: circuit
+        fabrics add and remove links on every reconfiguration, where the
+        networkx edge API costs more than the update itself.
+        """
+        graph = self._graph
+        keys = graph._succ[link.src].get(link.dst)
+        if keys is None:
+            keys = graph._succ[link.src][link.dst] = {}
+            graph._pred[link.dst][link.src] = keys
+        keys[link.link_id] = {"link": link}
+
+    def _detach(self, link: Link) -> None:
+        """Drop ``link`` from the graph's adjacency (see :meth:`_attach`)."""
+        graph = self._graph
+        keys = graph._succ[link.src][link.dst]
+        del keys[link.link_id]
+        if not keys:
+            del graph._succ[link.src][link.dst]
+            del graph._pred[link.dst][link.src]
+
     def remove_link(self, link_id: int) -> None:
         """Remove a link by id (used when tearing down optical circuits)."""
         link = self._links.pop(link_id, None)
         if link is None:
             raise TopologyError(f"link id {link_id} does not exist")
-        self._graph.remove_edge(link.src, link.dst, key=link_id)
+        self._detach(link)
         self._original_bandwidth.pop(link_id, None)
         self._version += 1
 
@@ -245,7 +291,7 @@ class Topology:
         link = self._links.pop(link_id, None)
         if link is None:
             raise TopologyError(f"link id {link_id} does not exist")
-        self._graph.remove_edge(link.src, link.dst, key=link_id)
+        self._detach(link)
         self._failed_links[link_id] = link
         self._version += 1
         return link
@@ -256,7 +302,7 @@ class Topology:
         if link is None:
             raise TopologyError(f"link id {link_id} is not failed")
         self._links[link_id] = link
-        self._graph.add_edge(link.src, link.dst, key=link_id, link=link)
+        self._attach(link)
         self._version += 1
         return link
 

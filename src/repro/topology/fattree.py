@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..errors import TopologyError
 from .base import (
@@ -54,7 +54,9 @@ class FatTreeRoutes:
     ends reach (their shared edge switch, their pod's first aggregation
     switch, or core 0 via their pods' first ones) and descends the same way:
     the tie-breaks of :meth:`~repro.topology.base.Topology.shortest_path` on
-    the graph at :attr:`version`, as built.  Each GPU's legs resolve lazily.
+    the graph at :attr:`version`, as built; once a fault, degradation or
+    restore moves the version, :meth:`path` answers ``None`` (search).  Each
+    GPU's legs resolve lazily.
     """
 
     def __init__(self, topology: Topology, cluster: ClusterSpec, half: int) -> None:
@@ -90,8 +92,10 @@ class FatTreeRoutes:
             )
         return legs
 
-    def path(self, src: int, dst: int) -> Tuple[Link, ...]:
-        """The route from GPU ``src`` to GPU ``dst``."""
+    def path(self, src: int, dst: int) -> Optional[Tuple[Link, ...]]:
+        """The route from GPU ``src`` to GPU ``dst``; ``None`` off the built graph."""
+        if self.topology.version != self.version:
+            return None
         if src == dst:
             return ()
         up, down = self._legs_of(src)[0], self._legs_of(dst)[1]

@@ -27,7 +27,7 @@ The fabric exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import (
     CircuitConflictError,
@@ -36,9 +36,11 @@ from ..errors import (
     TopologyError,
 )
 from .base import (
+    Link,
     LinkKind,
     NodeKind,
     Topology,
+    gpu_node_name,
     nic_port_node_name,
     ocs_node_name,
 )
@@ -56,8 +58,7 @@ class RailEndpoint:
     nic_port: int = 0
 
 
-@dataclass(frozen=True)
-class CircuitChangeEvent:
+class CircuitChangeEvent(NamedTuple):
     """One circuit installed on (or torn from) the fabric's topology view.
 
     Emitted by :meth:`PhotonicRailFabric.install` and
@@ -134,6 +135,8 @@ class PhotonicRail:
         #: :meth:`PhotonicRailFabric.clear_rail`: it is a hardware fault, not
         #: crossbar state.
         self.failed_ports: Set[int] = set()
+        #: Topology node of the NIC port behind each OCS port, filled lazily.
+        self._port_nodes: Dict[int, str] = {}
 
     # ------------------------------------------------------------------ #
     # Port mapping
@@ -159,6 +162,16 @@ class PhotonicRail:
     def gpu_of(self, endpoint: RailEndpoint) -> int:
         """Return the global GPU id owning ``endpoint`` on this rail."""
         return self.cluster.gpu_id(endpoint.domain, self.rail)
+
+    def port_node(self, ocs_port: int) -> str:
+        """The topology node of the NIC port wired to ``ocs_port``."""
+        name = self._port_nodes.get(ocs_port)
+        if name is None:
+            endpoint = self.endpoint_of(ocs_port)
+            name = self._port_nodes[ocs_port] = nic_port_node_name(
+                self.gpu_of(endpoint), endpoint.nic_port
+            )
+        return name
 
     # ------------------------------------------------------------------ #
     # Configuration builders
@@ -364,17 +377,10 @@ class PhotonicRailFabric:
     def _add_circuit_links(
         self, photonic_rail: PhotonicRail, circuit: Circuit
     ) -> Tuple[int, int]:
-        endpoint_a = photonic_rail.endpoint_of(circuit.port_a)
-        endpoint_b = photonic_rail.endpoint_of(circuit.port_b)
-        gpu_a = photonic_rail.gpu_of(endpoint_a)
-        gpu_b = photonic_rail.gpu_of(endpoint_b)
-        node_a = nic_port_node_name(gpu_a, endpoint_a.nic_port)
-        node_b = nic_port_node_name(gpu_b, endpoint_b.nic_port)
-        bandwidth = self.cluster.nic_port_config.port_bandwidth
         forward, backward = self.topology.add_bidirectional_link(
-            node_a,
-            node_b,
-            bandwidth=bandwidth,
+            photonic_rail.port_node(circuit.port_a),
+            photonic_rail.port_node(circuit.port_b),
+            bandwidth=self.cluster.nic_port_config.port_bandwidth,
             latency=_circuit_latency(),
             kind=LinkKind.OPTICAL_CIRCUIT,
         )
@@ -383,6 +389,83 @@ class PhotonicRailFabric:
     def _notify(self, event: CircuitChangeEvent) -> None:
         for listener in self._listeners:
             listener(event)
+
+
+class CircuitRoutes:
+    """Direct-circuit routes of one photonic rail fabric, read from its rails.
+
+    Two GPUs on one rail in different scale-up domains that exactly one
+    installed circuit joins route GPU -> NIC port -> circuit -> NIC port ->
+    GPU: the only minimum-hop path in the graph, so the same ``Link``
+    objects :meth:`~repro.topology.base.Topology.shortest_path` returns.
+    Every other pair answers ``None`` and goes to the search: same-domain
+    and cross-rail pairs, pairs joined by two tied circuits or by none
+    (forwarding through hosts, paper constraint C1), and every pair once a
+    link other than a circuit failed, degraded or came back.
+    """
+
+    def __init__(self, fabric: "PhotonicRailFabric") -> None:
+        self.topology = fabric.topology
+        self.rails = fabric.rails
+        #: The topology version this view vouches for: circuit installs and
+        #: tears move it with the topology, any other link change leaves it
+        #: behind for good.
+        self.version = fabric.topology.version
+        cluster = fabric.cluster
+        self._per_domain = cluster.scaleup.gpus_per_domain
+        self._ports = cluster.nic_port_config.num_ports
+        #: (GPU, NIC port) -> its host links (up, down).
+        self._legs: Dict[Tuple[int, int], Tuple[Link, Link]] = {}
+
+    def on_circuit_change(self, event: CircuitChangeEvent) -> None:
+        """Follow a circuit install or tear if nothing else moved the graph."""
+        version = self.topology.version
+        if self.version + len(event.link_ids) == version:
+            self.version = version
+
+    def _leg(self, gpu: int, nic_port: int) -> Tuple[Link, Link]:
+        leg = self._legs.get((gpu, nic_port))
+        if leg is None:
+            gpu_name, port_name = gpu_node_name(gpu), nic_port_node_name(gpu, nic_port)
+            link = self.topology.route_link
+            leg = self._legs[(gpu, nic_port)] = (
+                link(gpu_name, port_name),
+                link(port_name, gpu_name),
+            )
+        return leg
+
+    def path(self, src: int, dst: int) -> Optional[Tuple[Link, ...]]:
+        """The route from GPU ``src`` to GPU ``dst`` over one circuit, or ``None``."""
+        per_domain, ports = self._per_domain, self._ports
+        rail = src % per_domain
+        src_domain, dst_domain = src // per_domain, dst // per_domain
+        if (
+            self.topology.version != self.version
+            or dst % per_domain != rail
+            or src_domain == dst_domain
+        ):
+            return None
+        photonic_rail = self.rails[rail]
+        owners = photonic_rail.port_owner
+        found = None
+        for port in range(src_domain * ports, (src_domain + 1) * ports):
+            circuit = owners.get(port)
+            if circuit is None:
+                continue
+            far = circuit.port_b if circuit.port_a == port else circuit.port_a
+            if far // ports == dst_domain:
+                if found is not None:
+                    return None  # tied circuits: the search breaks the tie
+                found = (circuit, port, far)
+        if found is None:
+            return None
+        circuit, port, far = found
+        forward, backward = photonic_rail.circuits[circuit]
+        return (
+            self._leg(src, port % ports)[0],
+            self.topology.link(forward if port == circuit.port_a else backward),
+            self._leg(dst, far % ports)[1],
+        )
 
 
 def photonic_rail_inventory(cluster: ClusterSpec) -> FabricInventory:
@@ -431,9 +514,15 @@ def build_photonic_rail_fabric(
         )
         rails[rail] = photonic_rail
 
-    return PhotonicRailFabric(
+    fabric = PhotonicRailFabric(
         cluster=cluster,
         topology=topology,
         rails=rails,
         inventory=photonic_rail_inventory(cluster),
     )
+    routes = CircuitRoutes(fabric)
+    # First listener: the routes follow each circuit change before any
+    # consumer reacting to it asks for one.
+    fabric.add_circuit_listener(routes.on_circuit_change)
+    topology.closed_form = routes
+    return fabric

@@ -62,12 +62,15 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
         parallelism="pp",
     )
     steps = expand(op)
+    searches = _counted_searches(fabric.topology)
     items = model.step_items(steps)
     path = model.path_between(0, 4)
     assert any(link.kind == LinkKind.OPTICAL_CIRCUIT for link in path)
-    # Same version: identical objects come back (the caches are hit).
+    # Same version: the step items come back as the same object, and the
+    # route is read from the rail's circuit ledger, not searched.
     assert model.step_items(steps) is items
-    assert model.path_between(0, 4) is path
+    assert _same_links(model.path_between(0, 4), path)
+    assert searches == []
 
     # Tear the circuit down and install it again: the version advances, the
     # stale routes (which embed torn Link objects) must all be dropped.
@@ -76,8 +79,9 @@ def test_route_table_and_step_items_invalidate_on_version_bump(tiny_cluster):
     fresh_items = model.step_items(steps)
     fresh_path = model.path_between(0, 4)
     assert fresh_items is not items
-    assert fresh_path is not path
+    assert fresh_path[1] is not path[1]
     assert all(fabric.topology.has_link(link.link_id) for link in fresh_path)
+    assert searches == []
 
 
 def _fat_tree_model(tiny_cluster, routing_policy="single"):

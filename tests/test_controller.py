@@ -23,7 +23,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core.controller import OpusController
-from repro.errors import CircuitError, FaultError, SchedulingError
+from repro.errors import FaultError, SchedulingError
 from repro.topology.base import LinkKind, nic_port_node_name
 from repro.topology.ocs import Circuit, CircuitConfiguration
 from repro.topology.photonic import build_photonic_rail_fabric
@@ -80,7 +80,7 @@ def test_ensure_waits_for_an_installed_circuit_to_become_usable(controller):
 
 def test_reconfiguration_waits_for_busy_circuits_to_drain(controller):
     controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
-    controller.notify_traffic(0, [Circuit(0, 1)], busy_until=5.0)
+    controller.notify_traffic(0, _config((0, 1)), busy_until=5.0)
     assert controller.rail_state(0).drain_time([Circuit(0, 1)]) == pytest.approx(5.0)
     # (0, 2) conflicts with the busy (0, 1) on port 0: the switching event
     # cannot start before the traffic drains at t=5 (Objective 3).
@@ -115,14 +115,18 @@ def test_provisioned_requests_are_flagged_on_the_record(controller):
     assert record.provisioned
 
 
-def test_notify_traffic_rejects_unknown_circuits(controller):
-    with pytest.raises(CircuitError):
-        controller.notify_traffic(0, [Circuit(0, 1)], busy_until=1.0)
+def test_notify_traffic_marks_only_installed_circuits(controller):
+    # A port failure can tear a circuit under its flows: the traffic mark of
+    # the configuration then lands on the circuits still installed.
+    controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
+    controller.notify_traffic(0, _config((0, 1), (2, 3)), busy_until=4.0)
+    controller.notify_traffic(0, _config((6, 7)), busy_until=9.0)
+    assert controller.rail_state(0).busy_until == {Circuit(0, 1): 4.0}
 
 
 def test_reset_clears_circuits_and_timing_state(controller):
     controller.ensure(0, _config((0, 1)), 0.0, GROUP, "dp")
-    controller.notify_traffic(0, [Circuit(0, 1)], busy_until=9.0)
+    controller.notify_traffic(0, _config((0, 1)), busy_until=9.0)
     controller.reset()
     state = controller.rail_state(0)
     assert not state.usable_at

@@ -215,16 +215,24 @@ def test_path_cache_invalidates_on_topology_version_bump(tiny_cluster):
     fabric = network.fabric
     (circuit,) = fabric.rail(0).pairwise_configuration([(0, 1)]).circuits
     fabric.install(0, circuit)
+    searches = []
+    search = fabric.topology.shortest_path
+    fabric.topology.shortest_path = lambda src, dst: searches.append((src, dst)) or search(
+        src, dst
+    )
     path = network.path_between(0, 4)
     assert any(link.kind == LinkKind.OPTICAL_CIRCUIT for link in path)
-    assert network.path_between(0, 4) is path  # cached
+    assert network.path_between(0, 4) == path
+    assert searches == []  # read from the rail's circuit ledger
     fabric.clear_rail(0)
     with pytest.raises(SimulationError):
         network.path_between(0, 4)
+    assert searches == [("gpu0", "gpu4")]  # no circuit: the search decides
     fabric.install(0, circuit)
     fresh = network.path_between(0, 4)
-    assert fresh is not path
+    assert fresh[1] is not path[1]
     assert all(fabric.topology.has_link(link.link_id) for link in fresh)
+    assert len(searches) == 1
 
 
 def test_circuit_change_listeners_fire_on_install_and_tear(tiny_cluster):

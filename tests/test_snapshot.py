@@ -95,9 +95,10 @@ def test_snapshot_kind_and_version_are_checked():
     state = engine.snapshot()
     with pytest.raises(SnapshotError, match="cannot restore"):
         Topology(name="t").restore(state)
-    # Version 7 payloads pickle a ``Topology`` without its closed-form routes.
-    assert SNAPSHOT_FORMAT_VERSION == 8
-    for version in (7, SNAPSHOT_FORMAT_VERSION + 1):
+    # Version 8 payloads pickle the photonic flow model's per-circuit holds
+    # and a controller without pending traffic marks.
+    assert SNAPSHOT_FORMAT_VERSION == 9
+    for version in (8, SNAPSHOT_FORMAT_VERSION + 1):
         stale = SimState(
             kind=state.kind,
             payload=state.payload,
